@@ -12,11 +12,9 @@ import (
 // and only then mutates — a batch that fails validation leaves the engine
 // untouched. During validation, self-annihilating pairs (an insertion of an
 // edge followed by its removal, or vice versa) are coalesced away entirely.
-// The surviving updates are then executed by whichever strategy the engine
-// predicts cheapest: per-update maintenance replayed sequentially,
-// conflict-grouped concurrent maintenance (see parallel.go), or — when the
-// batch rewrites a large fraction of the graph — one wholesale O(m + n)
-// recomputation.
+// The surviving updates are then executed by per-update maintenance, one
+// update at a time, or — when the batch rewrites a large fraction of the
+// graph — by one wholesale O(m + n) recomputation (see rebuild.go).
 
 // Op is the kind of one edge update.
 type Op uint8
@@ -107,10 +105,11 @@ type BatchInfo struct {
 // affected vertex per update (or per net-changed vertex when the batch was
 // applied by recomputation — see BatchInfo.Recomputed).
 //
-// Large batches on the order-based engine may be executed by the parallel
-// conflict-grouped runtime (see WithWorkers); its results — core numbers,
-// BatchInfo, subscriber events, and the maintained k-order — are identical
-// to sequential execution.
+// The surviving updates run one at a time through per-update maintenance
+// (on the order-based engine, the paper's OrderInsert and OrderRemoval). An
+// order-based batch that rewrites a large fraction of the graph is instead
+// applied by one wholesale recomputation; see WithRebuildThreshold and
+// BatchInfo.Recomputed.
 func (e *Engine) Apply(batch Batch) (BatchInfo, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -161,7 +160,7 @@ func (e *Engine) applyLocked(batch Batch) (BatchInfo, error) {
 // executeGuarded runs the apply probe (the engine surface of the fault
 // plane, see SetApplyProbe) and then executes the batch with panic
 // containment: a panic anywhere in execution — the probe, the maintainer,
-// the parallel runtime — is recovered, the maintained cores and k-order
+// the recompute path — is recovered, the maintained cores and k-order
 // are recomputed wholesale from the graph (the one repair that needs no
 // assumptions about how far the batch got), and the batch is rejected
 // with a *PanicError. Callers hold the write lock.
@@ -230,16 +229,13 @@ func (e *Engine) executeBatch(batch Batch, skip []bool, coalesced int) (BatchInf
 		if e.shouldRebuild(applied, adds, removes) {
 			return e.applyRebuild(impl, batch, skip, coalesced)
 		}
-		if e.workers > 1 && applied >= e.parMin {
-			return e.applyParallel(impl, batch, skip, coalesced)
-		}
 	}
 	return e.applySequential(batch, skip, coalesced)
 }
 
 // applySequential replays the surviving updates one at a time through the
-// maintainer — the reference execution strategy the other two must match
-// observably (and, for the parallel runtime, bit-identically).
+// maintainer — the reference execution strategy the recompute path must
+// match observably.
 func (e *Engine) applySequential(batch Batch, skip []bool, coalesced int) (BatchInfo, error) {
 	info := BatchInfo{Coalesced: coalesced}
 	if len(batch) > 0 {

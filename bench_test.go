@@ -239,7 +239,7 @@ func batchBenchEdges() [][2]int {
 // BenchmarkApplyBatch10k measures the default engine: a batch this large
 // relative to the graph is routed to the wholesale-recompute path by the
 // cost model (see BatchInfo.Recomputed). BenchmarkApplyBatch10kMaintain
-// pins the pre-PR 3 incremental path for comparison.
+// pins the incremental path for comparison.
 func BenchmarkApplyBatch10k(b *testing.B) {
 	b.ReportAllocs()
 	edges := batchBenchEdges()
@@ -269,7 +269,7 @@ func BenchmarkApplyBatch10kMaintain(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		e := NewEngine(WithSeed(1), WithWorkers(1), WithRebuildThreshold(-1, 0))
+		e := NewEngine(WithSeed(1), WithRebuildThreshold(-1, 0))
 		b.StartTimer()
 		if _, err := e.Apply(batch); err != nil {
 			b.Fatal(err)

@@ -7,10 +7,9 @@ import (
 	"kcore/internal/workload"
 )
 
-// Steady-state batched churn through Apply: the parallel runtime's target
-// workload (prebuilt graph, mixed adds/removes, fixed-size batches). The
-// sequential and 4-worker variants share one fixture so their ratio is the
-// conflict-grouped runtime's overhead (GOMAXPROCS=1) or speedup (multicore).
+// Steady-state batched churn through Apply: a prebuilt graph, mixed
+// adds/removes, fixed-size batches, with recomputation disabled so every
+// update runs through per-update maintenance.
 
 type churnFixture struct {
 	edges   [][2]int
@@ -42,14 +41,13 @@ func churnFixture1() *churnFixture {
 	return fx
 }
 
-func benchmarkChurnBatches(b *testing.B, workers int) {
+func BenchmarkChurnBatches(b *testing.B) {
 	fx := churnFixture1()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		e, err := FromEdges(fx.edges, WithSeed(42), WithWorkers(workers),
-			WithRebuildThreshold(-1, 0))
+		e, err := FromEdges(fx.edges, WithSeed(42), WithRebuildThreshold(-1, 0))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -62,6 +60,3 @@ func benchmarkChurnBatches(b *testing.B, workers int) {
 	}
 	b.ReportMetric(10000, "updates/op")
 }
-
-func BenchmarkChurnBatchesSeq(b *testing.B) { benchmarkChurnBatches(b, 1) }
-func BenchmarkChurnBatchesW4(b *testing.B)  { benchmarkChurnBatches(b, 4) }

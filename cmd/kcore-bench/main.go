@@ -8,7 +8,7 @@
 //	kcore-bench -experiment table2 -edges 2000  one experiment, custom size
 //	kcore-bench -datasets facebook-sim,ca-sim   restrict datasets
 //	kcore-bench -experiment hotpath -json out.json   machine-readable results
-//	kcore-bench -experiment parallel -workers 1,2,4,8 -json BENCH_parallel.json
+//	kcore-bench -experiment parallel -json BENCH_parallel.json
 //	kcore-bench -experiment serve2 -fanout 100,1000,10000 -json BENCH_serve.json
 //	kcore-bench -compare OLD.json,NEW.json -compare-name engine/apply-batch -max-ratio 1.2
 package main
@@ -39,7 +39,6 @@ func main() {
 		seed       = flag.Uint64("seed", 42, "RNG seed")
 		dsNames    = flag.String("datasets", "", "comma-separated dataset subset (default: all 11)")
 		jsonPath   = flag.String("json", "", "write measured results (hotpath, batchapi, parallel and serve experiments) as one JSON document to this path")
-		workers    = flag.String("workers", "1,2,4,8", "worker counts the parallel experiment sweeps")
 		compare    = flag.String("compare", "", "regression guard: OLD.json,NEW.json — compare the -compare-name result and exit 1 when NEW exceeds OLD by more than -max-ratio")
 		cmpName    = flag.String("compare-name", "engine/apply-batch", "result name checked by -compare")
 		maxRatio   = flag.Float64("max-ratio", 1.2, "largest allowed NEW/OLD ns-per-op ratio for -compare")
@@ -69,13 +68,6 @@ func main() {
 			fatal(fmt.Errorf("bad hop value %q", h))
 		}
 		cfg.Hops = append(cfg.Hops, v)
-	}
-	for _, w := range strings.Split(*workers, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(w))
-		if err != nil || v < 1 {
-			fatal(fmt.Errorf("bad worker count %q", w))
-		}
-		cfg.Workers = append(cfg.Workers, v)
 	}
 	if *dsNames != "" {
 		for _, name := range strings.Split(*dsNames, ",") {
@@ -227,8 +219,7 @@ func engineHotpath(edges int, seed uint64) []bench.Result {
 	for i, ed := range all {
 		batch[i] = kcore.Add(ed[0], ed[1])
 	}
-	params := map[string]any{"edges": len(all), "graph": "barabasi-albert", "seed": seed,
-		"workers": "auto"}
+	params := map[string]any{"edges": len(all), "graph": "barabasi-albert", "seed": seed}
 
 	var results []bench.Result
 	run := func(name string, fn func(b *testing.B)) {

@@ -11,22 +11,20 @@ import (
 	"kcore/internal/workload"
 )
 
-// Parallel-maintenance experiment: measured evidence for the batch
-// execution planner (PR 3). Four question marks, one row group each:
+// Batch-execution experiment: measured evidence for Apply's two execution
+// strategies, per-update maintenance and wholesale recomputation. Four
+// question marks, one row group each:
 //
 //  1. engine/apply-batch — the headline engine benchmark (10k-edge batch
-//     into an empty engine) on the new default path. The batch equals the
+//     into an empty engine) on the default path. The batch equals the
 //     whole graph, so the cost model routes it to one O(m+n) recomputation;
-//     this row is compared against BENCH_hotpath.json's sequential-
-//     maintenance baseline by the CI regression guard.
+//     this row is compared against BENCH_hotpath.json's row of the same
+//     name by the CI regression guard.
 //  2. engine/apply-batch/maintain — the same workload forced down the
-//     incremental path (recompute disabled, one worker): the PR 2 baseline
-//     must still be reachable and fast.
-//  3. engine/churn/* — steady-state mixed churn on a prebuilt graph, swept
-//     across worker counts and hot-vertex skew: the conflict-grouped
-//     concurrent runtime's profile. Scattered updates parallelize; hub-
-//     heavy updates collapse into big conflict groups and fall back to
-//     nearly sequential execution (visible in the replayed/live counters).
+//     incremental path (recompute disabled): per-update maintenance must
+//     still be reachable and fast.
+//  3. engine/churn/* — steady-state mixed churn on a prebuilt graph at two
+//     hot-vertex skews, through per-update maintenance.
 //  4. engine/rebuild-crossover/* — maintain vs recompute for growing batch
 //     fractions of m, locating the crossover the cost model's default
 //     fraction is calibrated from.
@@ -39,7 +37,7 @@ func parallelExperiment(cfg bench.Config) []bench.Result {
 
 	// 1 + 2: the headline batch, default path vs forced maintenance.
 	results = append(results, applyBatchRows(cfg)...)
-	// 3: steady-state churn across workers and skew.
+	// 3: steady-state churn at two skews.
 	results = append(results, churnRows(cfg)...)
 	// 4: maintain-vs-recompute crossover.
 	results = append(results, crossoverRows(cfg)...)
@@ -62,12 +60,8 @@ func applyBatchRows(cfg bench.Config) []bench.Result {
 	params := map[string]any{
 		"edges": len(all), "graph": "barabasi-albert", "seed": cfg.Seed,
 	}
-	defP := map[string]any{"workers": "auto"}
-	for k, v := range params {
-		defP[k] = v
-	}
 	var results []bench.Result
-	results = append(results, bench.RunMeasured(cfg.Out, "engine/apply-batch", defP,
+	results = append(results, bench.RunMeasured(cfg.Out, "engine/apply-batch", params,
 		func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -79,17 +73,12 @@ func applyBatchRows(cfg bench.Config) []bench.Result {
 				}
 			}
 		}))
-	maintP := map[string]any{"workers": 1}
-	for k, v := range params {
-		maintP[k] = v
-	}
-	results = append(results, bench.RunMeasured(cfg.Out, "engine/apply-batch/maintain", maintP,
+	results = append(results, bench.RunMeasured(cfg.Out, "engine/apply-batch/maintain", params,
 		func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				e := kcore.NewEngine(kcore.WithSeed(cfg.Seed),
-					kcore.WithWorkers(1), kcore.WithRebuildThreshold(-1, 0))
+				e := kcore.NewEngine(kcore.WithSeed(cfg.Seed), kcore.WithRebuildThreshold(-1, 0))
 				b.StartTimer()
 				if _, err := e.Apply(batch); err != nil {
 					b.Fatal(err)
@@ -100,10 +89,10 @@ func applyBatchRows(cfg bench.Config) []bench.Result {
 }
 
 // churnRows measures steady-state batched churn (prebuilt graph, mixed
-// adds/removes in fixed-size batches) for each worker count and two skew
-// settings. Timing is best-of-rounds wall clock over the whole stream —
-// the engine evolves across batches, so per-iteration state cannot be reset
-// inside testing.B without distorting the measurement.
+// adds/removes in fixed-size batches) at two skew settings. Timing is
+// best-of-rounds wall clock over the whole stream — the engine evolves
+// across batches, so per-iteration state cannot be reset inside testing.B
+// without distorting the measurement.
 func churnRows(cfg bench.Config) []bench.Result {
 	n := 2 * cfg.Edges
 	m := 6 * cfg.Edges
@@ -129,40 +118,34 @@ func churnRows(cfg bench.Config) []bench.Result {
 			}
 			batches = append(batches, b)
 		}
-		for _, w := range cfg.Workers {
-			const rounds = 3
-			var best time.Duration
-			var stats kcore.ExecStats
-			for r := 0; r < rounds; r++ {
-				e, err := kcore.FromEdges(baseEdges,
-					kcore.WithSeed(cfg.Seed), kcore.WithWorkers(w),
-					kcore.WithRebuildThreshold(-1, 0))
-				if err != nil {
+		const rounds = 3
+		var best time.Duration
+		for r := 0; r < rounds; r++ {
+			e, err := kcore.FromEdges(baseEdges,
+				kcore.WithSeed(cfg.Seed), kcore.WithRebuildThreshold(-1, 0))
+			if err != nil {
+				panic(err)
+			}
+			start := time.Now()
+			for _, b := range batches {
+				if _, err := e.Apply(b); err != nil {
 					panic(err)
 				}
-				start := time.Now()
-				for _, b := range batches {
-					if _, err := e.Apply(b); err != nil {
-						panic(err)
-					}
-				}
-				if d := time.Since(start); r == 0 || d < best {
-					best = d
-				}
-				stats = e.ExecStats()
 			}
-			params := bench.StampParams(map[string]any{
-				"graph_n": n, "graph_m": m, "stream": streamLen,
-				"batch_size": batchSize, "skew": skew, "workers": w,
-				"replayed": stats.Replayed, "live": stats.Live + stats.Sequential,
-				"unit": "ns per whole stream", "rounds": rounds,
-			})
-			name := fmt.Sprintf("engine/churn/skew%02.0f/w%d", skew*10, w)
-			res := bench.Result{Name: name, NsPerOp: float64(best.Nanoseconds()),
-				Iterations: rounds, Params: params}
-			fmt.Fprintf(cfg.Out, "%-28s %14.0f %12s %12s\n", name, res.NsPerOp, "-", "-")
-			results = append(results, res)
+			if d := time.Since(start); r == 0 || d < best {
+				best = d
+			}
 		}
+		params := bench.StampParams(map[string]any{
+			"graph_n": n, "graph_m": m, "stream": streamLen,
+			"batch_size": batchSize, "skew": skew,
+			"unit": "ns per whole stream", "rounds": rounds,
+		})
+		name := fmt.Sprintf("engine/churn/skew%02.0f", skew*10)
+		res := bench.Result{Name: name, NsPerOp: float64(best.Nanoseconds()),
+			Iterations: rounds, Params: params}
+		fmt.Fprintf(cfg.Out, "%-28s %14.0f %12s %12s\n", name, res.NsPerOp, "-", "-")
+		results = append(results, res)
 	}
 	return results
 }
@@ -191,7 +174,7 @@ func crossoverRows(cfg bench.Config) []bench.Result {
 			const rounds = 3
 			var best time.Duration
 			for r := 0; r < rounds; r++ {
-				opts := []kcore.Option{kcore.WithSeed(cfg.Seed), kcore.WithWorkers(1)}
+				opts := []kcore.Option{kcore.WithSeed(cfg.Seed)}
 				if mode == "maintain" {
 					opts = append(opts, kcore.WithRebuildThreshold(-1, 0))
 				} else {
@@ -215,7 +198,7 @@ func crossoverRows(cfg bench.Config) []bench.Result {
 			}
 			params := bench.StampParams(map[string]any{
 				"graph_n": n, "graph_m": m, "batch": count, "frac": frac,
-				"mode": mode, "workers": 1,
+				"mode": mode,
 				"unit": "ns per whole batch", "rounds": rounds,
 			})
 			name := fmt.Sprintf("engine/rebuild-crossover/f%03.0f/%s", frac*100, mode)

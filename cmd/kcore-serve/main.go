@@ -8,7 +8,7 @@
 //
 //	kcore-serve                                  serve an empty engine on :8080
 //	kcore-serve -addr :9090 -load graph.txt      preload an edge list or snapshot
-//	kcore-serve -workers 4 -max-batch 50000      tune engine and admission
+//	kcore-serve -max-batch 50000                 tune admission
 //	kcore-serve -data-dir /var/lib/kcore         durable: snapshot + WAL
 //	kcore-serve -data-dir d -fsync always        fsync the WAL per batch
 //	kcore-serve -follow http://primary:8080      read-scaling follower
@@ -90,7 +90,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr stri
 		addr         = fs.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
 		load         = fs.String("load", "", "file to preload: an edge list (whitespace-separated \"u v\" lines) or a KCORSNAP snapshot image")
 		seed         = fs.Uint64("seed", 1, "engine randomization seed")
-		workers      = fs.Int("workers", 0, "parallel batch maintenance workers (0 = auto)")
 		rebuildFloor = fs.Int("rebuild-floor", -2, "maintain-vs-recompute floor (-2 = engine default, -1 = never recompute)")
 		rebuildFrac  = fs.Float64("rebuild-frac", 0.15, "maintain-vs-recompute graph fraction (with -rebuild-floor)")
 		maxBatch     = fs.Int("max-batch", 10000, "largest accepted updates per batch request (HTTP 413 beyond)")
@@ -153,9 +152,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr stri
 	}
 
 	opts := []kcore.Option{kcore.WithSeed(*seed)}
-	if *workers != 0 {
-		opts = append(opts, kcore.WithWorkers(*workers))
-	}
 	if *rebuildFloor != -2 {
 		opts = append(opts, kcore.WithRebuildThreshold(*rebuildFloor, *rebuildFrac))
 	}

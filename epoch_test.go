@@ -42,8 +42,8 @@ func (g *churnGen) batch(size int) Batch {
 }
 
 // TestEpochMatchesLocked is the quiesced differential for the epoch read
-// path: after every batch — across the sequential, conflict-grouped
-// parallel, and wholesale-recompute execution strategies, with removals,
+// path: after every batch — across the sequential and wholesale-recompute
+// execution strategies and the default options, with removals,
 // coalesced pairs, and vertex operations mixed in — every lock-free read
 // API must agree exactly with the authoritative maintained state that the
 // old RWMutex read path answered from. Engine.Validate holds the lock and
@@ -55,9 +55,9 @@ func TestEpochMatchesLocked(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{"sequential", []Option{WithSeed(3), WithWorkers(1), WithRebuildThreshold(-1, 0)}},
-		{"parallel", []Option{WithSeed(3), WithWorkers(4), WithRebuildThreshold(-1, 0)}},
-		{"rebuild", []Option{WithSeed(3), WithWorkers(1), WithRebuildThreshold(1, 0.0001)}},
+		{"sequential", []Option{WithSeed(3), WithRebuildThreshold(-1, 0)}},
+		{"default", []Option{WithSeed(3)}},
+		{"rebuild", []Option{WithSeed(3), WithRebuildThreshold(1, 0.0001)}},
 		{"traversal", []Option{WithSeed(3), WithAlgorithm(Traversal)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -256,8 +256,8 @@ func TestReadLinearizabilityDifferential(t *testing.T) {
 		batches  = 120
 		readers  = 4
 	)
-	e := NewEngine(WithSeed(21), WithWorkers(4))
-	ref := NewEngine(WithSeed(21), WithWorkers(1))
+	e := NewEngine(WithSeed(21))
+	ref := NewEngine(WithSeed(21))
 
 	// Ground truth per observable seq, recorded by the writer before the
 	// batch is applied to the engine under test: readers can then never

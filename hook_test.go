@@ -285,14 +285,15 @@ func TestReplayNotifyAcrossStrategies(t *testing.T) {
 }
 
 // TestHookSeesParallelAndRebuildBatches: the hook fires once per Apply for
-// every execution strategy with the right survivors.
+// every execution strategy with the right survivors, on a multi-update
+// batch under the default options and on a recomputed batch.
 func TestHookSeesParallelAndRebuildBatches(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opts []Option
 		n    int
 	}{
-		{"parallel", []Option{WithWorkers(4), WithSeed(3)}, 200},
+		{"default", []Option{WithSeed(3)}, 200},
 		{"rebuild", []Option{WithRebuildThreshold(4, 0.0), WithSeed(3)}, 40},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

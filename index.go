@@ -44,8 +44,7 @@ type IndexState struct {
 // korder.Restore): a corrupted or internally inconsistent state yields an
 // error, never a silently-wrong engine. The engine adopts the state's Seq,
 // Seed, Heuristic and Structure — replay determinism depends on them — while
-// other options (WithWorkers, WithRebuildThreshold, ...) may be supplied as
-// opts.
+// other options (WithRebuildThreshold, ...) may be supplied as opts.
 func FromIndex(st *IndexState, opts ...Option) (*Engine, error) {
 	cfg := defaultConfig()
 	for _, o := range opts {
@@ -86,7 +85,6 @@ func FromIndex(st *IndexState, opts ...Option) (*Engine, error) {
 		return nil, fmt.Errorf("kcore: %w", err)
 	}
 	e := &Engine{g: g, m: orderImpl{m}, cfg: cfg, seq: st.Seq}
-	e.initBatchRuntime()
 	e.publishEpochFull()
 	return e, nil
 }

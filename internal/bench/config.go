@@ -35,9 +35,6 @@ type Config struct {
 	Seed uint64
 	// Datasets overrides the dataset list (default: datasets.All()).
 	Datasets []datasets.Dataset
-	// Workers lists the worker counts the parallel experiment sweeps
-	// (default 1, 2, 4, 8).
-	Workers []int
 }
 
 // WithDefaults fills zero fields with the scaled-paper defaults.
@@ -59,9 +56,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Datasets == nil {
 		c.Datasets = datasets.All()
-	}
-	if len(c.Workers) == 0 {
-		c.Workers = []int{1, 2, 4, 8}
 	}
 	if c.Out == nil {
 		c.Out = io.Discard

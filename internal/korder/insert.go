@@ -25,12 +25,6 @@ func (m *Maintainer) Insert(u, v int) (UpdateResult, error) {
 		return UpdateResult{}, err
 	}
 	m.stats.Inserts++
-	// Both endpoints are logged unconditionally: even when an endpoint's
-	// mcd and deg+ stay put, its adjacency changed, which is logical state
-	// a concurrent simulation may have read (neighbor counts feed mcd
-	// repair and deg+ recomputation).
-	m.logw(u)
-	m.logw(v)
 	// mcd deltas use pre-update core numbers (the V* rise is accounted for
 	// separately below, uniformly over all edges including this one).
 	if m.core[v] >= m.core[u] {
@@ -44,7 +38,7 @@ func (m *Maintainer) Insert(u, v int) (UpdateResult, error) {
 		root = v
 	}
 	K := m.core[root]
-	m.degPlus[root]++ // root is already logged above
+	m.degPlus[root]++
 	res := UpdateResult{K: K}
 	if m.degPlus[root] <= K {
 		// Lemma 5.2: no core number changes; the order is still valid.
@@ -105,7 +99,6 @@ func (m *Maintainer) Insert(u, v int) (UpdateResult, error) {
 		visited++
 		m.conf.set(w)
 		m.degPlus[w] += ds
-		m.logw(w)
 		m.degStar.set(w, 0)
 		cursor = w
 		cursor = m.removeCandidates(L, w, K, &relocs, cursor)
@@ -134,7 +127,6 @@ func (m *Maintainer) Insert(u, v int) (UpdateResult, error) {
 		}
 		for _, w := range vstar {
 			m.core[w] = K + 1
-			m.logw(w)
 			m.degStar.set(w, 0)
 		}
 		// mcd repair for the K -> K+1 rise (DESIGN.md §2.4).
@@ -147,7 +139,6 @@ func (m *Maintainer) Insert(u, v int) (UpdateResult, error) {
 				}
 				if !m.cand.has(z) && m.core[z] == K+1 {
 					m.mcd[z]++
-					m.logw(z)
 				}
 			}
 			m.mcd[w] = cnt
@@ -175,7 +166,6 @@ func (m *Maintainer) removeCandidates(L order.List, vi, K int, relocs *[]relocat
 		z := int(z32)
 		if m.cand.has(z) {
 			m.degPlus[z]--
-			m.logw(z)
 			if m.degPlus[z]+m.degStar.get(z) <= K && !m.inQ.has(z) {
 				m.inQ.set(z)
 				queue = append(queue, z)
@@ -188,7 +178,6 @@ func (m *Maintainer) removeCandidates(L order.List, vi, K int, relocs *[]relocat
 		m.cand.clear(wp)
 		m.conf.set(wp)
 		m.degPlus[wp] += m.degStar.get(wp)
-		m.logw(wp)
 		m.degStar.set(wp, 0)
 		*relocs = append(*relocs, relocation{anchor: cursor, v: wp})
 		cursor = wp
@@ -210,7 +199,6 @@ func (m *Maintainer) removeCandidates(L order.List, vi, K int, relocs *[]relocat
 				}
 			case m.cand.has(z):
 				m.degPlus[z]--
-				m.logw(z)
 				if m.degPlus[z]+m.degStar.get(z) <= K && !m.inQ.has(z) {
 					m.inQ.set(z)
 					queue = append(queue, z)

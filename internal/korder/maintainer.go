@@ -92,49 +92,8 @@ type Maintainer struct {
 	queueBuf  []int
 	relocsBuf []relocation
 
-	// Write log: when enabled (StartWriteLog), Insert and Remove append
-	// every vertex whose logical state they change — core, deg+, mcd, or
-	// position in the k-order — so a parallel batch runtime can track which
-	// regions a live update dirtied (see the engine's parallel Apply path).
-	logWrites bool
-	writeLog  []int
-
 	stats Stats
 }
-
-// StartWriteLog clears the write log and starts recording the vertices whose
-// logical state subsequent updates change. The log is an over-approximation-
-// free record: exactly the vertices with a core, deg+, mcd, or order-position
-// write. Scratch-only churn (deg*, candidate flags) is not logged.
-func (m *Maintainer) StartWriteLog() {
-	m.logWrites = true
-	m.writeLog = m.writeLog[:0]
-}
-
-// TakeWriteLog returns the vertices logged since StartWriteLog and clears
-// the log, keeping recording enabled. The slice aliases internal storage and
-// is valid until the next update.
-func (m *Maintainer) TakeWriteLog() []int {
-	log := m.writeLog
-	m.writeLog = m.writeLog[:0]
-	return log
-}
-
-// StopWriteLog disables write recording.
-func (m *Maintainer) StopWriteLog() {
-	m.logWrites = false
-	m.writeLog = m.writeLog[:0]
-}
-
-// logw records a logical-state write to v while the write log is enabled.
-func (m *Maintainer) logw(v int) {
-	if m.logWrites {
-		m.writeLog = append(m.writeLog, v)
-	}
-}
-
-// NumVertices reports the number of maintained vertices.
-func (m *Maintainer) NumVertices() int { return len(m.core) }
 
 // New builds a Maintainer for g, computing the initial decomposition and
 // k-order with the configured heuristic. g must not be mutated except

@@ -27,8 +27,6 @@ func (m *Maintainer) Remove(u, v int) (UpdateResult, error) {
 	} else {
 		m.degPlus[v]--
 	}
-	m.logw(u)
-	m.logw(v)
 	// mcd deltas with pre-update core numbers (lines 3-4 of Algorithm 4).
 	if m.core[v] >= m.core[u] {
 		m.mcd[u]--
@@ -56,7 +54,6 @@ func (m *Maintainer) Remove(u, v int) (UpdateResult, error) {
 		if m.core[r] == K && !m.inVStar.has(r) && m.cdTouch(r) < K {
 			m.inVStar.set(r)
 			m.core[r] = K - 1
-			m.logw(r)
 			vstar = append(vstar, r)
 			stack = append(stack, r)
 		}
@@ -74,7 +71,6 @@ func (m *Maintainer) Remove(u, v int) (UpdateResult, error) {
 			if cd < K {
 				m.inVStar.set(z)
 				m.core[z] = K - 1
-				m.logw(z)
 				vstar = append(vstar, z)
 				stack = append(stack, z)
 			}
@@ -97,7 +93,6 @@ func (m *Maintainer) Remove(u, v int) (UpdateResult, error) {
 			z := int(z32)
 			if m.core[z] == K && L.Less(z, w) {
 				m.degPlus[z]--
-				m.logw(z)
 			}
 			if m.core[z] >= K || (m.inVStar.has(z) && !m.moved.has(z) && z != w) {
 				dp++
@@ -118,7 +113,6 @@ func (m *Maintainer) Remove(u, v int) (UpdateResult, error) {
 			}
 			if !m.inVStar.has(z) && m.core[z] == K {
 				m.mcd[z]--
-				m.logw(z)
 			}
 		}
 		m.mcd[w] = cnt

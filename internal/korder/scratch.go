@@ -53,15 +53,6 @@ func (s *sparseInts) get(v int) int {
 	return 0
 }
 
-// lookup returns the stored value and whether v was set this epoch,
-// distinguishing an explicit zero from "untouched" (get cannot).
-func (s *sparseInts) lookup(v int) (int, bool) {
-	if s.ep[v] == s.cur {
-		return s.val[v], true
-	}
-	return 0, false
-}
-
 func (s *sparseInts) set(v, x int) {
 	s.ep[v] = s.cur
 	s.val[v] = x

@@ -86,8 +86,6 @@ func (m *Maintainer) Reseed() {
 	m.seedCtr = m.opts.Seed
 	m.initLevels(dec.MaxCore, dec.Order)
 	m.initScratch(m.g.NumVertices())
-	m.logWrites = false
-	m.writeLog = nil
 }
 
 // LoadSnapshot restores a maintainer from a snapshot written by

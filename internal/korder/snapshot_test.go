@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"kcore/internal/gen"
 	"kcore/internal/graph"
 )
 
@@ -130,5 +131,65 @@ func TestSnapshotRejectsWrongOrder(t *testing.T) {
 	copy(raw[orderOff+4:orderOff+8], raw[orderOff:orderOff+4])
 	if _, err := LoadSnapshot(bytes.NewReader(raw), Options{}); err == nil {
 		t.Fatal("non-permutation order accepted")
+	}
+}
+
+// TestReseedEquivalentToFresh: after wholesale graph mutation, Reseed must
+// leave the maintainer indistinguishable from one freshly built on the same
+// graph, and fully valid.
+func TestReseedEquivalentToFresh(t *testing.T) {
+	g := gen.ErdosRenyi(50, 100, 21)
+	m := New(g, Options{Seed: 9})
+	// Mutate the graph directly (as the engine's rebuild path does), then
+	// reseed.
+	rng := rand.New(rand.NewPCG(4, 2))
+	for i := 0; i < 60; i++ {
+		u, v := rng.IntN(50), rng.IntN(50)
+		if u == v {
+			continue
+		}
+		if g.HasEdge(u, v) {
+			_ = g.RemoveEdge(u, v)
+		} else {
+			_ = g.AddEdge(u, v)
+		}
+	}
+	m.Reseed()
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatalf("invariants after reseed: %v", err)
+	}
+	fresh := New(g.Clone(), Options{Seed: 9})
+	fo, ro := fresh.Order(), m.Order()
+	if len(fo) != len(ro) {
+		t.Fatalf("order length %d vs fresh %d", len(ro), len(fo))
+	}
+	for i := range fo {
+		if fo[i] != ro[i] {
+			t.Fatalf("order diverges from fresh build at %d", i)
+		}
+	}
+	for v := range fresh.core {
+		if fresh.core[v] != m.core[v] {
+			t.Fatalf("core(%d) = %d, fresh %d", v, m.core[v], fresh.core[v])
+		}
+	}
+	// The reseeded maintainer keeps maintaining correctly.
+	for i := 0; i < 40; i++ {
+		u, v := rng.IntN(50), rng.IntN(50)
+		if u == v {
+			continue
+		}
+		var err error
+		if m.g.HasEdge(u, v) {
+			_, err = m.Remove(u, v)
+		} else {
+			_, err = m.Insert(u, v)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatalf("invariants after post-reseed churn: %v", err)
 	}
 }

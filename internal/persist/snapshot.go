@@ -226,8 +226,8 @@ func WriteSnapshot(w io.Writer, st *kcore.IndexState) error {
 
 // ReadSnapshot decodes, CRC-verifies, and semantically verifies a snapshot,
 // returning a reconstructed engine. opts configure non-replay engine knobs
-// (workers, rebuild thresholds); the snapshot's stored seed, heuristic and
-// structure always win. All failures wrap ErrCorruptSnapshot.
+// (rebuild thresholds); the snapshot's stored seed, heuristic and structure
+// always win. All failures wrap ErrCorruptSnapshot.
 func ReadSnapshot(r io.Reader, opts ...kcore.Option) (*kcore.Engine, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {

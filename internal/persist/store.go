@@ -323,14 +323,18 @@ func (s *Store) compactLoop() {
 		case <-s.stop:
 			return
 		case <-s.compactCh:
-			// A signal racing Close can lose to the closed flag inside
-			// Snapshot; that is a benign shutdown, not a compaction failure.
-			if _, err := s.Snapshot(); err != nil && !errors.Is(err, errStoreClosed) {
+			// The failure is recorded before snapMu is released, so it can
+			// never land after a later compaction's heal. A signal racing
+			// Close can lose to the closed flag inside the snapshot; that is
+			// a benign shutdown, not a compaction failure.
+			s.snapMu.Lock()
+			if _, err := s.snapshotLocked(); err != nil && !errors.Is(err, errStoreClosed) {
 				s.mu.Lock()
 				s.cErrs++
 				s.lastCErr = err
 				s.mu.Unlock()
 			}
+			s.snapMu.Unlock()
 		}
 	}
 }
@@ -359,6 +363,11 @@ type SnapshotInfo struct {
 func (s *Store) Snapshot() (SnapshotInfo, error) {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
+	return s.snapshotLocked()
+}
+
+// snapshotLocked is Snapshot with snapMu held.
+func (s *Store) snapshotLocked() (SnapshotInfo, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -389,6 +398,9 @@ func (s *Store) Snapshot() (SnapshotInfo, error) {
 		// already succeeded.
 		return info, fmt.Errorf("%w: %w", ErrCompaction, err)
 	}
+	// A full compaction heals any earlier background compaction failure;
+	// CompactErrors keeps the lifetime count.
+	s.lastCErr = nil
 	return info, nil
 }
 
@@ -485,8 +497,10 @@ func (s *Store) Stats() Stats {
 
 // Close detaches the apply hook, stops the background compactor, and syncs
 // and closes the WAL. The engine remains usable afterwards — it just stops
-// being logged. Close returns the last background compaction and interval
-// fsync errors, if any occurred. It is idempotent.
+// being logged. Close returns the last background compaction error unless
+// a later compaction fully succeeded, and the last interval fsync error if
+// any occurred (a later fsync does not heal a failed fsync of acknowledged
+// records). It is idempotent.
 func (s *Store) Close() error {
 	s.engine.SetApplyHook(nil) // waits out any in-flight Apply (write lock)
 	s.mu.Lock()

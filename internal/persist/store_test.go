@@ -704,6 +704,59 @@ func TestStoreSnapshotDeadHandleNotPartialSuccess(t *testing.T) {
 	assertSameState(t, e, st2.Engine())
 }
 
+// TestStoreCloseReportsOnlyUnhealedCompactionError: Close reports a
+// background compaction failure only while it is live. A later compaction
+// that fully succeeds heals it (CompactErrors keeps the history), while a
+// compaction still failing at close is reported.
+func TestStoreCloseReportsOnlyUnhealedCompactionError(t *testing.T) {
+	injected := errors.New("injected compaction failure")
+	// failBackground opens a store whose WAL compaction fails count times
+	// (0 = always), and returns once a background compaction has failed.
+	failBackground := func(t *testing.T, count int) *Store {
+		t.Helper()
+		pl := fault.New(1)
+		pl.Fail(fault.WALCompact, count, injected)
+		st, err := Open(t.TempDir(), Options{Sync: SyncOff, CompactBytes: 64, Fault: pl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 16; i++ {
+			if _, err := st.Engine().AddEdge(i, i+1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for st.Stats().CompactErrors == 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if st.Stats().CompactErrors == 0 {
+			t.Fatalf("background compaction never failed (stats %+v)", st.Stats())
+		}
+		return st
+	}
+
+	t.Run("healed", func(t *testing.T) {
+		// A one-shot fault: every compaction after the recorded failure
+		// succeeds, so no failure can be recorded after the heal below.
+		st := failBackground(t, 1)
+		if _, err := st.Snapshot(); err != nil {
+			t.Fatalf("snapshot after the fault cleared: %v", err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatalf("Close reported a healed compaction error: %v", err)
+		}
+		if st.Stats().CompactErrors == 0 {
+			t.Fatal("CompactErrors lost the lifetime count")
+		}
+	})
+	t.Run("still-failing", func(t *testing.T) {
+		st := failBackground(t, 0)
+		if err := st.Close(); !errors.Is(err, injected) {
+			t.Fatalf("Close = %v, want the live compaction failure", err)
+		}
+	})
+}
+
 // TestIntervalSyncCoversIdleTail: under the interval policy a lone batch
 // followed by silence must still be fsynced within about one period by the
 // background timer, not wait for the next append.

@@ -14,7 +14,7 @@ import (
 // one engine Apply call. Requests that arrive while a flush is in progress
 // queue up; the flusher goroutine then concatenates every queued batch (in
 // arrival order) and applies them together, amortizing the engine's write
-// lock, validation pass, and batch planner across callers. See the wire
+// lock, validation pass, and batch execution across callers. See the wire
 // package comment for the externally visible contract.
 
 // Sentinel ingest errors, mapped to wire codes by toWireError.

@@ -434,8 +434,6 @@ func (s *Server) handleStats(ts *tenantServing, w http.ResponseWriter, r *http.R
 		Watchers:   int(ts.watchers.Load()),
 		Exec: wire.ExecStats{
 			Sequential: ex.Sequential,
-			Replayed:   ex.Replayed,
-			Live:       ex.Live,
 			Recomputed: ex.Recomputed,
 			Panics:     ex.Panics,
 		},

@@ -276,12 +276,11 @@ type KCoreResponse struct {
 	Seq      uint64 `json:"seq"`
 }
 
-// ExecStats mirrors kcore.ExecStats: lifetime update counts per batch
-// execution mode, plus the count of contained engine panics.
+// ExecStats mirrors kcore.ExecStats without its deprecated fields: lifetime
+// update counts per batch execution mode, plus the count of contained
+// engine panics.
 type ExecStats struct {
 	Sequential uint64 `json:"sequential"`
-	Replayed   uint64 `json:"replayed"`
-	Live       uint64 `json:"live"`
 	Recomputed uint64 `json:"recomputed"`
 	// Panics counts batches quarantined by the engine's panic containment:
 	// the batch was rejected and the maintained state rebuilt wholesale.

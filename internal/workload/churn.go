@@ -18,10 +18,8 @@ type ChurnOptions struct {
 	AddFraction float64
 	// Skew in [0, 1) concentrates endpoint selection on a hot subset of
 	// vertices: 0 is uniform; as skew approaches 1, insertions increasingly
-	// target the same few (randomly chosen) hot vertices, driving up the
-	// conflict rate between nearby updates. This is the knob that stresses
-	// a conflict-grouping batch planner realistically — hub-centric streams
-	// serialize, scattered streams parallelize.
+	// target the same few (randomly chosen) hot vertices, so consecutive
+	// updates land in overlapping hub neighborhoods.
 	Skew float64
 	// Seed drives the stream deterministically.
 	Seed uint64

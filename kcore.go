@@ -60,7 +60,6 @@ package kcore
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -68,7 +67,6 @@ import (
 	"kcore/internal/graph"
 	"kcore/internal/korder"
 	"kcore/internal/order"
-	"kcore/internal/parallel"
 	"kcore/internal/traversal"
 )
 
@@ -124,19 +122,16 @@ type config struct {
 	structure    OrderStructure
 	hops         int
 	seed         uint64
-	workers      int
 	rebuildFloor int
 	rebuildFrac  float64
 }
 
-// Defaults for the batch execution planner. The rebuild fraction is
-// measured: see the rebuild-crossover rows of BENCH_parallel.json and
+// Defaults for the maintain-vs-recompute cost model. The rebuild fraction
+// is measured: see the rebuild-crossover rows of BENCH_parallel.json and
 // EXPERIMENTS.md.
 const (
 	defaultRebuildFloor = 256
 	defaultRebuildFrac  = 0.15
-	defaultParallelMin  = 128
-	maxAutoWorkers      = 8
 )
 
 func defaultConfig() config {
@@ -165,14 +160,12 @@ func WithTraversalHops(h int) Option { return func(c *config) { c.hops = h } }
 // WithSeed makes all internal randomization deterministic (default 1).
 func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 
-// WithWorkers sets how many workers Apply may use for conflict-grouped
-// concurrent batch maintenance (order-based engine only). n = 1 forces
-// sequential execution; n <= 0 (the default) picks min(GOMAXPROCS, 8).
-// Parallel execution produces results bit-identical to sequential — same
-// core numbers, BatchInfo, subscriber events, and maintained k-order — so
-// the setting is purely a performance knob. Small batches always run
-// sequentially regardless.
-func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
+// WithWorkers has no effect: Apply runs every batch on the calling
+// goroutine, by per-update maintenance or by recomputation (see Apply). It
+// is kept for source compatibility.
+//
+// Deprecated: no effect.
+func WithWorkers(n int) Option { return func(*config) {} }
 
 // WithRebuildThreshold tunes the maintain-vs-recompute cost model
 // (order-based engine only): a batch whose surviving update count is at
@@ -275,23 +268,9 @@ type Engine struct {
 	val      overlay
 	skipBuf  []bool
 
-	// Parallel batch runtime (guarded by mu; see parallel.go). workers,
-	// parMin, rebuildFloor and rebuildFrac are resolved from the config at
-	// construction. The sims, regions, deltas and planner scratch are only
-	// touched by Apply while holding the write lock; their worker goroutines
-	// never outlive one Apply call.
-	workers      int
-	parMin       int
-	rebuildFloor int
-	rebuildFrac  float64
-	sims         []*korder.Sim
-	regions      [][]int32
-	views        [][]int32
-	deltas       []*korder.Delta
-	planner      parallel.Planner
-	dirtyEp      []uint64
-	dirtyCur     uint64
-	exec         ExecStats
+	// exec counts applied updates per execution mode (guarded by mu;
+	// published with every epoch, see ExecStats).
+	exec ExecStats
 
 	// Change subscriptions (see subscribe.go). subMu guards subs; subCount
 	// mirrors len(subs) so the no-subscriber fast path skips locking.
@@ -375,39 +354,26 @@ func fromGraph(g *graph.Undirected, cfg config) (*Engine, error) {
 	default:
 		return nil, fmt.Errorf("kcore: unknown algorithm %d", cfg.algorithm)
 	}
-	e.initBatchRuntime()
 	e.publishEpochFull()
 	return e, nil
-}
-
-// initBatchRuntime resolves the batch execution planner's settings from the
-// config.
-func (e *Engine) initBatchRuntime() {
-	e.workers = e.cfg.workers
-	if e.workers <= 0 {
-		e.workers = min(runtime.GOMAXPROCS(0), maxAutoWorkers)
-	}
-	e.parMin = defaultParallelMin
-	e.rebuildFloor = e.cfg.rebuildFloor
-	e.rebuildFrac = e.cfg.rebuildFrac
 }
 
 // Algorithm reports the engine's maintenance algorithm.
 func (e *Engine) Algorithm() Algorithm { return e.cfg.algorithm }
 
 // ExecStats counts, over the engine's lifetime, how many applied updates
-// went through each batch execution mode. It is observability for the batch
-// planner: a high Live share on large batches means the workload's update
-// regions overlap (hot hubs), so the conflict-grouped runtime is falling
-// back to sequential execution.
+// went through each batch execution mode: per-update maintenance or
+// wholesale recomputation (see WithRebuildThreshold).
 type ExecStats struct {
-	// Sequential counts updates applied by the plain sequential path.
+	// Sequential counts updates applied by per-update maintenance.
 	Sequential uint64
-	// Replayed counts updates whose concurrently simulated delta was
-	// committed by the parallel runtime.
+	// Replayed is kept for source compatibility.
+	//
+	// Deprecated: always zero.
 	Replayed uint64
-	// Live counts updates the parallel runtime executed sequentially —
-	// multi-update conflict groups, region overflows, and demotions.
+	// Live is kept for source compatibility.
+	//
+	// Deprecated: always zero.
 	Live uint64
 	// Recomputed counts updates absorbed by a wholesale recomputation.
 	Recomputed uint64
@@ -676,7 +642,6 @@ func LoadIndex(r io.Reader, opts ...Option) (*Engine, error) {
 		return nil, fmt.Errorf("kcore: %w", err)
 	}
 	e := &Engine{g: m.Graph(), m: orderImpl{m}, cfg: cfg}
-	e.initBatchRuntime()
 	e.publishEpochFull()
 	return e, nil
 }

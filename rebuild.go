@@ -1,0 +1,70 @@
+package kcore
+
+// The maintain-vs-recompute hybrid. Per-update maintenance touches only a
+// small neighborhood of each edge, but when a batch rewrites a large
+// fraction of the graph, replaying it edge by edge loses to a single
+// O(m + n) recomputation (the static peel that builds the engine in the
+// first place). A cost-model switch routes such batches to applyRebuild
+// instead; see WithRebuildThreshold.
+
+// shouldRebuild is the maintain-vs-recompute cost model: recompute when the
+// surviving batch is at least the configured fraction of the post-batch
+// graph size (m + n, the O(m + n) peel's input) and clears the floor that
+// keeps small batches on the cheap incremental path. The default fraction
+// is measured — see the rebuild-crossover rows of BENCH_parallel.json.
+func (e *Engine) shouldRebuild(applied, adds, removes int) bool {
+	if e.cfg.rebuildFloor < 0 || applied < e.cfg.rebuildFloor {
+		return false
+	}
+	mAfter := e.g.NumEdges() + adds - removes
+	return float64(applied) >= e.cfg.rebuildFrac*float64(mAfter+e.g.NumVertices())
+}
+
+// applyRebuild applies the batch by wholesale recomputation: mutate the
+// graph directly, then reseed the maintainer from one static O(m + n)
+// decomposition. Per-update attribution is lost — see BatchInfo.Recomputed
+// for the coarsened result semantics.
+func (e *Engine) applyRebuild(impl orderImpl, batch Batch, skip []bool, coalesced int) (BatchInfo, error) {
+	m := impl.m
+	oldCores := m.Cores()
+	info := BatchInfo{Coalesced: coalesced, Recomputed: true}
+	for i, up := range batch {
+		if skip != nil && skip[i] {
+			continue
+		}
+		var err error
+		if up.Op == OpAdd {
+			err = e.g.AddEdge(up.U, up.V)
+		} else {
+			err = e.g.RemoveEdge(up.U, up.V)
+		}
+		if err != nil {
+			// Unreachable after validation. Reseed anyway so the maintained
+			// state matches the partially mutated graph before reporting.
+			m.Reseed()
+			info.Seq = e.seq
+			return info, &BatchError{Index: i, Update: up, Err: err}
+		}
+		e.seq++
+		info.Applied++
+		e.exec.Recomputed++
+	}
+	m.Reseed()
+	info.Seq = e.seq
+
+	// Net effect: diff old and new cores. Vertices created by the batch had
+	// implicit core 0 before it.
+	n := e.g.NumVertices()
+	for v := 0; v < n; v++ {
+		old := 0
+		if v < len(oldCores) {
+			old = oldCores[v]
+		}
+		if m.Core(v) != old {
+			info.Total.CoreChanged = append(info.Total.CoreChanged, v)
+		}
+	}
+	info.Total.Visited = n
+	e.notifyDiff(info.Total.CoreChanged, oldCores)
+	return info, nil
+}
