@@ -135,14 +135,14 @@ func (e *Engine) RemoveEdges(edges [][2]int) (BatchInfo, error) {
 }
 
 // applyLocked validates a batch, picks an execution strategy, applies it,
-// and feeds the apply hook. Callers hold the write lock.
+// and feeds the apply hooks. Callers hold the write lock.
 func (e *Engine) applyLocked(batch Batch) (BatchInfo, error) {
 	skip, coalesced, err := e.validateBatch(batch)
 	if err != nil {
 		return BatchInfo{Seq: e.seq}, err
 	}
 	info, err := e.executeGuarded(batch, skip, coalesced)
-	// Publish the post-batch epoch before the durability hook runs, so
+	// Publish the post-batch epoch before the apply hooks run, so
 	// readers never wait behind a WAL fsync. Total.CoreChanged is the
 	// complete changed-vertex list on every execution strategy, including
 	// a mid-batch error's applied prefix; the panic path published its own
@@ -151,8 +151,8 @@ func (e *Engine) applyLocked(batch Batch) (BatchInfo, error) {
 	if _, panicked := err.(*PanicError); !panicked {
 		e.publishEpoch(info.Total.CoreChanged)
 	}
-	if err == nil && info.Applied > 0 && !e.replaying && (e.hook != nil || e.tap != nil) {
-		err = e.runApplyHook(batch, skip, &info)
+	if err == nil && info.Applied > 0 && len(e.hooks) > 0 {
+		err = e.runApplyHooks(batch, skip, &info)
 	}
 	return info, err
 }

@@ -227,7 +227,8 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr stri
 	}
 
 	// Every non-follower is a replication primary unless disabled: the
-	// publisher taps the engine's apply path and serves GET /v1/replicate.
+	// publisher adds an apply hook after the store's (so each batch reaches
+	// the WAL before it is published) and serves GET /v1/replicate.
 	// Chained replication (a follower re-publishing) is not supported.
 	var pub *replicate.Publisher
 	if fol == nil && *replHistory >= 0 {

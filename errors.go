@@ -53,9 +53,9 @@ func (e *BatchError) Error() string {
 // Unwrap exposes the underlying sentinel to errors.Is / errors.As.
 func (e *BatchError) Unwrap() error { return e.Err }
 
-// HookError reports that a batch was applied in memory but the registered
-// apply hook — typically the write-ahead log of a persistence layer (see
-// SetApplyHook) — failed afterwards. The distinction matters: on a
+// HookError reports that a batch was applied in memory but one or more
+// apply hooks — typically the write-ahead log of a persistence layer (see
+// AddApplyHook) — failed afterwards. The distinction matters: on a
 // *HookError the engine state HAS advanced (BatchInfo is valid, subscribers
 // were notified), only durability failed, so callers must not re-submit the
 // batch — a retry would double-apply it. Branch with errors.As:
@@ -65,13 +65,13 @@ func (e *BatchError) Unwrap() error { return e.Err }
 //		log.Printf("batch applied but not persisted: %v", he.Err)
 //	}
 type HookError struct {
-	// Err is the error the apply hook returned.
+	// Err is the failing hooks' errors, joined in registration order.
 	Err error
 }
 
 func (e *HookError) Error() string { return "kcore: apply hook: " + e.Err.Error() }
 
-// Unwrap exposes the hook's error to errors.Is / errors.As.
+// Unwrap exposes the hooks' errors to errors.Is / errors.As.
 func (e *HookError) Unwrap() error { return e.Err }
 
 // PanicError reports that a batch was quarantined: its execution panicked,
@@ -81,7 +81,7 @@ func (e *HookError) Unwrap() error { return e.Err }
 //
 // A quarantined batch may have applied a prefix of its updates before the
 // panic (Seq tells how far the sequence advanced). Those updates were NOT
-// handed to the apply hook or tap, so a persistence layer will refuse the
+// handed to the apply hooks, so a persistence layer will refuse the
 // next append as a sequence gap until it heals by snapshot, and a
 // replication follower crossing the gap re-bootstraps — both by design:
 // the durability and replication planes never paper over a hole. Panics

@@ -1,14 +1,24 @@
 package kcore
 
-// The apply hook is the engine's durability tap: a persistence layer (see
-// internal/persist) registers one function that observes every successfully
-// applied batch — its surviving updates and the resulting sequence number —
-// synchronously, under the engine's write lock, in apply order. Because the
-// hook runs before Apply returns, a hook that appends to a write-ahead log
+import (
+	"errors"
+	"slices"
+)
+
+// Apply hooks are the engine's commit stream: a persistence layer (see
+// internal/persist) and a replication publisher (see internal/replicate)
+// each register a function that observes every successfully applied
+// batch — its surviving updates and the resulting sequence number —
+// synchronously, under the engine's write lock, in apply order. Because
+// hooks run before Apply returns, a hook that appends to a write-ahead log
 // with fsync gives callers a hard guarantee: when Apply returns nil, the
 // batch is both applied in memory and durable on disk.
 
-// AppliedBatch describes one successfully applied batch to an ApplyHook.
+// AppliedBatch is the record of one committed batch: what the engine hands
+// to every ApplyHook, what the write-ahead log stores, and what replication
+// ships. Applying Updates to an engine in the state it had at Start
+// reproduces the batch bit for bit, because order-based maintenance is
+// deterministic.
 type AppliedBatch struct {
 	// Seq is the engine update sequence number after the batch (equals
 	// BatchInfo.Seq of the Apply that produced it).
@@ -16,55 +26,49 @@ type AppliedBatch struct {
 	// Updates holds the batch's surviving updates in application order —
 	// self-annihilating pairs coalesced away during validation are absent,
 	// so len(Updates) is exactly the number of sequence increments the batch
-	// consumed. The slice may alias engine-owned scratch: it is valid only
-	// for the duration of the hook call and must be copied (or encoded) by
-	// hooks that retain it.
+	// consumed. In a record handed to an ApplyHook the slice may alias
+	// engine-owned scratch: it is valid only for the duration of the hook
+	// call and must be copied (or encoded) by hooks that retain it.
 	Updates []Update
 }
+
+// Start is the engine sequence number the batch applied onto.
+func (b AppliedBatch) Start() uint64 { return b.Seq - uint64(len(b.Updates)) }
 
 // ApplyHook observes one applied batch. A non-nil error aborts nothing —
 // the batch is already applied in memory — but is surfaced to the Apply
 // caller wrapped in a *HookError, signalling that durability (not the
-// update) failed. See SetApplyHook.
+// update) failed. See AddApplyHook.
 type ApplyHook func(AppliedBatch) error
 
-// ApplyTap observes one applied batch like an ApplyHook, but cannot fail:
-// it watches what the engine's in-memory state did, not what was made
-// durable. See SetApplyTap.
-type ApplyTap func(AppliedBatch)
-
-// SetApplyHook registers fn to be called after every successfully applied
-// batch with at least one surviving update (nil unregisters). The hook runs
+// AddApplyHook appends fn (which must not be nil) to the engine's ordered
+// hook list and returns a function that detaches it. Every hook is called
+// after every successfully applied batch with at least one surviving
+// update, in registration order, and every hook runs even when an earlier
+// one failed: the engine's in-memory state advanced regardless. Hooks run
 // synchronously while the engine's write lock is held, so invocations are
-// totally ordered and match the sequence-number order exactly; it must not
-// call back into the engine (deadlock) and should be fast — its latency is
-// added to every mutation.
+// totally ordered and match the sequence-number order exactly; a hook must
+// not call back into the engine (deadlock) and should be fast — its
+// latency is added to every mutation.
 //
-// When the hook returns an error, Apply (and the convenience wrappers built
-// on it) return that error wrapped in a *HookError. The batch itself remains
+// When hooks return errors, Apply (and the convenience wrappers built on
+// it) return them joined in one *HookError. The batch itself remains
 // applied — BatchInfo is valid, subscribers were notified — so callers must
 // treat a *HookError as "state advanced, durability failed" and not retry
-// the batch. At most one hook is registered at a time; Replay never invokes
-// it.
-func (e *Engine) SetApplyHook(fn ApplyHook) {
+// the batch.
+//
+// remove takes the write lock, so once it returns no Apply is running fn;
+// calling it again is a no-op.
+func (e *Engine) AddApplyHook(fn ApplyHook) (remove func()) {
+	h := &fn
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.hook = fn
-}
-
-// SetApplyTap registers fn as a second, error-free observer of applied
-// batches (nil unregisters). It runs under the same write lock as the apply
-// hook, after it, and — unlike the hook — even when the hook failed: the tap
-// observes the engine's in-memory state, which advanced regardless of
-// whether durability succeeded. Replication (internal/replicate) uses the
-// tap so it can coexist with a persistence hook on the same engine. The
-// same constraints apply: no calling back into the engine, keep it fast,
-// copy (or encode) AppliedBatch.Updates before the call returns. Replay and
-// ReplayNotify never invoke it.
-func (e *Engine) SetApplyTap(fn ApplyTap) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.tap = fn
+	e.hooks = append(e.hooks, h)
+	return func() {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		e.hooks = slices.DeleteFunc(e.hooks, func(x *ApplyHook) bool { return x == h })
+	}
 }
 
 // SetApplyProbe registers fn to be called at the start of every batch
@@ -76,49 +80,20 @@ func (e *Engine) SetApplyTap(fn ApplyTap) {
 // panic (see PanicError), but because it fires before any mutation the
 // batch is rejected with the engine state untouched.
 //
-// The probe runs under the engine write lock (its latency is added to every
-// mutation) and also fires during Replay/ReplayNotify.
+// The probe runs under the engine write lock, so its latency is added to
+// every mutation, including the WAL recovery and follower applies that go
+// through Apply.
 func (e *Engine) SetApplyProbe(fn func(updates int)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.probe = fn
 }
 
-// Replay applies a batch exactly like Apply — same validation, same
-// execution strategies, same BatchInfo — but silently: subscribers receive
-// no CoreChange events and the apply hook is not invoked. It exists for
-// durability recovery (internal/persist replays the write-ahead log through
-// it), where the "changes" are not new information but the restoration of
-// state the engine already reached before a crash; subscribers attached
-// during or before recovery observe only post-recovery changes. Normal
-// callers mutate through Apply.
-func (e *Engine) Replay(batch Batch) (BatchInfo, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.replaying, e.silent = true, true
-	defer func() { e.replaying, e.silent = false, false }()
-	return e.applyLocked(batch)
-}
-
-// ReplayNotify applies a batch like Replay — the apply hook and tap are not
-// invoked — but subscribers DO receive CoreChange events. It exists for
-// replication followers (internal/replicate): a follower applying streamed
-// frames must not feed them back into its own durability or replication
-// taps, yet for its local watchers the changes are new information, exactly
-// as if the batch had been applied here.
-func (e *Engine) ReplayNotify(batch Batch) (BatchInfo, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.replaying = true
-	defer func() { e.replaying = false }()
-	return e.applyLocked(batch)
-}
-
-// runApplyHook invokes the registered hook and tap for a successful batch,
+// runApplyHooks calls every registered hook for a successful batch,
 // building the surviving-update record. Caller holds the write lock and has
-// already checked !e.replaying, info.Applied > 0, and that a hook or tap is
+// already checked info.Applied > 0 and that at least one hook is
 // registered.
-func (e *Engine) runApplyHook(batch Batch, skip []bool, info *BatchInfo) error {
+func (e *Engine) runApplyHooks(batch Batch, skip []bool, info *BatchInfo) error {
 	updates := batch
 	if info.Coalesced > 0 {
 		buf := e.hookBuf[:0]
@@ -132,14 +107,14 @@ func (e *Engine) runApplyHook(batch Batch, skip []bool, info *BatchInfo) error {
 		updates = Batch(buf)
 	}
 	rec := AppliedBatch{Seq: info.Seq, Updates: updates}
-	var err error
-	if e.hook != nil {
-		if herr := e.hook(rec); herr != nil {
-			err = &HookError{Err: herr}
+	var errs []error
+	for _, h := range e.hooks {
+		if err := (*h)(rec); err != nil {
+			errs = append(errs, err)
 		}
 	}
-	if e.tap != nil {
-		e.tap(rec)
+	if errs == nil {
+		return nil
 	}
-	return err
+	return &HookError{Err: errors.Join(errs...)}
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -17,7 +19,7 @@ func TestApplyHookObservesBatches(t *testing.T) {
 		updates []Update
 	}
 	var log []logged
-	e.SetApplyHook(func(rec AppliedBatch) error {
+	remove := e.AddApplyHook(func(rec AppliedBatch) error {
 		log = append(log, logged{rec.Seq, slices.Clone(rec.Updates)})
 		return nil
 	})
@@ -51,7 +53,7 @@ func TestApplyHookObservesBatches(t *testing.T) {
 	}
 
 	// Detach: further applies are unobserved.
-	e.SetApplyHook(nil)
+	remove()
 	if _, err := e.AddEdge(9, 10); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +67,7 @@ func TestApplyHookObservesBatches(t *testing.T) {
 func TestApplyHookError(t *testing.T) {
 	e := NewEngine()
 	boom := errors.New("disk full")
-	e.SetApplyHook(func(rec AppliedBatch) error { return boom })
+	e.AddApplyHook(func(rec AppliedBatch) error { return boom })
 	events, cancel := e.Subscribe()
 	defer cancel()
 
@@ -92,196 +94,126 @@ func TestApplyHookError(t *testing.T) {
 	}
 }
 
-// TestReplaySilent: Replay applies like Apply but fires neither subscriber
-// events nor the hook, and seq continues seamlessly afterwards.
-func TestReplaySilent(t *testing.T) {
-	e := NewEngine()
-	hooked := 0
-	e.SetApplyHook(func(rec AppliedBatch) error { hooked++; return nil })
-	events, cancel := e.Subscribe()
-	defer cancel()
-
-	info, err := e.Replay(Batch{Add(0, 1), Add(1, 2), Add(0, 2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Applied != 3 || info.Seq != 3 {
-		t.Fatalf("replay info = %+v", info)
-	}
-	if hooked != 0 {
-		t.Fatal("Replay must not invoke the apply hook")
-	}
-	select {
-	case ev := <-events:
-		t.Fatalf("Replay delivered %+v; recovery must be silent", ev)
-	default:
-	}
-	if e.Core(0) != 2 {
-		t.Fatalf("replayed core(0) = %d, want 2", e.Core(0))
-	}
-
-	// Post-replay changes behave normally: events delivered, hook invoked,
-	// seq continuous.
-	if _, err := e.AddEdge(2, 3); err != nil {
-		t.Fatal(err)
-	}
-	if hooked != 1 {
-		t.Fatalf("post-replay hook invocations = %d, want 1", hooked)
-	}
-	select {
-	case ev := <-events:
-		if ev.Seq != 4 {
-			t.Fatalf("post-replay event seq = %d, want 4", ev.Seq)
-		}
-	default:
-		t.Fatal("post-replay change not delivered")
-	}
-}
-
-// TestReplaySilentAcrossStrategies: the silence contract holds for every
-// batch execution strategy, including wholesale recomputation.
-func TestReplaySilentAcrossStrategies(t *testing.T) {
-	e := NewEngine(WithRebuildThreshold(4, 0.0)) // tiny floor: big batches rebuild
-	events, cancel := e.Subscribe()
-	defer cancel()
-	batch := make(Batch, 0, 40)
-	for i := 0; i < 40; i++ {
-		batch = append(batch, Add(i%7, 7+i))
-	}
-	info, err := e.Replay(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.Recomputed {
-		t.Fatalf("expected the rebuild strategy, got %+v", info)
-	}
-	select {
-	case ev := <-events:
-		t.Fatalf("recomputed Replay delivered %+v", ev)
-	default:
-	}
-}
-
-// TestApplyTap: the tap observes every applied batch after the hook, fires
-// even when the hook fails (in-memory state advanced regardless), and is
-// silent under Replay and ReplayNotify.
-func TestApplyTap(t *testing.T) {
+// TestApplyHookList: every hook sees every batch in registration order,
+// a failing hook does not stop the ones after it, all failures surface
+// through one *HookError, and remove detaches exactly its own hook.
+func TestApplyHookList(t *testing.T) {
 	e := NewEngine()
 	boom := errors.New("disk full")
-	hookErr := error(nil)
-	e.SetApplyHook(func(rec AppliedBatch) error { return hookErr })
-	type logged struct {
-		seq     uint64
-		updates []Update
-	}
-	var tapped []logged
-	e.SetApplyTap(func(rec AppliedBatch) {
-		tapped = append(tapped, logged{rec.Seq, slices.Clone(rec.Updates)})
+	var order []string
+	var seen []AppliedBatch
+	removeFirst := e.AddApplyHook(func(rec AppliedBatch) error {
+		order = append(order, "first")
+		return boom
+	})
+	removeSecond := e.AddApplyHook(func(rec AppliedBatch) error {
+		order = append(order, "second")
+		seen = append(seen, AppliedBatch{rec.Seq, slices.Clone(rec.Updates)})
+		return nil
 	})
 
-	if _, err := e.Apply(Batch{Add(0, 1), Add(1, 2)}); err != nil {
-		t.Fatal(err)
-	}
-	hookErr = boom
-	_, err := e.Apply(Batch{Add(0, 2)})
+	_, err := e.Apply(Batch{Add(0, 1), Add(1, 2)})
 	var he *HookError
-	if !errors.As(err, &he) {
-		t.Fatalf("err = %v, want *HookError", err)
+	if !errors.As(err, &he) || !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want one *HookError wrapping the first hook's error", err)
 	}
-	if len(tapped) != 2 {
-		t.Fatalf("tap saw %d batches, want 2 (must fire even on hook failure): %+v", len(tapped), tapped)
+	if errors.As(he.Err, new(*HookError)) {
+		t.Fatalf("hook errors nested in more than one *HookError: %v", err)
 	}
-	if tapped[1].seq != 3 || !slices.Equal(tapped[1].updates, []Update{Add(0, 2)}) {
-		t.Fatalf("tap record = %+v, want seq 3 / [Add(0,2)]", tapped[1])
+	if !slices.Equal(order, []string{"first", "second"}) {
+		t.Fatalf("hooks ran in order %v, want [first second]", order)
 	}
-
-	// Replay and ReplayNotify are both re-applications of state that
-	// originated elsewhere: neither reaches the tap.
-	hookErr = nil
-	if _, err := e.Replay(Batch{Add(5, 6)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.ReplayNotify(Batch{Add(6, 7)}); err != nil {
-		t.Fatal(err)
-	}
-	if len(tapped) != 2 {
-		t.Fatalf("tap invoked by Replay/ReplayNotify: %+v", tapped[2:])
+	if len(seen) != 1 || seen[0].Seq != 2 || seen[0].Start() != 0 ||
+		!slices.Equal(seen[0].Updates, []Update{Add(0, 1), Add(1, 2)}) {
+		t.Fatalf("second hook saw %+v, want seq 2 / [Add(0,1) Add(1,2)]", seen)
 	}
 
-	// A tap without a hook still fires.
-	e.SetApplyHook(nil)
-	if _, err := e.AddEdge(8, 9); err != nil {
+	// Both hooks failing: one *HookError carries both causes.
+	other := errors.New("replica down")
+	removeThird := e.AddApplyHook(func(AppliedBatch) error { return other })
+	_, err = e.Apply(Batch{Add(2, 3)})
+	if !errors.As(err, &he) || !errors.Is(err, boom) || !errors.Is(err, other) {
+		t.Fatalf("err = %v, want one *HookError wrapping both failures", err)
+	}
+	removeThird()
+
+	// Removing the failing hook leaves the second attached; a second remove
+	// is harmless and detaches nothing else.
+	removeFirst()
+	removeFirst()
+	order = order[:0]
+	if _, err := e.AddEdge(3, 4); err != nil {
+		t.Fatalf("apply after removing the failing hook: %v", err)
+	}
+	if !slices.Equal(order, []string{"second"}) || len(seen) != 3 || seen[2].Seq != 4 {
+		t.Fatalf("after remove: order %v, seen %+v", order, seen)
+	}
+	removeSecond()
+	if _, err := e.AddEdge(4, 5); err != nil {
 		t.Fatal(err)
 	}
-	if len(tapped) != 3 || tapped[2].seq != 6 {
-		t.Fatalf("tap without hook: %+v", tapped)
-	}
-	// Detach: further applies are unobserved.
-	e.SetApplyTap(nil)
-	if _, err := e.AddEdge(9, 10); err != nil {
-		t.Fatal(err)
-	}
-	if len(tapped) != 3 {
-		t.Fatal("detached tap still invoked")
+	if len(seen) != 3 || len(order) != 1 {
+		t.Fatalf("removed hooks still invoked: order %v, seen %d", order, len(seen))
 	}
 }
 
-// TestReplayNotify: ReplayNotify skips the hook and tap like Replay, but
-// subscribers DO see the changes — the follower-side apply contract.
-func TestReplayNotify(t *testing.T) {
+// TestApplyHookNoAllocs: running a list of succeeding hooks allocates
+// nothing, including for a coalesced batch whose survivors are gathered
+// into the reused scratch buffer.
+func TestApplyHookNoAllocs(t *testing.T) {
 	e := NewEngine()
-	hooked, tapped := 0, 0
-	e.SetApplyHook(func(AppliedBatch) error { hooked++; return nil })
-	e.SetApplyTap(func(AppliedBatch) { tapped++ })
-	events, cancel := e.Subscribe(WithBuffer(64))
-	defer cancel()
-
-	info, err := e.ReplayNotify(Batch{Add(0, 1), Add(1, 2), Add(0, 2)})
-	if err != nil {
-		t.Fatal(err)
+	calls := 0
+	for i := 0; i < 3; i++ {
+		e.AddApplyHook(func(AppliedBatch) error { calls++; return nil })
 	}
-	if info.Applied != 3 || info.Seq != 3 {
-		t.Fatalf("info = %+v", info)
-	}
-	if hooked != 0 || tapped != 0 {
-		t.Fatalf("hook/tap invoked %d/%d times; ReplayNotify must skip both", hooked, tapped)
-	}
-	seen := 0
-	for len(events) > 0 {
-		ev := <-events
-		if ev.Seq == 0 || ev.Seq > 3 {
-			t.Fatalf("event with out-of-range seq: %+v", ev)
+	batch := Batch{Add(0, 1), Add(5, 6), Remove(5, 6), Add(1, 2)}
+	skip := []bool{false, true, true, false}
+	info := BatchInfo{Seq: 2, Applied: 2, Coalesced: 2}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := e.runApplyHooks(batch, skip, &info); err != nil {
+			t.Fatal(err)
 		}
-		seen++
+	})
+	if allocs != 0 {
+		t.Fatalf("hook loop allocated %.1f times per batch, want 0", allocs)
 	}
-	if seen == 0 {
-		t.Fatal("ReplayNotify delivered no subscriber events")
-	}
-	if e.Core(0) != 2 {
-		t.Fatalf("core(0) = %d, want 2", e.Core(0))
+	if calls == 0 {
+		t.Fatal("hooks never ran")
 	}
 }
 
-// TestReplayNotifyAcrossStrategies: subscriber delivery holds for the
-// rebuild strategy too (notifyDiff path).
-func TestReplayNotifyAcrossStrategies(t *testing.T) {
-	e := NewEngine(WithRebuildThreshold(4, 0.0))
-	events, cancel := e.Subscribe(WithBuffer(256))
-	defer cancel()
-	batch := make(Batch, 0, 40)
-	for i := 0; i < 40; i++ {
-		batch = append(batch, Add(i%7, 7+i))
+// TestApplyHookRemoveWaitsOutApply: hooks come and go while several
+// goroutines apply. Once remove returns, its hook never runs again — the
+// contract Store.Close relies on to stop logging.
+func TestApplyHookRemoveWaitsOutApply(t *testing.T) {
+	e := NewEngine()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(base int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if _, err := e.AddEdge(base+i, base+i+1); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w * 1000)
 	}
-	info, err := e.ReplayNotify(batch)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 50; i++ {
+		var removed atomic.Bool
+		remove := e.AddApplyHook(func(AppliedBatch) error {
+			if removed.Load() {
+				t.Error("hook ran after its remove returned")
+			}
+			return nil
+		})
+		remove()
+		removed.Store(true)
 	}
-	if !info.Recomputed {
-		t.Fatalf("expected the rebuild strategy, got %+v", info)
-	}
-	if len(events) == 0 {
-		t.Fatal("recomputed ReplayNotify delivered no events")
-	}
+	wg.Wait()
 }
 
 // TestHookSeesParallelAndRebuildBatches: the hook fires once per Apply for
@@ -301,7 +233,7 @@ func TestHookSeesParallelAndRebuildBatches(t *testing.T) {
 			var got []Update
 			var seq uint64
 			calls := 0
-			e.SetApplyHook(func(rec AppliedBatch) error {
+			e.AddApplyHook(func(rec AppliedBatch) error {
 				calls++
 				got = slices.Clone(rec.Updates)
 				seq = rec.Seq
@@ -323,11 +255,11 @@ func TestHookSeesParallelAndRebuildBatches(t *testing.T) {
 	}
 }
 
-// ExampleEngine_SetApplyHook shows the durability pattern: log every batch
+// ExampleEngine_AddApplyHook shows the durability pattern: log every batch
 // before Apply returns.
-func ExampleEngine_SetApplyHook() {
+func ExampleEngine_AddApplyHook() {
 	e := NewEngine()
-	e.SetApplyHook(func(rec AppliedBatch) error {
+	e.AddApplyHook(func(rec AppliedBatch) error {
 		fmt.Printf("seq %d: %d updates\n", rec.Seq, len(rec.Updates))
 		return nil // e.g. append to a write-ahead log and fsync
 	})

@@ -33,13 +33,13 @@ func fuzzSeedWAL(tb testing.TB) []byte {
 	buf := append([]byte(nil), walMagic[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, WALVersion)
 	var err error
-	buf, err = appendWALRecord(buf, 3,
-		[]kcore.Update{kcore.Add(0, 1), kcore.Add(1, 2), kcore.Add(0, 2)})
+	buf, err = AppendWALFrame(buf, kcore.AppliedBatch{Seq: 3,
+		Updates: []kcore.Update{kcore.Add(0, 1), kcore.Add(1, 2), kcore.Add(0, 2)}})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	buf, err = appendWALRecord(buf, 5,
-		[]kcore.Update{kcore.Remove(0, 1), kcore.Add(2, 3)})
+	buf, err = AppendWALFrame(buf, kcore.AppliedBatch{Seq: 5,
+		Updates: []kcore.Update{kcore.Remove(0, 1), kcore.Add(2, 3)}})
 	if err != nil {
 		tb.Fatal(err)
 	}

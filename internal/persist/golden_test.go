@@ -39,14 +39,14 @@ func goldenWAL(tb testing.TB) []byte {
 	tb.Helper()
 	buf := append([]byte(nil), walMagic[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, WALVersion)
-	recs := []WALRecord{
+	recs := []kcore.AppliedBatch{
 		{Seq: 2, Updates: []kcore.Update{kcore.Add(0, 1), kcore.Add(1, 2)}},
 		{Seq: 3, Updates: []kcore.Update{kcore.Add(0, 300)}},
 		{Seq: 6, Updates: []kcore.Update{kcore.Remove(0, 1), kcore.Add(2, 3), kcore.Add(1, 3)}},
 	}
 	for _, r := range recs {
 		var err error
-		buf, err = appendWALRecord(buf, r.Seq, r.Updates)
+		buf, err = AppendWALFrame(buf, r)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestGoldenWALFormat(t *testing.T) {
 	checkGolden(t, "wal_v1.bin", data)
 
 	var seqs []uint64
-	res, err := scanWAL(bytes.NewReader(data), func(rec WALRecord) error {
+	res, err := scanWAL(bytes.NewReader(data), func(rec kcore.AppliedBatch) error {
 		seqs = append(seqs, rec.Seq)
 		return nil
 	})

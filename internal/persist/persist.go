@@ -11,10 +11,11 @@
 // maintained k-order, with the seed/heuristic/structure parameters — and
 // (b) the ordered stream of update batches applied since. The snapshot
 // captures (a); the WAL records (b), one record per applied batch holding
-// the surviving (post-coalescing) updates and the resulting sequence number.
-// Recovery loads the snapshot, replays WAL records in order through
-// kcore.Engine.Replay (silent: no subscriber events, no re-logging), and
-// resumes. See PAPER.md / the package kcore doc for the engine background.
+// the surviving (post-coalescing) updates and the resulting sequence number
+// (a kcore.AppliedBatch). Recovery loads the snapshot, applies WAL records
+// in order through ApplyRecord (plain kcore.Engine.Apply, before the store
+// adds its hook, so nothing is re-logged), and resumes. See PAPER.md / the
+// package kcore doc for the engine background.
 //
 // # Snapshot format (version 1, little endian)
 //
@@ -54,12 +55,12 @@
 //	    count × { op uint8 (0 add, 1 remove); u uvarint; v uvarint }
 //
 // Each record is appended with a single write call when a batch commits
-// (via kcore.Engine.SetApplyHook, under the engine's write lock, so record
+// (via kcore.Engine.AddApplyHook, under the engine's write lock, so record
 // order equals apply order). Sync policy is configurable: SyncAlways
 // fsyncs per record, SyncInterval groups fsyncs, SyncOff leaves flushing
 // to the OS.
 //
-// Replay distinguishes two failure shapes. An incomplete record at the end
+// Recovery distinguishes two failure shapes. An incomplete record at the end
 // of the file — the prefix a crashed append leaves behind — is a torn tail:
 // it is truncated away and recovery proceeds (Stats.TornBytes reports it).
 // Everything else — bad magic, a checksum mismatch on a fully present

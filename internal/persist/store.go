@@ -27,9 +27,10 @@ const (
 // into a fresh snapshot. Open recovers the pre-crash state; Close detaches
 // cleanly. All methods are safe for concurrent use.
 type Store struct {
-	dir    string
-	opts   Options
-	engine *kcore.Engine
+	dir        string
+	opts       Options
+	engine     *kcore.Engine
+	removeHook func() // detaches onApply; set once by Open
 
 	// snapMu serializes snapshot writes (manual and automatic compaction)
 	// against each other. It is never held while acquiring mu-after-engine
@@ -63,12 +64,14 @@ type Store struct {
 
 // Open recovers (or initializes) a durable engine in dir and returns the
 // managing Store. Recovery order: load the snapshot if present (else build
-// a fresh engine — via opts.Init for a brand-new directory), replay every
-// WAL record past the snapshot's sequence number through Engine.Replay
-// (silent: no subscriber events), truncate a torn WAL tail, write the
-// initial snapshot if the directory had none, then attach the WAL apply
-// hook so every subsequent Apply is logged before it returns. A corrupt
-// snapshot or WAL fails Open with ErrCorruptSnapshot / ErrCorruptWAL.
+// a fresh engine — via opts.Init for a brand-new directory), apply every
+// WAL record past the snapshot's sequence number (see ApplyRecord),
+// truncate a torn WAL tail, write the initial snapshot if the directory had
+// none, then add the WAL apply hook so every subsequent Apply is logged
+// before it returns. Recovery applies into an engine nothing else holds
+// yet, so no subscriber or other hook observes the replayed batches. A
+// corrupt snapshot or WAL fails Open with ErrCorruptSnapshot /
+// ErrCorruptWAL.
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -155,7 +158,7 @@ func Open(dir string, opts Options) (*Store, error) {
 
 	// 4. Log every future batch; compact — and, under the interval policy,
 	// fsync — in the background.
-	s.engine.SetApplyHook(s.onApply)
+	s.removeHook = s.engine.AddApplyHook(s.onApply)
 	s.wg.Add(1)
 	go s.compactLoop()
 	if opts.Sync == SyncInterval {
@@ -194,32 +197,42 @@ func (s *Store) syncLoop() {
 	}
 }
 
-// replayWAL scans a WAL stream, replaying every record past e's current
-// sequence number into e through Engine.Replay (silent: no subscriber
-// events, no apply hook). Records at or below e's sequence number are
-// skipped (they are covered by the snapshot e was loaded from); a record
-// that does not chain onto the current sequence number, or whose updates
-// fail to apply, is corruption. Returns the scan outcome (including the
-// torn-tail size the caller may truncate) and the number of records
-// replayed.
-func replayWAL(e *kcore.Engine, r io.Reader) (walScan, uint64, error) {
+// ApplyRecord applies one logged batch to e through Engine.Apply, under the
+// rule WAL recovery and replication followers share. A record at or below
+// e's sequence number is already covered (by the snapshot e was loaded
+// from, or by a bootstrap overlap) and is skipped: applied is false and err
+// nil. A record that does not start exactly at e's sequence number, or
+// whose updates Apply rejects, fails with an error wrapping ErrCorruptWAL;
+// a gap or a rejected update leaves e unchanged. The sequence check and the
+// Apply are not atomic, so the caller must be e's only writer.
+func ApplyRecord(e *kcore.Engine, rec kcore.AppliedBatch) (applied bool, err error) {
 	cur := e.Seq()
+	if rec.Seq <= cur {
+		return false, nil
+	}
+	if start := rec.Start(); start != cur {
+		return false, fmt.Errorf("%w: record covering seq %d..%d does not chain onto state at seq %d",
+			ErrCorruptWAL, start+1, rec.Seq, cur)
+	}
+	if _, err := e.Apply(kcore.Batch(rec.Updates)); err != nil {
+		return false, fmt.Errorf("%w: record ending at seq %d does not apply: %w",
+			ErrCorruptWAL, rec.Seq, err)
+	}
+	return true, nil
+}
+
+// replayWAL scans a WAL stream into e through ApplyRecord: records the
+// snapshot covers are skipped, and a record that does not chain or apply
+// is corruption. Returns the scan outcome (including the torn-tail size
+// the caller may truncate) and the number of records replayed.
+func replayWAL(e *kcore.Engine, r io.Reader) (walScan, uint64, error) {
 	var replayed uint64
-	res, err := scanWAL(r, func(rec WALRecord) error {
-		if rec.Seq <= cur {
-			return nil // already covered by the snapshot
+	res, err := scanWAL(r, func(rec kcore.AppliedBatch) error {
+		applied, err := ApplyRecord(e, rec)
+		if applied {
+			replayed++
 		}
-		if start := rec.Seq - uint64(len(rec.Updates)); start != cur {
-			return fmt.Errorf("%w: record covering seq %d..%d does not chain onto state at seq %d",
-				ErrCorruptWAL, start+1, rec.Seq, cur)
-		}
-		if _, err := e.Replay(kcore.Batch(rec.Updates)); err != nil {
-			return fmt.Errorf("%w: record ending at seq %d does not apply: %v",
-				ErrCorruptWAL, rec.Seq, err)
-		}
-		cur = rec.Seq
-		replayed++
-		return nil
+		return err
 	})
 	return res, replayed, err
 }
@@ -263,7 +276,7 @@ func (s *Store) onApply(rec kcore.AppliedBatch) error {
 	if s.closed {
 		return errStoreClosed
 	}
-	err := s.wal.append(rec.Seq, rec.Updates)
+	err := s.wal.append(rec)
 	if err != nil {
 		err = s.retryAppend(err)
 	}
@@ -502,7 +515,7 @@ func (s *Store) Stats() Stats {
 // any occurred (a later fsync does not heal a failed fsync of acknowledged
 // records). It is idempotent.
 func (s *Store) Close() error {
-	s.engine.SetApplyHook(nil) // waits out any in-flight Apply (write lock)
+	s.removeHook() // waits out any in-flight Apply (write lock)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -211,58 +212,54 @@ func TestStoreManualSnapshot(t *testing.T) {
 	assertSameState(t, e, st2.Engine())
 }
 
-// TestRecoveryIsSilent pins the Replay contract end to end: a subscriber
-// attached while recovery replays the WAL sees none of the recovered
-// changes, only changes applied after recovery.
-func TestRecoveryIsSilent(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir, Options{Sync: SyncOff, CompactBytes: -1})
-	if err != nil {
-		t.Fatal(err)
+// TestApplyRecord pins the skip/chain/apply rule recovery and followers
+// share: a covered record is skipped, a chaining record applies like Apply
+// (subscribers included), and a gap or a record whose updates do not apply
+// is corruption that leaves the engine untouched.
+func TestApplyRecord(t *testing.T) {
+	rec := func(seq uint64, ups ...kcore.Update) kcore.AppliedBatch {
+		return kcore.AppliedBatch{Seq: seq, Updates: ups}
 	}
-	e := st.Engine()
-	// A triangle changes cores of 0,1,2 — events a poller must NOT see
-	// again after recovery.
-	for _, ed := range [][2]int{{0, 1}, {1, 2}, {0, 2}} {
-		if _, err := e.AddEdge(ed[0], ed[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name    string
+		rec     kcore.AppliedBatch
+		applied bool
+		corrupt bool
+		cause   error // engine sentinel the corruption must also wrap
+	}{
+		{name: "covered", rec: rec(2, kcore.Add(1, 2))},
+		{name: "covered at seq", rec: rec(3, kcore.Add(0, 2))},
+		{name: "chains", rec: rec(5, kcore.Add(2, 3), kcore.Add(3, 4)), applied: true},
+		{name: "gap", rec: rec(5, kcore.Add(3, 4)), corrupt: true},
+		{name: "overlap", rec: rec(4, kcore.Add(1, 2), kcore.Add(2, 3)), corrupt: true},
+		{name: "does not apply", rec: rec(4, kcore.Add(0, 1)), corrupt: true, cause: kcore.ErrDuplicateEdge},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := kcore.NewEngine()
+			if _, err := e.Apply(kcore.Batch{kcore.Add(0, 1), kcore.Add(1, 2), kcore.Add(0, 2)}); err != nil {
+				t.Fatal(err)
+			}
+			before, edges := e.Cores(), e.NumEdges()
+			events, cancel := e.Subscribe(kcore.WithBuffer(16))
+			defer cancel()
 
-	// Recovery with a pre-attached subscriber: Open cannot attach one before
-	// it returns, so drive replayWAL directly against the same WAL file,
-	// exactly as Open does (the initial snapshot is at seq 0, so all three
-	// records replay).
-	e2 := kcore.NewEngine()
-	events, cancel := e2.Subscribe()
-	defer cancel()
-	f, err := os.Open(filepath.Join(dir, WALFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if _, replayed, err := replayWAL(e2, f); err != nil || replayed != 3 {
-		t.Fatalf("replayWAL: %d records, %v", replayed, err)
-	}
-	select {
-	case ev := <-events:
-		t.Fatalf("recovery delivered %+v; replay must be silent", ev)
-	default:
-	}
-	// Post-recovery changes are delivered normally, with continuous seq.
-	if _, err := e2.AddEdge(0, 3); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case ev := <-events:
-		if ev.Seq != 4 {
-			t.Fatalf("post-recovery event seq = %d, want 4", ev.Seq)
-		}
-	default:
-		t.Fatal("post-recovery change not delivered")
+			applied, err := ApplyRecord(e, tc.rec)
+			if applied != tc.applied || errors.Is(err, ErrCorruptWAL) != tc.corrupt || (err != nil) != tc.corrupt {
+				t.Fatalf("ApplyRecord = (%v, %v), want applied %v, corrupt %v", applied, err, tc.applied, tc.corrupt)
+			}
+			if tc.cause != nil && !errors.Is(err, tc.cause) {
+				t.Fatalf("err = %v, want it to wrap %v", err, tc.cause)
+			}
+			if !tc.applied {
+				if e.Seq() != 3 || e.NumEdges() != edges || !slices.Equal(e.Cores(), before) || len(events) != 0 {
+					t.Fatalf("engine changed: seq %d, %d edges, cores %v, %d events", e.Seq(), e.NumEdges(), e.Cores(), len(events))
+				}
+				return
+			}
+			if e.Seq() != tc.rec.Seq || !e.HasEdge(3, 4) || len(events) == 0 {
+				t.Fatalf("chaining record: seq %d (want %d), edge 3-4 %v, %d events", e.Seq(), tc.rec.Seq, e.HasEdge(3, 4), len(events))
+			}
+		})
 	}
 }
 
@@ -387,7 +384,7 @@ func TestStoreAppendFailureThenReopen(t *testing.T) {
 	}
 	// The on-disk log holds exactly the one durable record — no gap.
 	var seqs []uint64
-	if _, _, err := ScanWALFile(filepath.Join(dir, WALFile), func(rec WALRecord) error {
+	if _, _, err := ScanWALFile(filepath.Join(dir, WALFile), func(rec kcore.AppliedBatch) error {
 		seqs = append(seqs, rec.Seq)
 		return nil
 	}); err != nil {

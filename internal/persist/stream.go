@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"kcore"
 )
 
 // This file is the streaming face of the WAL codec: the same KCOREWAL byte
@@ -27,11 +29,23 @@ func AppendWALHeader(buf []byte) []byte {
 // AppendWALFrame encodes one record as a WAL frame (length + CRC + payload)
 // onto buf. It fails only on records the format cannot represent (unknown
 // op, negative vertex, no updates).
-func AppendWALFrame(buf []byte, rec WALRecord) ([]byte, error) {
+func AppendWALFrame(buf []byte, rec kcore.AppliedBatch) ([]byte, error) {
 	if len(rec.Updates) == 0 {
 		return nil, fmt.Errorf("persist: WAL record with no updates")
 	}
-	return appendWALRecord(buf, rec.Seq, rec.Updates)
+	start := len(buf)
+	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // frame prefix placeholder
+	payloadStart := len(buf)
+	buf = binary.AppendUvarint(buf, rec.Seq)
+	buf = binary.AppendUvarint(buf, uint64(len(rec.Updates)))
+	buf, err := appendUpdates(buf, rec.Updates)
+	if err != nil {
+		return nil, err
+	}
+	payload := buf[payloadStart:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+	return buf, nil
 }
 
 // WALReader decodes a KCOREWAL byte stream record by record. It is the
@@ -81,8 +95,8 @@ func (d *WALReader) LastSeq() uint64 { return d.lastSeq }
 
 // Next decodes and returns the next record. See the type comment for the
 // error contract.
-func (d *WALReader) Next() (WALRecord, error) {
-	var zero WALRecord
+func (d *WALReader) Next() (kcore.AppliedBatch, error) {
+	var zero kcore.AppliedBatch
 	if !d.started {
 		var header [walHeaderLen]byte
 		n, err := io.ReadFull(d.r, header[:])

@@ -11,7 +11,7 @@ import (
 )
 
 // streamBytes builds a WAL byte stream: header + one frame per record.
-func streamBytes(t *testing.T, recs []WALRecord) []byte {
+func streamBytes(t *testing.T, recs []kcore.AppliedBatch) []byte {
 	t.Helper()
 	buf := AppendWALHeader(nil)
 	for _, rec := range recs {
@@ -24,7 +24,7 @@ func streamBytes(t *testing.T, recs []WALRecord) []byte {
 	return buf
 }
 
-var streamRecs = []WALRecord{
+var streamRecs = []kcore.AppliedBatch{
 	{Seq: 2, Updates: []kcore.Update{kcore.Add(0, 1), kcore.Add(1, 2)}},
 	{Seq: 3, Updates: []kcore.Update{kcore.Remove(0, 1)}},
 	{Seq: 6, Updates: []kcore.Update{kcore.Add(0, 1), kcore.Add(0, 2), kcore.Add(3, 4)}},
@@ -116,7 +116,7 @@ func TestWALReaderCorruption(t *testing.T) {
 	badMagic[0] = 'X'
 	badVersion := bytes.Clone(good)
 	badVersion[8] = 99
-	regressed := streamBytes(t, []WALRecord{
+	regressed := streamBytes(t, []kcore.AppliedBatch{
 		{Seq: 5, Updates: []kcore.Update{kcore.Add(0, 1)}},
 		{Seq: 4, Updates: []kcore.Update{kcore.Add(1, 2)}},
 	})
@@ -161,10 +161,10 @@ func TestWALReaderTransportError(t *testing.T) {
 // TestAppendWALFrameRejects: records the format cannot represent fail at
 // encode time.
 func TestAppendWALFrameRejects(t *testing.T) {
-	if _, err := AppendWALFrame(nil, WALRecord{Seq: 1}); err == nil {
+	if _, err := AppendWALFrame(nil, kcore.AppliedBatch{Seq: 1}); err == nil {
 		t.Fatal("empty record must not encode")
 	}
-	if _, err := AppendWALFrame(nil, WALRecord{Seq: 1, Updates: []kcore.Update{kcore.Add(-1, 2)}}); err == nil {
+	if _, err := AppendWALFrame(nil, kcore.AppliedBatch{Seq: 1, Updates: []kcore.Update{kcore.Add(-1, 2)}}); err == nil {
 		t.Fatal("negative vertex must not encode")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -38,16 +37,6 @@ const maxWALPayload = 1 << 28
 // write failed (see wal.pending). Past the cap the log stops deferring and
 // the chain check refuses appends until a snapshot heals the gap.
 const maxPendingBytes = 1 << 20
-
-// WALRecord is one decoded write-ahead-log record: a batch's surviving
-// updates and the engine sequence number after applying them.
-type WALRecord struct {
-	// Seq is the engine sequence number AFTER the batch; the batch starts
-	// at Seq - len(Updates).
-	Seq uint64
-	// Updates are the batch's surviving updates in application order.
-	Updates []kcore.Update
-}
 
 // appendUpdates encodes updates in the op-byte + uvarint-vertex form shared
 // by the WAL record payload and the batch frame (see batch.go).
@@ -103,26 +92,9 @@ func decodeUpdates(payload []byte, count uint64, dst []kcore.Update, sentinel er
 	return dst, payload, nil
 }
 
-// appendWALRecord encodes one record frame (length + crc + payload) onto buf.
-func appendWALRecord(buf []byte, seq uint64, updates []kcore.Update) ([]byte, error) {
-	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // frame prefix placeholder
-	payloadStart := len(buf)
-	buf = binary.AppendUvarint(buf, seq)
-	buf = binary.AppendUvarint(buf, uint64(len(updates)))
-	buf, err := appendUpdates(buf, updates)
-	if err != nil {
-		return nil, err
-	}
-	payload := buf[payloadStart:]
-	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
-	return buf, nil
-}
-
 // decodeWALPayload parses one CRC-verified record payload.
-func decodeWALPayload(payload []byte) (WALRecord, error) {
-	var rec WALRecord
+func decodeWALPayload(payload []byte) (kcore.AppliedBatch, error) {
+	var rec kcore.AppliedBatch
 	seq, n := binary.Uvarint(payload)
 	if n <= 0 {
 		return rec, fmt.Errorf("%w: truncated record seq", ErrCorruptWAL)
@@ -175,7 +147,7 @@ type walScan struct {
 // increasing sequence numbers. An incomplete structure at the end of the
 // stream is reported as a torn tail; every other malformation is an error
 // wrapping ErrCorruptWAL. A zero-length stream is a valid empty WAL.
-func scanWAL(r io.Reader, fn func(rec WALRecord) error) (walScan, error) {
+func scanWAL(r io.Reader, fn func(rec kcore.AppliedBatch) error) (walScan, error) {
 	wr := NewWALReader(bufio.NewReaderSize(r, 1<<16))
 	var res walScan
 	for {
@@ -205,7 +177,7 @@ func scanWAL(r io.Reader, fn func(rec WALRecord) error) (walScan, error) {
 // ScanWALFile reads every valid record of the WAL at path. It reports the
 // torn-tail size (bytes of an incomplete final record) without modifying
 // the file; errors wrap ErrCorruptWAL for malformed content.
-func ScanWALFile(path string, fn func(rec WALRecord) error) (records uint64, tornBytes int64, err error) {
+func ScanWALFile(path string, fn func(rec kcore.AppliedBatch) error) (records uint64, tornBytes int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, fmt.Errorf("persist: %w", err)
@@ -387,7 +359,7 @@ func openWAL(path string, policy SyncPolicy, every time.Duration, records uint64
 // retained in a bounded backlog and flushed ahead of the next append, so
 // the chain stays intact and a transient fault loses nothing once writes
 // land again.
-func (w *wal) append(seq uint64, updates []kcore.Update) error {
+func (w *wal) append(rec kcore.AppliedBatch) error {
 	if w.failed {
 		return fmt.Errorf("persist: WAL sealed after a failed write (a snapshot will rebuild it)")
 	}
@@ -396,27 +368,27 @@ func (w *wal) append(seq uint64, updates []kcore.Update) error {
 	// record must chain onto chainSeq. (lastSeq < base happens after a crash
 	// between a compaction's snapshot rename and WAL shrink: the leftover
 	// records are all covered and will be skipped.)
-	if expected := w.chainSeq(); seq-uint64(len(updates)) != expected {
+	if start, expected := rec.Start(), w.chainSeq(); start != expected {
 		return fmt.Errorf("%w: record covering seq %d..%d cannot chain onto seq %d",
-			errWALGap, seq-uint64(len(updates))+1, seq, expected)
+			errWALGap, start+1, rec.Seq, expected)
 	}
-	buf, err := appendWALRecord(w.buf[:0], seq, updates)
+	buf, err := AppendWALFrame(w.buf[:0], rec)
 	if err != nil {
 		return err
 	}
 	w.buf = buf
 	if err := w.flushPending(); err != nil {
-		w.deferFrame(buf, seq)
+		w.deferFrame(buf, rec.Seq)
 		return fmt.Errorf("persist: WAL append (flushing deferred records): %w", err)
 	}
 	if err := w.write(buf); err != nil {
 		w.rollback()
-		w.deferFrame(buf, seq)
+		w.deferFrame(buf, rec.Seq)
 		return fmt.Errorf("persist: WAL append: %w", err)
 	}
 	w.size += int64(len(buf))
 	w.records++
-	w.lastSeq = seq
+	w.lastSeq = rec.Seq
 	w.dirty = true
 	switch w.policy {
 	case SyncAlways:
@@ -503,11 +475,11 @@ func (w *wal) compactTo(upto uint64) error {
 	var lastSeq uint64
 	size := int64(walHeaderLen)
 	var buf []byte
-	_, _, err = ScanWALFile(w.path, func(rec WALRecord) error {
+	_, _, err = ScanWALFile(w.path, func(rec kcore.AppliedBatch) error {
 		if rec.Seq <= upto {
 			return nil
 		}
-		b, err := appendWALRecord(buf[:0], rec.Seq, rec.Updates)
+		b, err := AppendWALFrame(buf[:0], rec)
 		if err != nil {
 			return err
 		}

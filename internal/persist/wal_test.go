@@ -15,14 +15,14 @@ import (
 
 // buildWAL assembles WAL file bytes from records (test helper; the golden
 // test also pins the exact output).
-func buildWAL(t *testing.T, recs []WALRecord) []byte {
+func buildWAL(t *testing.T, recs []kcore.AppliedBatch) []byte {
 	t.Helper()
 	buf := make([]byte, 0, 256)
 	buf = append(buf, walMagic[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, WALVersion)
 	for _, r := range recs {
 		var err error
-		buf, err = appendWALRecord(buf, r.Seq, r.Updates)
+		buf, err = AppendWALFrame(buf, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,8 +30,8 @@ func buildWAL(t *testing.T, recs []WALRecord) []byte {
 	return buf
 }
 
-func testRecords() []WALRecord {
-	return []WALRecord{
+func testRecords() []kcore.AppliedBatch {
+	return []kcore.AppliedBatch{
 		{Seq: 2, Updates: []kcore.Update{kcore.Add(0, 1), kcore.Add(1, 2)}},
 		{Seq: 3, Updates: []kcore.Update{kcore.Add(0, 2)}},
 		{Seq: 5, Updates: []kcore.Update{kcore.Remove(0, 1), kcore.Add(0, 3)}},
@@ -40,8 +40,8 @@ func testRecords() []WALRecord {
 
 func TestWALScanRoundTrip(t *testing.T) {
 	data := buildWAL(t, testRecords())
-	var got []WALRecord
-	res, err := scanWAL(bytes.NewReader(data), func(rec WALRecord) error {
+	var got []kcore.AppliedBatch
+	res, err := scanWAL(bytes.NewReader(data), func(rec kcore.AppliedBatch) error {
 		cp := rec
 		cp.Updates = append([]kcore.Update(nil), rec.Updates...)
 		got = append(got, cp)
@@ -83,7 +83,7 @@ func TestWALTornTails(t *testing.T) {
 		boundaries = append(boundaries, off)
 	}
 	for cut := 0; cut <= len(data); cut++ {
-		res, err := scanWAL(bytes.NewReader(data[:cut]), func(rec WALRecord) error { return nil })
+		res, err := scanWAL(bytes.NewReader(data[:cut]), func(rec kcore.AppliedBatch) error { return nil })
 		if err != nil {
 			t.Fatalf("cut %d: unexpected error %v", cut, err)
 		}
@@ -111,7 +111,7 @@ func TestWALRejectsCorruption(t *testing.T) {
 		t.Helper()
 		b := append([]byte(nil), data...)
 		b = mutate(b)
-		_, err := scanWAL(bytes.NewReader(b), func(rec WALRecord) error { return nil })
+		_, err := scanWAL(bytes.NewReader(b), func(rec kcore.AppliedBatch) error { return nil })
 		if !errors.Is(err, ErrCorruptWAL) {
 			t.Fatalf("%s: err = %v, want ErrCorruptWAL", name, err)
 		}
@@ -142,19 +142,19 @@ func TestWALRefusesGapAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.append(2, []kcore.Update{kcore.Add(0, 1), kcore.Add(1, 2)}); err != nil {
+	if err := w.append(kcore.AppliedBatch{Seq: 2, Updates: []kcore.Update{kcore.Add(0, 1), kcore.Add(1, 2)}}); err != nil {
 		t.Fatal(err)
 	}
 	size := w.size
 	// Covers seq 5 only: start 4 does not chain onto 2.
-	if err := w.append(5, []kcore.Update{kcore.Add(2, 3)}); !errors.Is(err, errWALGap) {
+	if err := w.append(kcore.AppliedBatch{Seq: 5, Updates: []kcore.Update{kcore.Add(2, 3)}}); !errors.Is(err, errWALGap) {
 		t.Fatalf("gap append = %v, want errWALGap", err)
 	}
 	if w.records != 1 || w.size != size {
 		t.Fatal("refused record must not be written")
 	}
 	// The chaining record is accepted.
-	if err := w.append(4, []kcore.Update{kcore.Add(2, 3), kcore.Add(3, 4)}); err != nil {
+	if err := w.append(kcore.AppliedBatch{Seq: 4, Updates: []kcore.Update{kcore.Add(2, 3), kcore.Add(3, 4)}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.close(); err != nil {
@@ -168,14 +168,14 @@ func TestWALRefusesGapAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.append(10, []kcore.Update{kcore.Add(5, 6)}); err != nil {
+	if err := w2.append(kcore.AppliedBatch{Seq: 10, Updates: []kcore.Update{kcore.Add(5, 6)}}); err != nil {
 		t.Fatalf("append onto snapshot base: %v", err)
 	}
 	if err := w2.close(); err != nil {
 		t.Fatal(err)
 	}
 	var seqs []uint64
-	if _, _, err := ScanWALFile(path, func(rec WALRecord) error {
+	if _, _, err := ScanWALFile(path, func(rec kcore.AppliedBatch) error {
 		seqs = append(seqs, rec.Seq)
 		return nil
 	}); err != nil {
@@ -197,11 +197,11 @@ func TestWALDeferredFlushAfterTransientFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.append(1, []kcore.Update{kcore.Add(0, 1)}); err != nil {
+	if err := w.append(kcore.AppliedBatch{Seq: 1, Updates: []kcore.Update{kcore.Add(0, 1)}}); err != nil {
 		t.Fatal(err)
 	}
 	pl.Fail(fault.WALWrite, 1, errors.New("transient: no space left on device"))
-	if err := w.append(2, []kcore.Update{kcore.Add(1, 2)}); err == nil {
+	if err := w.append(kcore.AppliedBatch{Seq: 2, Updates: []kcore.Update{kcore.Add(1, 2)}}); err == nil {
 		t.Fatal("append with a failing write must report the error")
 	}
 	if w.failed || w.pendingRecords != 1 || w.lastSeq != 2 {
@@ -209,7 +209,7 @@ func TestWALDeferredFlushAfterTransientFailure(t *testing.T) {
 			w.failed, w.pendingRecords, w.lastSeq)
 	}
 	// The next append flushes the deferred record ahead of itself.
-	if err := w.append(3, []kcore.Update{kcore.Add(2, 3)}); err != nil {
+	if err := w.append(kcore.AppliedBatch{Seq: 3, Updates: []kcore.Update{kcore.Add(2, 3)}}); err != nil {
 		t.Fatalf("append after transient failure: %v", err)
 	}
 	if w.pendingRecords != 0 || w.records != 3 {
@@ -219,7 +219,7 @@ func TestWALDeferredFlushAfterTransientFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	var seqs []uint64
-	if _, _, err := ScanWALFile(path, func(rec WALRecord) error {
+	if _, _, err := ScanWALFile(path, func(rec kcore.AppliedBatch) error {
 		seqs = append(seqs, rec.Seq)
 		return nil
 	}); err != nil {
@@ -243,12 +243,12 @@ func TestWALRewriteRetainsDeferredFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := uint64(1); seq <= 2; seq++ {
-		if err := w.append(seq, []kcore.Update{kcore.Add(int(seq-1), int(seq))}); err != nil {
+		if err := w.append(kcore.AppliedBatch{Seq: seq, Updates: []kcore.Update{kcore.Add(int(seq-1), int(seq))}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	pl.Fail(fault.WALWrite, 1, errors.New("transient"))
-	if err := w.append(3, []kcore.Update{kcore.Add(2, 3)}); err == nil {
+	if err := w.append(kcore.AppliedBatch{Seq: 3, Updates: []kcore.Update{kcore.Add(2, 3)}}); err == nil {
 		t.Fatal("append with a failing write must report the error")
 	}
 	// Snapshot captured at seq 2, before the deferred seq-3 record.
@@ -259,14 +259,14 @@ func TestWALRewriteRetainsDeferredFrames(t *testing.T) {
 		t.Fatalf("after rewrite: pending=%d lastSeq=%d base=%d, want the deferred chain retained",
 			w.pendingRecords, w.lastSeq, w.base)
 	}
-	if err := w.append(4, []kcore.Update{kcore.Add(3, 4)}); err != nil {
+	if err := w.append(kcore.AppliedBatch{Seq: 4, Updates: []kcore.Update{kcore.Add(3, 4)}}); err != nil {
 		t.Fatalf("append after rewrite: %v", err)
 	}
 	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}
 	var seqs []uint64
-	if _, _, err := ScanWALFile(path, func(rec WALRecord) error {
+	if _, _, err := ScanWALFile(path, func(rec kcore.AppliedBatch) error {
 		seqs = append(seqs, rec.Seq)
 		return nil
 	}); err != nil {
@@ -288,12 +288,12 @@ func TestWALSealedRebuildByCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := uint64(1); seq <= 2; seq++ {
-		if err := w.append(seq, []kcore.Update{kcore.Add(int(seq-1), int(seq))}); err != nil {
+		if err := w.append(kcore.AppliedBatch{Seq: seq, Updates: []kcore.Update{kcore.Add(int(seq-1), int(seq))}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	w.failed = true // as after a failed rollback
-	if err := w.append(3, []kcore.Update{kcore.Add(2, 3)}); err == nil {
+	if err := w.append(kcore.AppliedBatch{Seq: 3, Updates: []kcore.Update{kcore.Add(2, 3)}}); err == nil {
 		t.Fatal("sealed log accepted an append")
 	}
 	if err := w.compactTo(5); err != nil {
@@ -302,14 +302,14 @@ func TestWALSealedRebuildByCompact(t *testing.T) {
 	if w.failed || w.records != 0 || w.base != 5 {
 		t.Fatalf("rebuild left failed=%v records=%d base=%d", w.failed, w.records, w.base)
 	}
-	if err := w.append(6, []kcore.Update{kcore.Add(3, 4)}); err != nil {
+	if err := w.append(kcore.AppliedBatch{Seq: 6, Updates: []kcore.Update{kcore.Add(3, 4)}}); err != nil {
 		t.Fatalf("append after rebuild: %v", err)
 	}
 	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}
 	var seqs []uint64
-	if _, _, err := ScanWALFile(path, func(rec WALRecord) error {
+	if _, _, err := ScanWALFile(path, func(rec kcore.AppliedBatch) error {
 		seqs = append(seqs, rec.Seq)
 		return nil
 	}); err != nil {
@@ -327,7 +327,7 @@ func TestWALAppendAndCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range testRecords() {
-		if err := w.append(r.Seq, r.Updates); err != nil {
+		if err := w.append(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -343,11 +343,11 @@ func TestWALAppendAndCompact(t *testing.T) {
 		t.Fatalf("after compactTo(3): %d records, lastSeq %d; want 1, 5", w.records, w.lastSeq)
 	}
 	// Appends still work on the rewritten file.
-	if err := w.append(6, []kcore.Update{kcore.Add(9, 10)}); err != nil {
+	if err := w.append(kcore.AppliedBatch{Seq: 6, Updates: []kcore.Update{kcore.Add(9, 10)}}); err != nil {
 		t.Fatal(err)
 	}
 	var seqs []uint64
-	if _, _, err := ScanWALFile(path, func(rec WALRecord) error {
+	if _, _, err := ScanWALFile(path, func(rec kcore.AppliedBatch) error {
 		seqs = append(seqs, rec.Seq)
 		return nil
 	}); err != nil {
@@ -365,7 +365,7 @@ func TestWALAppendAndCompact(t *testing.T) {
 	if w.records != 0 || w.size != walHeaderLen {
 		t.Fatalf("after full compaction: %d records, %d bytes", w.records, w.size)
 	}
-	if err := w.append(7, []kcore.Update{kcore.Add(1, 3)}); err != nil {
+	if err := w.append(kcore.AppliedBatch{Seq: 7, Updates: []kcore.Update{kcore.Add(1, 3)}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.close(); err != nil {

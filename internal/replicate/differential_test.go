@@ -227,7 +227,7 @@ func TestFollowerGapReBootstrap(t *testing.T) {
 	}
 
 	// A frame claiming seqs 5..6 cannot chain onto a follower at seq 3.
-	gapFrame, err := persist.AppendWALFrame(nil, persist.WALRecord{
+	gapFrame, err := persist.AppendWALFrame(nil, kcore.AppliedBatch{
 		Seq: 6, Updates: []kcore.Update{kcore.Add(3, 4), kcore.Add(2, 4)},
 	})
 	if err != nil {
@@ -308,7 +308,7 @@ func TestFollowerRejectsCorruptStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame, err := persist.AppendWALFrame(nil, persist.WALRecord{
+	frame, err := persist.AppendWALFrame(nil, kcore.AppliedBatch{
 		Seq: 3, Updates: []kcore.Update{kcore.Add(0, 2)},
 	})
 	if err != nil {

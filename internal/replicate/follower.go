@@ -65,7 +65,7 @@ func (o FollowerOptions) withDefaults() FollowerOptions {
 
 // Follower replicates a primary kcore-serve into a local engine: it
 // bootstraps from the primary's /v1/replicate stream, applies live frames
-// through Engine.ReplayNotify, reconnects with resume on stream failure,
+// through persist.ApplyRecord, reconnects with resume on stream failure,
 // and re-bootstraps from a fresh snapshot when the stream cannot chain onto
 // its state. The current engine is read through Engine — it is REPLACED on
 // re-bootstrap, so callers must not cache it across requests.
@@ -320,12 +320,18 @@ func (f *Follower) run(st *stream) {
 }
 
 // consume applies stream frames until the connection ends or the stream
-// cannot be trusted. A frame that does not chain onto the engine's seq —
-// or any malformation — poisons the stream: the next connect re-bootstraps
-// from a snapshot instead of risking silent divergence.
+// cannot be trusted. Any malformation, a frame that does not chain onto
+// the engine's seq, or a frame the primary applied but this engine refuses
+// (ApplyRecord wraps both in ErrCorruptWAL) poisons the stream: the next
+// connect re-bootstraps from a snapshot instead of risking silent
+// divergence.
 func (f *Follower) consume(st *stream) error {
 	for {
 		rec, err := st.wr.Next()
+		applied := false
+		if err == nil {
+			applied, err = persist.ApplyRecord(f.engine.Load(), rec)
+		}
 		if err != nil {
 			if errors.Is(err, persist.ErrCorruptWAL) || errors.Is(err, ErrBadStream) {
 				f.poison()
@@ -334,21 +340,8 @@ func (f *Follower) consume(st *stream) error {
 			// EOF / cut connection / transport error: reconnect with resume.
 			return fmt.Errorf("replicate: stream ended: %w", err)
 		}
-		eng := f.engine.Load()
-		cur := eng.Seq()
-		if rec.Seq <= cur {
+		if !applied {
 			continue // bootstrap overlap; already covered
-		}
-		if start := rec.Seq - uint64(len(rec.Updates)); start != cur {
-			f.poison()
-			return fmt.Errorf("replicate: stream gap: frame covers seq %d..%d but follower is at %d",
-				rec.Seq-uint64(len(rec.Updates))+1, rec.Seq, cur)
-		}
-		if _, err := eng.ReplayNotify(kcore.Batch(rec.Updates)); err != nil {
-			// The primary applied this exact batch; a local refusal means the
-			// states diverged. Rebuild from a snapshot.
-			f.poison()
-			return fmt.Errorf("replicate: apply frame at seq %d: %w", rec.Seq, err)
 		}
 		f.mu.Lock()
 		f.framesApplied++

@@ -35,7 +35,7 @@ func goldenStream(tb testing.TB) []byte {
 	}
 	buf := AppendBootstrap(nil, snap)
 	buf = persist.AppendWALHeader(buf)
-	for _, rec := range []persist.WALRecord{
+	for _, rec := range []kcore.AppliedBatch{
 		{Seq: 2, Updates: []kcore.Update{kcore.Add(3, 4), kcore.Add(4, 300)}},
 		{Seq: 3, Updates: []kcore.Update{kcore.Remove(2, 3)}},
 	} {

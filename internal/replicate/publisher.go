@@ -50,15 +50,16 @@ type frame struct {
 	data  []byte // immutable once published
 }
 
-// Publisher is the primary side of replication: it taps the engine's apply
-// path (Engine.SetApplyTap), keeps a bounded frame history, and fans frames
-// out to subscribers with per-subscriber bounded queues. One Publisher per
-// engine; NewPublisher attaches the tap, Close detaches it.
+// Publisher is the primary side of replication: it adds an apply hook to
+// the engine (Engine.AddApplyHook), keeps a bounded frame history, and fans
+// frames out to subscribers with per-subscriber bounded queues. One
+// Publisher per engine; NewPublisher adds the hook, Close removes it.
 type Publisher struct {
-	engine *kcore.Engine
-	opts   PublisherOptions
+	engine     *kcore.Engine
+	opts       PublisherOptions
+	removeHook func()
 
-	// mu is taken by the apply tap while the engine's write lock is held
+	// mu is taken by the apply hook while the engine's write lock is held
 	// (lock order: engine.mu -> pub.mu). Nothing holding mu may call into
 	// the engine.
 	mu       sync.Mutex
@@ -82,9 +83,10 @@ var ErrClosed = errors.New("replicate: publisher closed")
 // the follower reconnect.
 var ErrDropped = errors.New("replicate: subscriber dropped")
 
-// NewPublisher attaches a publisher to the engine's apply tap. The engine
-// must not already have a tap (replication owns it; the persistence hook is
-// a separate slot).
+// NewPublisher attaches a publisher to the engine's apply hooks. On an
+// engine with a persist.Store, open the store first: hooks run in
+// registration order, so each batch then reaches the WAL before it is
+// published.
 func NewPublisher(engine *kcore.Engine, opts PublisherOptions) *Publisher {
 	p := &Publisher{
 		engine: engine,
@@ -92,29 +94,31 @@ func NewPublisher(engine *kcore.Engine, opts PublisherOptions) *Publisher {
 		subs:   make(map[*Subscription]struct{}),
 		head:   engine.Seq(),
 	}
-	engine.SetApplyTap(p.onApply)
+	p.removeHook = engine.AddApplyHook(p.onApply)
 	return p
 }
 
-// onApply is the engine tap: encode the batch as a WAL frame, extend the
-// history, fan out. It runs under the engine write lock — keep it
-// allocation-light and never call back into the engine.
-func (p *Publisher) onApply(rec kcore.AppliedBatch) {
-	data, err := persist.AppendWALFrame(nil, persist.WALRecord{Seq: rec.Seq, Updates: rec.Updates})
+// onApply is the engine apply hook: encode the batch as a WAL frame,
+// extend the history, fan out. It runs under the engine write lock — keep
+// it allocation-light and never call back into the engine. It never fails:
+// replication mirrors the engine's in-memory state, which advanced even
+// when an earlier hook (the WAL append) failed.
+func (p *Publisher) onApply(rec kcore.AppliedBatch) error {
+	data, err := persist.AppendWALFrame(nil, rec)
 	if err != nil {
 		// Unreachable: the engine validated the batch (no negative vertices,
 		// known ops, at least one survivor). Dropping the frame would poison
 		// every subscriber chain, so fail loudly instead of diverging.
 		panic(fmt.Sprintf("replicate: encode applied batch: %v", err))
 	}
-	f := frame{start: rec.Seq - uint64(len(rec.Updates)), seq: rec.Seq, data: data}
+	f := frame{start: rec.Start(), seq: rec.Seq, data: data}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return
+		return nil
 	}
 	if len(p.hist) == 0 && p.head != f.start {
-		// Batches applied between NewPublisher reading the seq and the tap
+		// Batches applied between NewPublisher reading the seq and the hook
 		// attaching are pre-history; restart the contiguous window here.
 		p.head = f.start
 	}
@@ -129,6 +133,7 @@ func (p *Publisher) onApply(rec kcore.AppliedBatch) {
 	for sub := range p.subs {
 		sub.enqueue(f)
 	}
+	return nil
 }
 
 // histBase is the earliest seq resumable from memory (mu held).
@@ -198,9 +203,9 @@ func (p *Publisher) Subscribe(remote string, from uint64, resume bool) (*Subscri
 	}
 
 	// Snapshot fallback. The engine read lock is taken WITHOUT holding
-	// p.mu (the tap takes p.mu under the engine write lock; holding both
-	// here would invert that order). Frames applied during the capture are
-	// already queued on sub and chain past the snapshot's seq.
+	// p.mu (the apply hook takes p.mu under the engine write lock; holding
+	// both here would invert that order). Frames applied during the capture
+	// are already queued on sub and chain past the snapshot's seq.
 	st, err := p.engine.View(kcore.WithIndex()).Index()
 	if err != nil {
 		p.Unsubscribe(sub)
@@ -255,12 +260,11 @@ func (p *Publisher) walTail(from, upto uint64) ([][]byte, bool) {
 	var out [][]byte
 	var total int64
 	cur := from
-	_, _, err := persist.ScanWALFile(p.opts.WALPath, func(rec persist.WALRecord) error {
+	_, _, err := persist.ScanWALFile(p.opts.WALPath, func(rec kcore.AppliedBatch) error {
 		if rec.Seq <= from || rec.Seq > upto {
 			return nil
 		}
-		start := rec.Seq - uint64(len(rec.Updates))
-		if start != cur {
+		if rec.Start() != cur {
 			return fmt.Errorf("tail does not chain at seq %d", cur)
 		}
 		data, err := persist.AppendWALFrame(nil, rec)
@@ -295,10 +299,10 @@ func (p *Publisher) Unsubscribe(sub *Subscription) {
 	delete(p.subs, sub)
 }
 
-// Close detaches the engine tap and drops every subscriber. Streams end;
-// reconnect attempts fail with ErrClosed.
+// Close removes the engine apply hook and drops every subscriber. Streams
+// end; reconnect attempts fail with ErrClosed.
 func (p *Publisher) Close() {
-	p.engine.SetApplyTap(nil)
+	p.removeHook()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.closed = true

@@ -13,14 +13,14 @@ import (
 
 // decodeFrames runs the returned backlog/queue frames through the real
 // follower-side decoder and returns the record seqs.
-func decodeFrames(t *testing.T, frames [][]byte) []persist.WALRecord {
+func decodeFrames(t *testing.T, frames [][]byte) []kcore.AppliedBatch {
 	t.Helper()
 	buf := persist.AppendWALHeader(nil)
 	for _, f := range frames {
 		buf = append(buf, f...)
 	}
 	wr := persist.NewWALReader(bytes.NewReader(buf))
-	var out []persist.WALRecord
+	var out []kcore.AppliedBatch
 	for {
 		rec, err := wr.Next()
 		if err == io.EOF {
@@ -231,7 +231,7 @@ func TestSubscribeAfterClose(t *testing.T) {
 	if _, _, err := p.Subscribe("late", 0, false); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Subscribe after Close = %v, want ErrClosed", err)
 	}
-	// The tap is detached: applying more batches must not touch the
+	// The hook is removed: applying more batches must not touch the
 	// publisher (would panic on a nil map write if it did).
 	apply(t, e, kcore.Add(0, 1))
 }

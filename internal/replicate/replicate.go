@@ -13,8 +13,10 @@
 // WAL format (internal/persist), so replication reuses the persist codec,
 // its CRC protection, its golden fixtures, and its sequence-chaining
 // invariant end to end. The follower applies frames through
-// Engine.ReplayNotify: its local watchers see the changes, but its own
-// durability hook and replication tap do not re-fire.
+// persist.ApplyRecord, the same skip/chain/apply rule WAL recovery uses, so
+// its local watchers see the changes. A follower engine carries no store
+// and no publisher (chained replication is not supported), so nothing
+// re-logs or re-publishes what it applies.
 //
 // Reads on a follower are eventually consistent. Read-your-primary-writes
 // is NOT guaranteed; the staleness is observable as seq_lag (primary seq

@@ -48,12 +48,13 @@
 //     the offending position via *BatchError.
 //
 // For durability, the engine exposes a persistence seam rather than a
-// persistence layer: SetApplyHook observes every applied batch under the
-// write lock (a write-ahead log appends and fsyncs there, so Apply
-// returning nil means both applied and durable), View(WithIndex()) captures
-// the complete maintained state for snapshotting, FromIndex restores it
-// with full verification, and Replay re-applies logged batches silently
-// during recovery. The snapshot + WAL store built on this seam lives in
+// persistence layer: AddApplyHook registers an observer of every applied
+// batch under the write lock (a write-ahead log appends and fsyncs there,
+// so Apply returning nil means both applied and durable; a replication
+// publisher registers on the same list), View(WithIndex()) captures the
+// complete maintained state for snapshotting, and FromIndex restores it
+// with full verification. Recovery re-applies logged batches through plain
+// Apply. The snapshot + WAL store built on this seam lives in
 // internal/persist and is wired into cmd/kcore-serve via -data-dir.
 package kcore
 
@@ -279,19 +280,12 @@ type Engine struct {
 	nextSubID uint64
 	subCount  atomic.Int32
 
-	// Apply observers (guarded by mu; see hook.go): hook observes every
-	// applied batch for durability, tap observes it error-free for
-	// replication, hookBuf is their reused surviving-update buffer.
-	// replaying suppresses the hook and tap (Replay and ReplayNotify both
-	// re-apply state that originated elsewhere); silent additionally
-	// suppresses subscriber notification (Replay restores pre-crash state
-	// that is not news, ReplayNotify leaves events on).
-	hook      ApplyHook
-	tap       ApplyTap
-	probe     func(updates int)
-	hookBuf   []Update
-	replaying bool
-	silent    bool
+	// Apply observers (guarded by mu; see hook.go): hooks see every
+	// applied batch in registration order, probe is the fault plane's
+	// pre-execution callback, hookBuf is the reused surviving-update buffer.
+	hooks   []*ApplyHook
+	probe   func(updates int)
+	hookBuf []Update
 }
 
 // NewEngine returns an empty engine. Vertices are dense non-negative

@@ -108,10 +108,7 @@ func (e *Engine) Subscribe(opts ...SubscribeOption) (<-chan CoreChange, func()) 
 // holds the engine write lock; op tells the direction every change took
 // (+1 for insertions, -1 for removals).
 func (e *Engine) notify(op Op, changed []int) {
-	// Recovery is silent: Replay restores state the engine had already
-	// reached, so subscribers see only post-recovery changes (see
-	// Engine.Replay; ReplayNotify keeps events on).
-	if e.silent || len(changed) == 0 || e.subCount.Load() == 0 {
+	if len(changed) == 0 || e.subCount.Load() == 0 {
 		return
 	}
 	delta := 1
@@ -132,7 +129,7 @@ func (e *Engine) notify(op Op, changed []int) {
 // holds the engine write lock; changed lists the vertices whose core
 // numbers differ from oldCores (implicitly 0 beyond its length).
 func (e *Engine) notifyDiff(changed []int, oldCores []int) {
-	if e.silent || len(changed) == 0 || e.subCount.Load() == 0 {
+	if len(changed) == 0 || e.subCount.Load() == 0 {
 		return
 	}
 	e.subMu.Lock()
