@@ -14,8 +14,8 @@ import (
 // one update sequence number: the edge set, the core numbers, and — the part
 // a fresh decomposition cannot reproduce — the maintained k-order, which
 // depends on the engine's whole update history. Together with the engine
-// parameters that drive deterministic replay (seed, heuristic, order
-// structure) it is exactly what a durable snapshot must capture so that
+// parameters that drive deterministic replay (seed, heuristic) and the
+// order structure, it is exactly what a durable snapshot must capture so that
 // snapshot + write-ahead-log replay reconstructs the engine bit-identically:
 // same cores, same k-order, same Seq. Capture one with View(WithIndex()) and
 // View.Index; rebuild an engine from one with FromIndex.
@@ -31,9 +31,11 @@ type IndexState struct {
 	Cores []int
 	// Order is the maintained k-order, front to back.
 	Order []int
-	// Seed, Heuristic and Structure are the engine parameters that must
-	// survive a restore for subsequent updates (including wholesale
-	// recomputations) to replay deterministically.
+	// Seed and Heuristic are the engine parameters that must survive a
+	// restore for subsequent updates (including wholesale recomputations)
+	// to replay deterministically. Structure does not affect replay (both
+	// order structures produce identical results); it is kept so that a
+	// restored engine keeps the structure it was captured with.
 	Seed      uint64
 	Heuristic Heuristic
 	Structure OrderStructure
@@ -43,8 +45,11 @@ type IndexState struct {
 // The state is fully verified in O(m + n) before installation (see
 // korder.Restore): a corrupted or internally inconsistent state yields an
 // error, never a silently-wrong engine. The engine adopts the state's Seq,
-// Seed, Heuristic and Structure — replay determinism depends on them — while
-// other options (WithRebuildThreshold, ...) may be supplied as opts.
+// Seed and Heuristic, which replay determinism depends on, and its
+// Structure, so that a restored engine keeps its order structure (a state
+// captured from a TreapOrder engine restores a TreapOrder engine whatever
+// the default). Other options (WithRebuildThreshold, ...) may be supplied
+// as opts.
 func FromIndex(st *IndexState, opts ...Option) (*Engine, error) {
 	cfg := defaultConfig()
 	for _, o := range opts {

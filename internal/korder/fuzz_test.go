@@ -1,17 +1,20 @@
 package korder
 
 import (
+	"slices"
 	"testing"
 
 	"kcore/internal/graph"
+	"kcore/internal/order"
 )
 
 // FuzzMaintainerAgainstOracle decodes the fuzz input as a stream of edge
 // toggles over a small vertex set (toggle = insert if absent, remove if
-// present) and validates the complete maintained state against
-// recomputation after the stream. Run with `go test -fuzz=Fuzz` for
-// extended differential fuzzing; the seed corpus keeps it meaningful as a
-// plain test.
+// present), runs it through one maintainer per order structure, validates
+// each complete maintained state against recomputation after the stream,
+// and requires both structures to end with the same k-order and cores. Run
+// with `go test -fuzz=Fuzz` for extended differential fuzzing; the seed
+// corpus keeps it meaningful as a plain test.
 func FuzzMaintainerAgainstOracle(f *testing.F) {
 	f.Add([]byte{0x01, 0x12, 0x23, 0x30, 0x01, 0x12})
 	f.Add([]byte{0x01, 0x02, 0x03, 0x12, 0x13, 0x23}) // K4 build-up
@@ -19,8 +22,11 @@ func FuzzMaintainerAgainstOracle(f *testing.F) {
 	f.Add([]byte{0xFF, 0x00, 0x55, 0xAA, 0x77, 0x11, 0x22, 0x33, 0x44})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const n = 12
-		g := graph.New(n)
-		m := New(g, Options{Seed: 17})
+		kinds := []order.Kind{order.KindTreap, order.KindTagList}
+		var ms []*Maintainer
+		for _, k := range kinds {
+			ms = append(ms, New(graph.New(n), Options{OrderKind: k, Seed: 17}))
+		}
 		for i, b := range data {
 			if i > 300 {
 				break
@@ -30,18 +36,26 @@ func FuzzMaintainerAgainstOracle(f *testing.F) {
 			if u == v {
 				continue
 			}
-			var err error
-			if g.HasEdge(u, v) {
-				_, err = m.Remove(u, v)
-			} else {
-				_, err = m.Insert(u, v)
-			}
-			if err != nil {
-				t.Fatalf("op %d (%d,%d): %v", i, u, v, err)
+			for _, m := range ms {
+				var err error
+				if m.Graph().HasEdge(u, v) {
+					_, err = m.Remove(u, v)
+				} else {
+					_, err = m.Insert(u, v)
+				}
+				if err != nil {
+					t.Fatalf("%v op %d (%d,%d): %v", m.opts.OrderKind, i, u, v, err)
+				}
 			}
 		}
-		if err := m.CheckInvariants(); err != nil {
-			t.Fatalf("invariants after %d ops: %v", len(data), err)
+		for _, m := range ms {
+			if err := m.CheckInvariants(); err != nil {
+				t.Fatalf("%v: invariants after %d ops: %v", m.opts.OrderKind, len(data), err)
+			}
+		}
+		if !slices.Equal(ms[0].Order(), ms[1].Order()) || !slices.Equal(ms[0].Cores(), ms[1].Cores()) {
+			t.Fatalf("order structures diverge after %d ops:\n treap order %v cores %v\n  tag  order %v cores %v",
+				len(data), ms[0].Order(), ms[0].Cores(), ms[1].Order(), ms[1].Cores())
 		}
 	})
 }

@@ -17,12 +17,15 @@ import (
 	"kcore/internal/order"
 )
 
-// Options configures a Maintainer.
+// Options configures a Maintainer. The zero value is the paper's
+// configuration, which the reproductions in internal/bench use.
 type Options struct {
 	// Heuristic selects the initial k-order generation heuristic
 	// (default: small deg+ first, the paper's recommendation).
 	Heuristic decomp.Heuristic
-	// OrderKind selects the per-level order structure (default: treap).
+	// OrderKind selects the per-level order structure. The zero value is
+	// the paper's order-statistics treap; the kcore engine passes
+	// order.KindTagList by default. Both give identical results.
 	OrderKind order.Kind
 	// Seed drives all internal randomization deterministically.
 	Seed uint64

@@ -156,6 +156,15 @@ func TestDifferentialSharedArena(t *testing.T) {
 func FuzzListOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0x43, 0x85, 0x16, 0xff, 3, 9})
 	f.Add([]byte{0x10, 0x21, 0x32, 0x43, 0x54, 0x65, 0x76, 0x87})
+	// Two PushBacks, then 120 InsertBefore calls at the second element,
+	// each followed by a query: the midpoints exhaust the tag gap in front
+	// of the anchor within a few dozen inserts, so the rest force local
+	// relabels.
+	relabel := []byte{1, 0, 1, 0}
+	for i := 0; i < 120; i++ {
+		relabel = append(relabel, 3, 1, 5, byte(i))
+	}
+	f.Add(relabel)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		impls := []List{NewTreap(1), NewTagList(), newPtrList()}
 		var vs []int

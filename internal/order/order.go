@@ -7,9 +7,12 @@
 //     randomized treap with subtree sizes and parent pointers. Rank and
 //     order comparison cost O(log n); every structural update costs
 //     O(log n) expected.
-//   - TagList: a Dietz–Sleator style labeled list that supports O(1) order
-//     comparison with amortized O(1) relabeling on insert. Included as the
-//     ablation for the paper's data-structure choice.
+//   - TagList: a Dietz–Sleator style labeled list with O(1) order
+//     comparison. When an insertion finds no free tag between its
+//     neighbors, it relabels only a small aligned tag range around the
+//     insertion point (O(log n) elements amortized; see TagList). It is the
+//     engine's default structure; the treap stays the maintainer's zero
+//     value and the baseline of the data-structure ablation.
 //
 // Both embed a doubly linked list for O(1) Next/Prev traversal, mirroring
 // the paper's implementation note that O_k is kept in a linked list with an
@@ -65,7 +68,7 @@ type Kind int
 const (
 	// KindTreap selects the order-statistics treap (the paper's choice).
 	KindTreap Kind = iota
-	// KindTagList selects the labeled list ablation.
+	// KindTagList selects the labeled list with O(1) comparisons.
 	KindTagList
 )
 

@@ -1,6 +1,7 @@
 package order
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 )
@@ -278,6 +279,99 @@ func TestTagListRenumbering(t *testing.T) {
 			t.Fatalf("sequence wrong at %d: %v...", i, got[:5])
 		}
 	}
+}
+
+// TestTagListRelabelWork bounds the local relabeling cost: from a 30k-element
+// list, 200k inserts in each of the insertion patterns core maintenance
+// produces (front, back, after a fixed anchor, after the newest element)
+// must each average at most 32 relabeled elements per insert, where a
+// whole-list renumber would cost thousands, and must leave the reference
+// sequence with strictly increasing tags.
+func TestTagListRelabelWork(t *testing.T) {
+	const base, inserts = 30_000, 200_000
+	patterns := []struct {
+		name   string
+		insert func(l List, anchor, newest, v int)
+	}{
+		{"front", func(l List, _, _, v int) { l.PushFront(v) }},
+		{"back", func(l List, _, _, v int) { l.PushBack(v) }},
+		{"after-anchor", func(l List, anchor, _, v int) { l.InsertAfter(anchor, v) }},
+		{"after-newest", func(l List, _, newest, v int) { l.InsertAfter(newest, v) }},
+	}
+	for _, p := range patterns {
+		t.Run(p.name, func(t *testing.T) {
+			tl := NewTagList()
+			ref := newPtrList()
+			for v := 0; v < base; v++ {
+				tl.PushBack(v)
+				ref.PushBack(v)
+			}
+			start := tl.relabeled
+			anchor, newest := base/2, base/2
+			for v := base; v < base+inserts; v++ {
+				p.insert(tl, anchor, newest, v)
+				p.insert(ref, anchor, newest, v)
+				newest = v
+			}
+			perInsert := float64(tl.relabeled-start) / inserts
+			t.Logf("%.2f elements relabeled per insert, %d relabel passes", perInsert, tl.Renumbers())
+			if perInsert > 32 {
+				t.Errorf("%.2f elements relabeled per insert, want <= 32", perInsert)
+			}
+			v, ok := tl.Front()
+			rv, rok := ref.Front()
+			var prev uint64
+			for i := 0; rok; i++ {
+				if !ok || v != rv {
+					t.Fatalf("position %d: (%d,%v) want %d", i, v, ok, rv)
+				}
+				k := tl.Key(v)
+				if i > 0 && k <= prev {
+					t.Fatalf("position %d: tag %d not above %d", i, k, prev)
+				}
+				prev = k
+				v, ok = tl.Next(v)
+				rv, rok = ref.Next(rv)
+			}
+			if ok {
+				t.Fatal("tag list longer than the reference")
+			}
+		})
+	}
+}
+
+// TestTagListRelabelAtEnds exhausts the tag space at both ends of a list,
+// where a relabel has a labeled neighbor on one side only: the head's tag
+// at 1 and the tail's at MaxUint64-1. PushFront and PushBack step by
+// endGap, so reaching either edge by inserts alone takes 2^31 of them; the
+// test packs the end tags against the edges directly instead.
+func TestTagListRelabelAtEnds(t *testing.T) {
+	tl := NewTagList()
+	ref := newPtrList()
+	for v := 0; v < 8; v++ {
+		tl.PushBack(v)
+		ref.PushBack(v)
+	}
+	for i, h := 0, tl.head; h != 0; i, h = i+1, tl.a.next[h] {
+		if i < 4 {
+			tl.a.key[h] = uint64(i + 1)
+		} else {
+			tl.a.key[h] = math.MaxUint64 - uint64(8-i)
+		}
+	}
+	for v := 8; v < 108; v++ {
+		if v%2 == 0 {
+			tl.PushFront(v)
+			ref.PushFront(v)
+		} else {
+			tl.PushBack(v)
+			ref.PushBack(v)
+		}
+	}
+	if tl.Renumbers() < 2 {
+		t.Fatalf("%d relabel passes; both ends should have relabeled", tl.Renumbers())
+	}
+	checkAgainst(t, "taglist-ends", tl, ref)
 }
 
 func TestKeyMonotone(t *testing.T) {

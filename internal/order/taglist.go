@@ -5,13 +5,19 @@ import "math"
 // TagList is a labeled order-maintenance list in the style of Dietz and
 // Sleator: every element carries a 64-bit tag, order comparison is a tag
 // comparison (O(1)), and insertion places the new tag at the midpoint of
-// its neighbors' tags, renumbering the whole list in the rare case the gap
-// is exhausted. With 64-bit tags and the uniform renumbering below, global
-// renumbering is amortized away for the update patterns core maintenance
-// produces (front/back/cursor insertions).
+// its neighbors' tags (a new head or tail at most endGap past the old one).
+// When that gap is exhausted, the list relabels locally (Bender, Cole,
+// Demaine, Farach-Colton and Zito, "Two Simplified Algorithms for
+// Maintaining Order in a List", ESA 2002): it grows an aligned tag range
+// around the insertion point, one bit at a time, until the range holds few
+// enough elements for its size, and spreads only that range's elements
+// evenly across it. Each relabel pass therefore touches a neighborhood of
+// the insertion point, not the whole list, and the amortized number of
+// elements relabeled per insertion is O(log n).
 //
-// TagList is the ablation counterpart of Treap: Less costs O(1) instead of
-// O(log n), at the price of O(n) Rank (used only in tests/diagnostics).
+// TagList is the engine's default order structure. Less costs O(1) instead
+// of the treap's O(log n), at the price of O(n) Rank (used only in
+// tests/diagnostics).
 //
 // Nodes live in an Arena (tags in the arena's key column); steady-state
 // updates allocate nothing. Several lists may share one arena (see Arena).
@@ -20,7 +26,8 @@ type TagList struct {
 	id         int32
 	head, tail int32
 	n          int
-	renumbers  int // diagnostic: how many global renumberings happened
+	renumbers  int // diagnostic: how many relabel passes happened
+	relabeled  int // diagnostic: elements written by those passes
 }
 
 var _ List = (*TagList)(nil)
@@ -40,7 +47,7 @@ func (t *TagList) Len() int { return t.n }
 // Contains reports whether v is present.
 func (t *TagList) Contains(v int) bool { return t.a.handle(t.id, v) != 0 }
 
-// Renumbers reports how many global renumberings occurred (diagnostics).
+// Renumbers reports how many relabel passes occurred (diagnostics).
 func (t *TagList) Renumbers() int { return t.renumbers }
 
 func (t *TagList) newNode(v int) int32 {
@@ -66,25 +73,83 @@ func (t *TagList) upperTag(n int32) uint64 {
 	return t.a.key[t.a.next[n]]
 }
 
-// assignTag picks a tag strictly between the neighbors of n, renumbering
-// first when the gap is exhausted. n must already be linked into the DLL.
+// tagDensity is the growth factor T of the relabel thresholds: an aligned
+// tag range of 2^i labels may hold at most (2/T)^i elements before a relabel
+// must widen past it. 1 < T < 2; a smaller T packs ranges more densely and
+// relabels more often, a larger T spreads them wider. At T = 1.5 the
+// whole 64-bit space admits (4/3)^64 ≈ 10^8 elements per list before the
+// top range itself is over threshold, when it is relabeled regardless.
+const tagDensity = 1.5
+
+// endGap bounds how far from its neighbor a new head or tail is placed.
+// Between two elements the midpoint of the gap is taken, but an end's gap
+// reaches to the edge of the tag space, and halving it on every PushBack
+// would exhaust it after 64 appends; stepping by at most endGap instead
+// leaves room for 2^31 appends at either end of a list begun mid-space
+// (a bulk load by PushBack relabels nothing).
+const endGap = 1 << 32
+
+// assignTag picks a tag strictly between the neighbors of n, relabeling a
+// range around n first when the gap is exhausted. n must already be linked
+// into the DLL.
 func (t *TagList) assignTag(n int32) {
 	lo, hi := t.lowerTag(n), t.upperTag(n)
-	if hi-lo >= 2 {
-		t.a.key[n] = lo + (hi-lo)/2
+	if hi-lo < 2 {
+		t.relabel(n)
 		return
 	}
-	t.renumber()
+	a, half := t.a, (hi-lo)/2
+	switch {
+	case a.next[n] == 0 && a.prev[n] != 0: // new tail
+		a.key[n] = lo + min(half, endGap)
+	case a.prev[n] == 0 && a.next[n] != 0: // new head
+		a.key[n] = hi - min(half, endGap)
+	default:
+		a.key[n] = lo + half
+	}
 }
 
-// renumber spreads all tags uniformly across the 64-bit space.
-func (t *TagList) renumber() {
-	t.renumbers++
-	step := math.MaxUint64/(uint64(t.n)+1) | 1
-	tag := step
-	for e := t.head; e != 0; e = t.a.next[e] {
-		t.a.key[e] = tag
-		tag += step
+// relabel gives n a tag by spreading the smallest sufficiently sparse
+// aligned tag range around it. The range at level i is the 2^i labels
+// sharing the anchor's (a labeled neighbor of n) high 64-i bits; its
+// elements form one contiguous run of the list, so growing the level only
+// extends the run at both ends. The first level whose run, n included,
+// fits under (2/T)^i elements is relabeled with its elements evenly spaced,
+// which leaves gaps on both sides of every element, n among them.
+func (t *TagList) relabel(n int32) {
+	a := t.a
+	anchor := a.key[a.next[n]]
+	if p := a.prev[n]; p != 0 {
+		anchor = a.key[p]
+	}
+	first, last, count := n, n, 1
+	limit := 1.0
+	for i := 1; ; i++ {
+		limit *= 2 / tagDensity
+		mask := ^uint64(0) >> (64 - i) // the range is [base, base+mask]
+		base := anchor &^ mask
+		for p := a.prev[first]; p != 0 && a.key[p] >= base; p = a.prev[p] {
+			first = p
+			count++
+		}
+		for q := a.next[last]; q != 0 && a.key[q]-base <= mask; q = a.next[q] {
+			last = q
+			count++
+		}
+		if float64(count) <= limit || i == 64 {
+			step := mask / uint64(count+1)
+			tag := base
+			for e := first; ; e = a.next[e] {
+				tag += step
+				a.key[e] = tag
+				if e == last {
+					break
+				}
+			}
+			t.renumbers++
+			t.relabeled += count
+			return
+		}
 	}
 }
 

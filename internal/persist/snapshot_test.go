@@ -127,6 +127,44 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	assertSameState(t, e, got)
 }
 
+// TestSnapshotOrderStructure pins the default order structure in the
+// snapshot: a default engine stores TagOrder in header byte 13, and an
+// engine restored from the snapshot keeps the stored structure, whichever
+// it is (a snapshot written by a treap engine restores a treap engine).
+func TestSnapshotOrderStructure(t *testing.T) {
+	for _, tc := range []struct {
+		opts []kcore.Option
+		want kcore.OrderStructure
+	}{
+		{nil, kcore.TagOrder},
+		{[]kcore.Option{kcore.WithOrderStructure(kcore.TreapOrder)}, kcore.TreapOrder},
+	} {
+		e, err := kcore.FromEdges(gen.BarabasiAlbert(40, 3, 5).Edges(), tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := EncodeSnapshot(stateOf(t, e))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := kcore.OrderStructure(data[13]); got != tc.want {
+			t.Fatalf("header byte 13 = %d, want %d", got, tc.want)
+		}
+		st, err := DecodeSnapshot(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := kcore.FromIndex(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := stateOf(t, restored).Structure; got != tc.want {
+			t.Fatalf("restored engine structure = %d, want %d", got, tc.want)
+		}
+		assertSameState(t, e, restored)
+	}
+}
+
 func TestSnapshotRejectsCorruption(t *testing.T) {
 	e := testEngine(t)
 	st := stateOf(t, e)

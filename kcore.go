@@ -106,14 +106,18 @@ const (
 )
 
 // OrderStructure selects the per-level order representation (order-based
-// engine only).
+// engine only). Both structures hold the same sequence and give the
+// maintenance scan distinct position-monotone keys, so the choice changes
+// speed only: cores, the k-order and every BatchInfo are identical. The
+// values are stored in snapshots and must not be renumbered.
 type OrderStructure int
 
 const (
-	// TreapOrder uses the paper's order-statistics treap (O(log n)
-	// comparisons, O(log n) updates).
+	// TreapOrder uses the paper's order-statistics treap (Section VI(A)):
+	// O(log n) comparisons, O(log n) updates.
 	TreapOrder OrderStructure = iota
-	// TagOrder uses a labeled order-maintenance list (O(1) comparisons).
+	// TagOrder uses a labeled order-maintenance list: O(1) comparisons and
+	// locally relabeled inserts. The engine default.
 	TagOrder
 )
 
@@ -136,8 +140,8 @@ const (
 )
 
 func defaultConfig() config {
-	return config{hops: 2, seed: 1, rebuildFloor: defaultRebuildFloor,
-		rebuildFrac: defaultRebuildFrac}
+	return config{structure: TagOrder, hops: 2, seed: 1,
+		rebuildFloor: defaultRebuildFloor, rebuildFrac: defaultRebuildFrac}
 }
 
 // Option configures an Engine.
@@ -150,8 +154,9 @@ func WithAlgorithm(a Algorithm) Option { return func(c *config) { c.algorithm = 
 // SmallDegPlusFirst; order-based engine only).
 func WithHeuristic(h Heuristic) Option { return func(c *config) { c.heuristic = h } }
 
-// WithOrderStructure selects the order representation (default TreapOrder;
-// order-based engine only).
+// WithOrderStructure selects the order representation (default TagOrder;
+// order-based engine only). TreapOrder gives the paper's structure with
+// identical results at O(log n) per comparison.
 func WithOrderStructure(s OrderStructure) Option { return func(c *config) { c.structure = s } }
 
 // WithTraversalHops sets h for the traversal engine (default 2; ignored by
