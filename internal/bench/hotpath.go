@@ -216,9 +216,9 @@ func hotpathExperiments(cfg Config) []hotpathExperiment {
 	}
 }
 
-// benchArenaMigrate mirrors order's BenchmarkOrderMigrate: level-migration
-// slot reuse between two lists on one shared arena, through the korder
-// maintainer's own structures.
+// benchArenaMigrate mirrors order's BenchmarkOrderMigrate: level migration
+// between two lists on one shared arena, where each vertex keeps its own
+// node, through the korder maintainer's own structures.
 func benchArenaMigrate(b *testing.B) {
 	g := graph.New(1024)
 	for v := 1; v < 1024; v++ {

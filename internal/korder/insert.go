@@ -27,41 +27,40 @@ func (m *Maintainer) Insert(u, v int) (UpdateResult, error) {
 	m.stats.Inserts++
 	// mcd deltas use pre-update core numbers (the V* rise is accounted for
 	// separately below, uniformly over all edges including this one).
-	if m.core[v] >= m.core[u] {
-		m.mcd[u]++
+	su, sv := &m.vs[u], &m.vs[v]
+	if sv.core >= su.core {
+		su.mcd++
 	}
-	if m.core[u] >= m.core[v] {
-		m.mcd[v]++
+	if su.core >= sv.core {
+		sv.mcd++
 	}
 	root := u
 	if m.before(v, u) {
 		root = v
 	}
-	K := m.core[root]
-	m.degPlus[root]++
-	res := UpdateResult{K: K}
-	if m.degPlus[root] <= K {
+	sr := &m.vs[root]
+	K := sr.core
+	sr.degPlus++
+	res := UpdateResult{K: int(K)}
+	if sr.degPlus <= K {
 		// Lemma 5.2: no core number changes; the order is still valid.
 		return res, nil
 	}
 
 	// Core phase. All comparisons and rank snapshots run against the
 	// unmutated O_K; physical mutations are recorded and replayed at the end.
+	// aux holds deg*.
 	L := m.levels[K]
-	m.degStar.reset()
-	m.cand.reset()
-	m.conf.reset()
-	m.inHeap.reset()
-	m.inQ.reset()
+	m.newEpoch()
+	ep := m.epoch
 	m.heap.Reset()
 
 	vc := m.vcBuf[:0]         // candidates in discovery order (superset of V*)
 	relocs := m.relocsBuf[:0] // deferred evicted-candidate moves
-	cursor := -1              // last vertex settled into O'_K (Case 2b anchor)
 	visited := 0
 
 	m.heap.Push(L.Key(root), root)
-	m.inHeap.set(root)
+	sr.cur(ep).flags |= fInHeap
 
 	for {
 		it, ok := m.heap.Pop()
@@ -69,25 +68,27 @@ func (m *Maintainer) Insert(u, v int) (UpdateResult, error) {
 			break
 		}
 		w := it.V
-		if m.cand.has(w) || m.conf.has(w) {
+		sw := m.vs[w].cur(ep)
+		if sw.flags&(fCand|fConf) != 0 {
 			continue // stale: already settled this update
 		}
-		m.inHeap.clear(w)
-		ds := m.degStar.get(w)
+		sw.flags &^= fInHeap
+		ds := sw.aux
 		if ds == 0 && w != root {
 			continue // stale: candidate support vanished (Case 2a region)
 		}
-		if ds+m.degPlus[w] > K {
+		if ds+sw.degPlus > K {
 			// Case 1: w is a potential member of V*.
 			visited++
-			m.cand.set(w)
+			sw.flags |= fCand
 			vc = append(vc, w)
 			for _, z32 := range m.g.Neighbors(w) {
 				z := int(z32)
-				if m.core[z] == K && L.Less(w, z) {
-					m.degStar.add(z, 1)
-					if !m.inHeap.has(z) && !m.cand.has(z) && !m.conf.has(z) {
-						m.inHeap.set(z)
+				sz := &m.vs[z]
+				if sz.core == K && L.Less(w, z) {
+					sz.cur(ep).aux++
+					if sz.flags&(fInHeap|fCand|fConf) == 0 {
+						sz.flags |= fInHeap
 						m.heap.Push(L.Key(z), z)
 					}
 				}
@@ -97,11 +98,10 @@ func (m *Maintainer) Insert(u, v int) (UpdateResult, error) {
 		// Case 2b (ds > 0, or the root with insufficient support): w stays
 		// at level K; fold deg* into deg+ and cascade candidate removal.
 		visited++
-		m.conf.set(w)
-		m.degPlus[w] += ds
-		m.degStar.set(w, 0)
-		cursor = w
-		cursor = m.removeCandidates(L, w, K, &relocs, cursor)
+		sw.flags |= fConf
+		sw.degPlus += ds
+		sw.aux = 0
+		m.removeCandidates(L, w, K, &relocs)
 	}
 
 	// Ending phase: replay deferred O_K mutations, then settle V*.
@@ -111,12 +111,12 @@ func (m *Maintainer) Insert(u, v int) (UpdateResult, error) {
 	}
 	vstar := vc[:0]
 	for _, w := range vc {
-		if m.cand.has(w) {
+		if m.vs[w].flag(ep, fCand) {
 			vstar = append(vstar, w)
 		}
 	}
 	if len(vstar) > 0 {
-		m.ensureLevel(K + 1)
+		m.ensureLevel(int(K) + 1)
 		up := m.levels[K+1]
 		for _, w := range vstar {
 			L.Remove(w)
@@ -126,22 +126,21 @@ func (m *Maintainer) Insert(u, v int) (UpdateResult, error) {
 			up.PushFront(vstar[i])
 		}
 		for _, w := range vstar {
-			m.core[w] = K + 1
-			m.degStar.set(w, 0)
+			m.vs[w].core = K + 1
 		}
 		// mcd repair for the K -> K+1 rise (DESIGN.md §2.4).
 		for _, w := range vstar {
-			cnt := 0
+			var cnt int32
 			for _, z32 := range m.g.Neighbors(w) {
-				z := int(z32)
-				if m.core[z] >= K+1 {
+				sz := &m.vs[z32]
+				if sz.core >= K+1 {
 					cnt++
 				}
-				if !m.cand.has(z) && m.core[z] == K+1 {
-					m.mcd[z]++
+				if !sz.flag(ep, fCand) && sz.core == K+1 {
+					sz.mcd++
 				}
 			}
-			m.mcd[w] = cnt
+			m.vs[w].mcd = cnt
 		}
 	}
 	// Return the pooled buffers (vstar is a compacted prefix of vc, so both
@@ -159,53 +158,53 @@ func (m *Maintainer) Insert(u, v int) (UpdateResult, error) {
 // level K; each candidate neighbor loses one unit of deg+ support, and
 // candidates whose total support drops to K or below are evicted from VC
 // (recursively), becoming confirmed level-K vertices placed right after vi
-// in the new order. Returns the updated cursor (the last settled vertex).
-func (m *Maintainer) removeCandidates(L order.List, vi, K int, relocs *[]relocation, cursor int) int {
+// in the new order, each after the one evicted before it.
+func (m *Maintainer) removeCandidates(L order.List, vi int, K int32, relocs *[]relocation) {
+	ep := m.epoch
 	queue := m.queueBuf[:0]
-	for _, z32 := range m.g.Neighbors(vi) {
-		z := int(z32)
-		if m.cand.has(z) {
-			m.degPlus[z]--
-			if m.degPlus[z]+m.degStar.get(z) <= K && !m.inQ.has(z) {
-				m.inQ.set(z)
-				queue = append(queue, z)
-			}
+	// push queues a candidate whose support dropped to K or below.
+	push := func(z int, sz *vstate) {
+		if sz.degPlus+sz.aux <= K && sz.flags&fInQ == 0 {
+			sz.flags |= fInQ
+			queue = append(queue, z)
 		}
 	}
+	for _, z32 := range m.g.Neighbors(vi) {
+		z := int(z32)
+		if sz := &m.vs[z]; sz.flag(ep, fCand) {
+			sz.degPlus--
+			push(z, sz)
+		}
+	}
+	cursor := vi // last vertex settled into O'_K
 	for qi := 0; qi < len(queue); qi++ {
 		wp := queue[qi]
 		// Evict wp: it stays at level K after all.
-		m.cand.clear(wp)
-		m.conf.set(wp)
-		m.degPlus[wp] += m.degStar.get(wp)
-		m.degStar.set(wp, 0)
+		sw := &m.vs[wp]
+		sw.flags = sw.flags&^fCand | fConf
+		sw.degPlus += sw.aux
+		sw.aux = 0
 		*relocs = append(*relocs, relocation{anchor: cursor, v: wp})
 		cursor = wp
 		for _, z32 := range m.g.Neighbors(wp) {
 			z := int(z32)
-			if m.core[z] != K {
+			sz := &m.vs[z]
+			if sz.core != K {
 				continue
 			}
 			switch {
 			case L.Less(vi, z):
 				// z is after the scan position: it loses one potential
 				// candidate supporter.
-				m.degStar.add(z, -1)
-			case m.cand.has(z) && L.Less(wp, z):
-				m.degStar.add(z, -1)
-				if m.degPlus[z]+m.degStar.get(z) <= K && !m.inQ.has(z) {
-					m.inQ.set(z)
-					queue = append(queue, z)
-				}
-			case m.cand.has(z):
-				m.degPlus[z]--
-				if m.degPlus[z]+m.degStar.get(z) <= K && !m.inQ.has(z) {
-					m.inQ.set(z)
-					queue = append(queue, z)
-				}
+				sz.cur(ep).aux--
+			case sz.flag(ep, fCand) && L.Less(wp, z):
+				sz.aux--
+				push(z, sz)
+			case sz.flag(ep, fCand):
+				sz.degPlus--
+				push(z, sz)
 			}
 		}
 	}
 	m.queueBuf = queue[:0]
-	return cursor
 }

@@ -7,6 +7,16 @@
 // OrderInsert (Algorithms 2 and 3 of the paper) and OrderRemoval
 // (Algorithm 4) update all of this in time proportional to a small
 // neighborhood of the inserted or removed edge.
+//
+// Layout: the work of both algorithms is a scan over each visited vertex's
+// neighbors, so a vertex's hot state is one 24-byte record indexed by
+// vertex id, holding core, deg+, mcd and the update's scratch (candidate,
+// heap, queue and V* flags in one byte; deg* or cd in one integer). The
+// scratch of every vertex is reset at once by bumping a single 32-bit
+// epoch per update; a wrap of the epoch clears every record's stamp. The
+// per-level order lists live on one order.Arena, whose nodes are also
+// indexed by vertex id, so a neighbor test such as
+// core(z) == K && z after w in O_K reads z's record and z's arena cell.
 package korder
 
 import (
@@ -64,25 +74,21 @@ type UpdateResult struct {
 }
 
 // Maintainer holds the maintained index: cores, k-order, deg+, mcd.
+//
+// Every vertex's hot state is one record in vs, indexed by vertex id: its
+// core number, deg+ and mcd, and the per-update scratch of OrderInsert and
+// OrderRemoval (see vstate). One scratch epoch, bumped once per update,
+// resets every record's scratch. A neighbor visit in the maintenance scans
+// therefore reads one record and, for an order comparison, the vertex's
+// node in the order arena (order.Arena, also indexed by vertex id).
 type Maintainer struct {
 	g       *graph.Undirected
-	core    []int
-	degPlus []int
-	mcd     []int
+	vs      []vstate     // per-vertex record, indexed by vertex id
+	epoch   uint32       // current scratch epoch (see vstate)
 	arena   *order.Arena // shared node store for every per-level list
 	levels  []order.List // levels[k] = O_k
 	opts    Options
 	seedCtr uint64
-
-	// Per-update scratch (epoch reset).
-	degStar *sparseInts
-	cd      *sparseInts
-	cand    *sparseFlags // in VC
-	conf    *sparseFlags // confirmed staying at level K this update
-	inHeap  *sparseFlags
-	inQ     *sparseFlags
-	inVStar *sparseFlags
-	moved   *sparseFlags
 	heap    order.MinHeap
 
 	// Pooled per-update slices, reused across updates so the steady-state
@@ -98,24 +104,75 @@ type Maintainer struct {
 	stats Stats
 }
 
+// vstate is one vertex's record: 24 bytes, so most records sit in one
+// cache line. core, degPlus and mcd are the maintained state. aux, ep and
+// flags are per-update scratch: they count only while ep equals the
+// Maintainer's epoch, and read as zero otherwise. Each update that needs
+// scratch starts a new epoch (newEpoch), which resets every vertex's
+// scratch in O(1); a record is re-zeroed lazily when first touched in the
+// new epoch (cur).
+type vstate struct {
+	core    int32
+	degPlus int32
+	mcd     int32
+	aux     int32  // scratch: deg* during Insert, cd+1 during Remove
+	ep      uint32 // the epoch aux and flags belong to
+	flags   uint8  // scratch flag bits (fCand, ...)
+}
+
+// Scratch flag bits of vstate.flags.
+const (
+	fCand    uint8 = 1 << iota // Insert: in VC, a candidate for V*
+	fConf                      // Insert: confirmed to stay at level K
+	fInHeap                    // Insert: queued in the jump heap B
+	fInQ                       // Insert: queued for eviction from VC
+	fInVStar                   // Remove: in V*
+	fMoved                     // Remove: already moved to O_{K-1}
+)
+
+// flag reports whether s carries flag f in epoch ep.
+func (s *vstate) flag(ep uint32, f uint8) bool { return s.ep == ep && s.flags&f != 0 }
+
+// cur returns s with its scratch belonging to epoch ep, zeroing flags and
+// aux on the first touch in that epoch.
+func (s *vstate) cur(ep uint32) *vstate {
+	if s.ep != ep {
+		s.ep, s.flags, s.aux = ep, 0, 0
+	}
+	return s
+}
+
+// newEpoch starts a fresh scratch epoch for an update. When the 32-bit
+// counter wraps, every record's stamp is cleared first, so that no stamp
+// left from 2^32 epochs ago can match a reused epoch.
+func (m *Maintainer) newEpoch() {
+	m.epoch++
+	if m.epoch == 0 {
+		for i := range m.vs {
+			m.vs[i].ep = 0
+		}
+		m.epoch = 1
+	}
+}
+
 // New builds a Maintainer for g, computing the initial decomposition and
 // k-order with the configured heuristic. g must not be mutated except
 // through the Maintainer afterwards.
 func New(g *graph.Undirected, opts Options) *Maintainer {
 	m := &Maintainer{g: g, opts: opts, seedCtr: opts.Seed}
 	dec := decomp.KOrder(g, opts.Heuristic, opts.Seed)
-	n := g.NumVertices()
-	m.core = dec.Core
-	m.degPlus = dec.DegPlus
-	m.mcd = decomp.ComputeMCD(g, dec.Core)
-	m.initLevels(dec.MaxCore, dec.Order)
-	m.initScratch(n)
+	m.init(dec.Core, dec.DegPlus, decomp.ComputeMCD(g, dec.Core), dec.MaxCore, dec.Order)
 	return m
 }
 
-// initLevels builds the per-level order lists from a global k-order. All
-// levels share one arena sized for the full vertex set up front.
-func (m *Maintainer) initLevels(maxCore int, ord []int) {
+// init builds the per-vertex records and the per-level order lists from a
+// decomposed state and its global k-order. All levels share one arena sized
+// for the full vertex set up front.
+func (m *Maintainer) init(core, degPlus, mcd []int, maxCore int, ord []int) {
+	m.vs = make([]vstate, len(core))
+	for v := range m.vs {
+		m.vs[v] = vstate{core: int32(core[v]), degPlus: int32(degPlus[v]), mcd: int32(mcd[v])}
+	}
 	m.arena = order.NewArena()
 	m.arena.Reserve(len(ord))
 	m.levels = make([]order.List, maxCore+1)
@@ -123,20 +180,8 @@ func (m *Maintainer) initLevels(maxCore int, ord []int) {
 		m.levels[k] = m.newList()
 	}
 	for _, v := range ord {
-		m.levels[m.core[v]].PushBack(v)
+		m.levels[m.vs[v].core].PushBack(v)
 	}
-}
-
-// initScratch allocates the epoch-stamped per-update working state.
-func (m *Maintainer) initScratch(n int) {
-	m.degStar = newSparseInts(n)
-	m.cd = newSparseInts(n)
-	m.cand = newSparseFlags(n)
-	m.conf = newSparseFlags(n)
-	m.inHeap = newSparseFlags(n)
-	m.inQ = newSparseFlags(n)
-	m.inVStar = newSparseFlags(n)
-	m.moved = newSparseFlags(n)
 }
 
 func (m *Maintainer) newList() order.List {
@@ -149,16 +194,18 @@ func (m *Maintainer) Graph() *graph.Undirected { return m.g }
 
 // Core returns the current core number of v (0 for unknown vertices).
 func (m *Maintainer) Core(v int) int {
-	if v < 0 || v >= len(m.core) {
+	if v < 0 || v >= len(m.vs) {
 		return 0
 	}
-	return m.core[v]
+	return int(m.vs[v].core)
 }
 
 // Cores returns a copy of all current core numbers.
 func (m *Maintainer) Cores() []int {
-	out := make([]int, len(m.core))
-	copy(out, m.core)
+	out := make([]int, len(m.vs))
+	for v := range m.vs {
+		out[v] = int(m.vs[v].core)
+	}
 	return out
 }
 
@@ -175,8 +222,8 @@ func (m *Maintainer) MaxCore() int {
 // KCore returns the vertices of the current k-core.
 func (m *Maintainer) KCore(k int) []int {
 	var out []int
-	for v, c := range m.core {
-		if c >= k {
+	for v := range m.vs {
+		if int(m.vs[v].core) >= k {
 			out = append(out, v)
 		}
 	}
@@ -185,7 +232,7 @@ func (m *Maintainer) KCore(k int) []int {
 
 // Order returns the maintained k-order as a vertex sequence (O_0 O_1 ...).
 func (m *Maintainer) Order() []int {
-	out := make([]int, 0, len(m.core))
+	out := make([]int, 0, len(m.vs))
 	for _, l := range m.levels {
 		out = append(out, order.Slice(l)...)
 	}
@@ -205,23 +252,12 @@ func (m *Maintainer) EnsureVertex(v int) {
 		return
 	}
 	m.g.EnsureVertex(v)
-	for len(m.core) <= v {
-		w := len(m.core)
-		m.core = append(m.core, 0)
-		m.degPlus = append(m.degPlus, 0)
-		m.mcd = append(m.mcd, 0)
+	for len(m.vs) <= v {
+		w := len(m.vs)
+		m.vs = append(m.vs, vstate{})
 		m.ensureLevel(0)
 		m.levels[0].PushBack(w)
 	}
-	n := len(m.core)
-	m.degStar.grow(n)
-	m.cd.grow(n)
-	m.cand.grow(n)
-	m.conf.grow(n)
-	m.inHeap.grow(n)
-	m.inQ.grow(n)
-	m.inVStar.grow(n)
-	m.moved.grow(n)
 }
 
 func (m *Maintainer) ensureLevel(k int) {
@@ -232,10 +268,11 @@ func (m *Maintainer) ensureLevel(k int) {
 
 // before reports whether u precedes v in the maintained global k-order.
 func (m *Maintainer) before(u, v int) bool {
-	if m.core[u] != m.core[v] {
-		return m.core[u] < m.core[v]
+	cu, cv := m.vs[u].core, m.vs[v].core
+	if cu != cv {
+		return cu < cv
 	}
-	return m.levels[m.core[u]].Less(u, v)
+	return m.levels[cu].Less(u, v)
 }
 
 // CheckInvariants validates the complete maintained state against
@@ -244,10 +281,11 @@ func (m *Maintainer) before(u, v int) bool {
 // tests; cost is O((m+n) log n).
 func (m *Maintainer) CheckInvariants() error {
 	n := m.g.NumVertices()
-	if len(m.core) != n {
-		return fmt.Errorf("korder: state has %d vertices, graph %d", len(m.core), n)
+	if len(m.vs) != n {
+		return fmt.Errorf("korder: state has %d vertices, graph %d", len(m.vs), n)
 	}
-	if err := decomp.Validate(m.g, m.core); err != nil {
+	core := m.Cores()
+	if err := decomp.Validate(m.g, core); err != nil {
 		return err
 	}
 	// Level membership.
@@ -258,8 +296,8 @@ func (m *Maintainer) CheckInvariants() error {
 				return fmt.Errorf("korder: vertex %d appears in multiple levels", v)
 			}
 			seen[v] = true
-			if m.core[v] != k {
-				return fmt.Errorf("korder: vertex %d in O_%d but core %d", v, k, m.core[v])
+			if core[v] != k {
+				return fmt.Errorf("korder: vertex %d in O_%d but core %d", v, k, core[v])
 			}
 		}
 	}
@@ -276,19 +314,19 @@ func (m *Maintainer) CheckInvariants() error {
 				dp++
 			}
 		}
-		if dp != m.degPlus[v] {
-			return fmt.Errorf("korder: deg+(%d) = %d, order implies %d", v, m.degPlus[v], dp)
+		if dp != int(m.vs[v].degPlus) {
+			return fmt.Errorf("korder: deg+(%d) = %d, order implies %d", v, m.vs[v].degPlus, dp)
 		}
-		if dp > m.core[v] {
+		if dp > core[v] {
 			return fmt.Errorf("korder: deg+(%d) = %d exceeds core %d (Lemma 5.1 violated)",
-				v, dp, m.core[v])
+				v, dp, core[v])
 		}
 	}
 	// mcd consistency.
-	wantMCD := decomp.ComputeMCD(m.g, m.core)
+	wantMCD := decomp.ComputeMCD(m.g, core)
 	for v := 0; v < n; v++ {
-		if m.mcd[v] != wantMCD[v] {
-			return fmt.Errorf("korder: mcd(%d) = %d, want %d", v, m.mcd[v], wantMCD[v])
+		if int(m.vs[v].mcd) != wantMCD[v] {
+			return fmt.Errorf("korder: mcd(%d) = %d, want %d", v, m.vs[v].mcd, wantMCD[v])
 		}
 	}
 	return nil

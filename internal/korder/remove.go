@@ -12,7 +12,7 @@ import (
 // from the maintained mcd; the k-order is repaired by moving V* to the end
 // of O_{K-1} in discovery order.
 func (m *Maintainer) Remove(u, v int) (UpdateResult, error) {
-	if u < 0 || u >= len(m.core) || v < 0 || v >= len(m.core) {
+	if u < 0 || u >= len(m.vs) || v < 0 || v >= len(m.vs) {
 		return UpdateResult{}, errMissing(u, v)
 	}
 	// deg+ delta for the removed edge itself (the paper's pseudocode omits
@@ -22,38 +22,36 @@ func (m *Maintainer) Remove(u, v int) (UpdateResult, error) {
 		return UpdateResult{}, err
 	}
 	m.stats.Removes++
+	su, sv := &m.vs[u], &m.vs[v]
 	if uFirst {
-		m.degPlus[u]--
+		su.degPlus--
 	} else {
-		m.degPlus[v]--
+		sv.degPlus--
 	}
 	// mcd deltas with pre-update core numbers (lines 3-4 of Algorithm 4).
-	if m.core[v] >= m.core[u] {
-		m.mcd[u]--
+	if sv.core >= su.core {
+		su.mcd--
 	}
-	if m.core[u] >= m.core[v] {
-		m.mcd[v]--
+	if su.core >= sv.core {
+		sv.mcd--
 	}
-	K := m.core[u]
-	if m.core[v] < K {
-		K = m.core[v]
-	}
-	res := UpdateResult{K: K}
+	K := min(su.core, sv.core)
+	res := UpdateResult{K: int(K)}
 
 	// Find V* by peeling (Section IV-B): repeatedly dispose vertices at
 	// level K whose upper bound cd on neighbors in the new K-core drops
-	// below K. cd is lazily initialized from the maintained mcd (cdTouch).
-	// vstar and stack are pooled buffers; written inline rather than via
-	// dispose/touch closures, which would escape to the heap per update.
-	m.cd.reset()
-	m.inVStar.reset()
-	m.moved.reset()
+	// below K. cd is lazily initialized from the maintained mcd (cdTouch)
+	// and kept in aux. vstar and stack are pooled buffers; written inline
+	// rather than via dispose/touch closures, which would escape to the
+	// heap per update.
+	m.newEpoch()
+	ep := m.epoch
 	vstar := m.vstarBuf[:0]
 	stack := m.stackBuf[:0]
 	for _, r := range [2]int{u, v} {
-		if m.core[r] == K && !m.inVStar.has(r) && m.cdTouch(r) < K {
-			m.inVStar.set(r)
-			m.core[r] = K - 1
+		if sr := &m.vs[r]; sr.core == K && !sr.flag(ep, fInVStar) && sr.cdTouch(ep) < K {
+			sr.flags |= fInVStar
+			sr.core = K - 1
 			vstar = append(vstar, r)
 			stack = append(stack, r)
 		}
@@ -62,17 +60,17 @@ func (m *Maintainer) Remove(u, v int) (UpdateResult, error) {
 		w := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, z32 := range m.g.Neighbors(w) {
-			z := int(z32)
-			if m.core[z] != K || m.inVStar.has(z) {
+			sz := &m.vs[z32]
+			if sz.core != K || sz.flag(ep, fInVStar) {
 				continue
 			}
-			cd := m.cdTouch(z) - 1
-			m.cd.set(z, cd+1)
+			cd := sz.cdTouch(ep) - 1
+			sz.aux = cd + 1
 			if cd < K {
-				m.inVStar.set(z)
-				m.core[z] = K - 1
-				vstar = append(vstar, z)
-				stack = append(stack, z)
+				sz.flags |= fInVStar
+				sz.core = K - 1
+				vstar = append(vstar, int(z32))
+				stack = append(stack, int(z32))
 			}
 		}
 	}
@@ -84,38 +82,40 @@ func (m *Maintainer) Remove(u, v int) (UpdateResult, error) {
 	// k-order repair (Algorithm 4 lines 6-14): move V* to the end of
 	// O_{K-1} in discovery order, recomputing each deg+ and decrementing
 	// deg+ of earlier same-level neighbors.
-	m.ensureLevel(K) // K >= 1 here: endpoints of an existing edge have core >= 1
+	m.ensureLevel(int(K)) // K >= 1 here: endpoints of an existing edge have core >= 1
 	L := m.levels[K]
 	down := m.levels[K-1]
 	for _, w := range vstar {
-		dp := 0
+		var dp int32
 		for _, z32 := range m.g.Neighbors(w) {
 			z := int(z32)
-			if m.core[z] == K && L.Less(z, w) {
-				m.degPlus[z]--
+			sz := &m.vs[z]
+			if sz.core == K && L.Less(z, w) {
+				sz.degPlus--
 			}
-			if m.core[z] >= K || (m.inVStar.has(z) && !m.moved.has(z) && z != w) {
+			if sz.core >= K || (sz.flag(ep, fInVStar) && sz.flags&fMoved == 0 && z != w) {
 				dp++
 			}
 		}
-		m.degPlus[w] = dp
-		m.moved.set(w)
+		sw := &m.vs[w]
+		sw.degPlus = dp
+		sw.flags |= fMoved
 		L.Remove(w)
 		down.PushBack(w)
 	}
 	// mcd repair for the K -> K-1 fall (DESIGN.md §2.4).
 	for _, w := range vstar {
-		cnt := 0
+		var cnt int32
 		for _, z32 := range m.g.Neighbors(w) {
-			z := int(z32)
-			if m.core[z] >= K-1 {
+			sz := &m.vs[z32]
+			if sz.core >= K-1 {
 				cnt++
 			}
-			if !m.inVStar.has(z) && m.core[z] == K {
-				m.mcd[z]--
+			if !sz.flag(ep, fInVStar) && sz.core == K {
+				sz.mcd--
 			}
 		}
-		m.mcd[w] = cnt
+		m.vs[w].mcd = cnt
 	}
 	// res.Changed aliases the pooled vstarBuf until the next update (see
 	// UpdateResult.Changed).
@@ -125,15 +125,15 @@ func (m *Maintainer) Remove(u, v int) (UpdateResult, error) {
 	return res, nil
 }
 
-// cdTouch lazily initializes the peeling bound cd(w) from the maintained
-// mcd on first touch this update, and returns it. The stored value is
-// offset by +1 so that an initialized zero is distinguishable from
-// "untouched" in the epoch-stamped array.
-func (m *Maintainer) cdTouch(w int) int {
-	if m.cd.get(w) == 0 && !m.inVStar.has(w) {
-		m.cd.set(w, m.mcd[w]+1)
+// cdTouch lazily initializes the peeling bound cd from the maintained mcd
+// on s's first touch in epoch ep, and returns it. aux stores cd + 1, so
+// that an initialized zero is distinguishable from "untouched".
+func (s *vstate) cdTouch(ep uint32) int32 {
+	s.cur(ep)
+	if s.aux == 0 && s.flags&fInVStar == 0 {
+		s.aux = s.mcd + 1
 	}
-	return m.cd.get(w) - 1
+	return s.aux - 1
 }
 
 func errMissing(u, v int) error {

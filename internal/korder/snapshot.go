@@ -55,7 +55,7 @@ func (m *Maintainer) WriteSnapshot(w io.Writer) error {
 	}
 	core := make([]uint32, n)
 	for v := 0; v < n; v++ {
-		core[v] = uint32(m.core[v])
+		core[v] = uint32(m.vs[v].core)
 	}
 	if err := binary.Write(bw, binary.LittleEndian, core); err != nil {
 		return fmt.Errorf("korder: snapshot write: %w", err)
@@ -80,12 +80,8 @@ func (m *Maintainer) WriteSnapshot(w io.Writer) error {
 // a freshly constructed one.
 func (m *Maintainer) Reseed() {
 	dec := decomp.KOrder(m.g, m.opts.Heuristic, m.opts.Seed)
-	m.core = dec.Core
-	m.degPlus = dec.DegPlus
-	m.mcd = decomp.ComputeMCD(m.g, dec.Core)
 	m.seedCtr = m.opts.Seed
-	m.initLevels(dec.MaxCore, dec.Order)
-	m.initScratch(m.g.NumVertices())
+	m.init(dec.Core, dec.DegPlus, decomp.ComputeMCD(m.g, dec.Core), dec.MaxCore, dec.Order)
 }
 
 // LoadSnapshot restores a maintainer from a snapshot written by
@@ -221,16 +217,12 @@ func Restore(g *graph.Undirected, core []int, ord []int, opts Options) (*Maintai
 	}
 
 	m := &Maintainer{g: g, opts: opts, seedCtr: opts.Seed}
-	m.core = core
-	m.degPlus = degPlus
-	m.mcd = decomp.ComputeMCD(g, core)
 	maxCore := 0
 	for _, c := range core {
 		if c > maxCore {
 			maxCore = c
 		}
 	}
-	m.initLevels(maxCore, ord)
-	m.initScratch(n)
+	m.init(core, degPlus, decomp.ComputeMCD(g, core), maxCore, ord)
 	return m, nil
 }

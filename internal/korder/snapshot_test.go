@@ -168,9 +168,10 @@ func TestReseedEquivalentToFresh(t *testing.T) {
 			t.Fatalf("order diverges from fresh build at %d", i)
 		}
 	}
-	for v := range fresh.core {
-		if fresh.core[v] != m.core[v] {
-			t.Fatalf("core(%d) = %d, fresh %d", v, m.core[v], fresh.core[v])
+	fc, rc := fresh.Cores(), m.Cores()
+	for v := range fc {
+		if fc[v] != rc[v] {
+			t.Fatalf("core(%d) = %d, fresh %d", v, rc[v], fc[v])
 		}
 	}
 	// The reseeded maintainer keeps maintaining correctly.

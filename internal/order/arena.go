@@ -3,82 +3,66 @@ package order
 import "fmt"
 
 // Arena is the shared node store backing the order lists: every node field
-// lives in a parallel growable slice indexed by a compact int32 handle, the
-// vertex→node lookup is a direct slice index (vertices are dense ints), and
-// freed handles are recycled through a LIFO free list. Compared with the
-// previous pointer-per-node layout (one heap object per element found
-// through a map), an arena keeps the hot maintenance loops allocation-free
-// in steady state and walks contiguous memory.
+// lives in a growable column indexed by an int32 handle, and a vertex's
+// handle is its id + 1, so finding a vertex's node is one index, with no
+// slot table and no free list. Compared with the previous pointer-per-node
+// layout (one heap object per element found through a map), an arena keeps
+// the hot maintenance loops allocation-free in steady state and walks
+// contiguous memory.
 //
-// Handle 0 is a reserved null sentinel: a zero-filled slot table means
-// "absent", child/parent links of 0 mean "none", and size[0] = 0 makes
-// subtree-size arithmetic branch-free.
+// Memory is O(max vertex id), not O(live elements): the columns grow to
+// cover the largest id ever inserted and never shrink. Ids must therefore
+// be dense, as the korder Maintainer's and the graph's are (0..n-1).
+//
+// Handle 0 is a reserved null sentinel: child/parent links of 0 mean
+// "none", owner 0 means "absent", and size[0] = 0 makes subtree-size
+// arithmetic branch-free.
 //
 // One arena may back any number of lists (the korder Maintainer backs every
 // per-level O_k list with a single arena), under one restriction: lists
 // sharing an arena must hold pairwise disjoint vertex sets. That is exactly
 // the level-partition invariant of core maintenance, and it is what makes
 // level migration cheap — when a vertex moves from O_k to O_{k+1}, the
-// handle freed by the Remove is the next one handed out by the insert, so
-// the move reuses the same node slot instead of paying free+alloc.
+// insert reuses the node the Remove just gave up, because the node is the
+// vertex's own.
 //
 // An Arena and the lists attached to it are not safe for concurrent use.
 type Arena struct {
-	// Per-node fields, parallel, indexed by handle. vert/next/prev and key
-	// are used by every list kind; left/right/par/size only by treaps (the
-	// sentinel keeps them consistent for mixed-kind arenas).
-	vert  []int32  // node → vertex id
-	next  []int32  // linked-list forward link (0 = none)
-	prev  []int32  // linked-list backward link (0 = none)
-	left  []int32  // treap left child (0 = none)
-	right []int32  // treap right child (0 = none)
-	par   []int32  // treap parent (0 = root)
-	size  []int32  // treap subtree size; size[0] = 0 anchors the sentinel
-	key   []uint64 // treap heap priority / taglist order tag
-	owner []int32  // id of the list holding the node; 0 = free
+	// Per-node columns, indexed by handle. kv, next and prev are used by
+	// every list kind; left/right/par/size only by treaps (the sentinel
+	// keeps them consistent for mixed-kind arenas).
+	kv    []keyOwner // order key paired with the owning list
+	next  []int32    // linked-list forward link (0 = none)
+	prev  []int32    // linked-list backward link (0 = none)
+	left  []int32    // treap left child (0 = none)
+	right []int32    // treap right child (0 = none)
+	par   []int32    // treap parent (0 = root)
+	size  []int32    // treap subtree size; size[0] = 0 anchors the sentinel
 
-	slot  []int32 // vertex id → handle; 0 = not in any list on this arena
-	free  []int32 // recycled handles, LIFO
-	lists int32   // ids handed out to attached lists (ids start at 1)
+	live  int   // nodes currently held by some list
+	lists int32 // ids handed out to attached lists (ids start at 1)
+}
+
+// keyOwner pairs a node's key with its owner in one 16-byte cell, so an
+// ownership-checked key read (TagList.Less) touches one cache line.
+type keyOwner struct {
+	key   uint64 // treap heap priority / taglist order tag
+	owner int32  // id of the list holding the node; 0 = absent
 }
 
 // NewArena returns an empty arena holding only the null sentinel.
 func NewArena() *Arena {
 	a := &Arena{}
-	a.growNodes(1) // handle 0: the sentinel
+	a.grow(1) // handle 0: the sentinel
 	return a
 }
 
-// Reserve pre-sizes the arena for n vertices: the slot table covers ids
-// 0..n-1 and node storage for n elements is pre-allocated, so a bulk load
+// Reserve pre-sizes the arena for vertex ids 0..n-1, so a bulk load
 // performs no growth reallocations.
-func (a *Arena) Reserve(n int) {
-	if n <= 0 {
-		return
-	}
-	a.growSlots(n)
-	if need := n + 1 - cap(a.vert); need > 0 {
-		grow := func(s []int32) []int32 {
-			ns := make([]int32, len(s), n+1)
-			copy(ns, s)
-			return ns
-		}
-		a.vert = grow(a.vert)
-		a.next = grow(a.next)
-		a.prev = grow(a.prev)
-		a.left = grow(a.left)
-		a.right = grow(a.right)
-		a.par = grow(a.par)
-		a.size = grow(a.size)
-		a.owner = grow(a.owner)
-		nk := make([]uint64, len(a.key), n+1)
-		copy(nk, a.key)
-		a.key = nk
-	}
-}
+func (a *Arena) Reserve(n int) { a.grow(n + 1) }
 
 // Len reports the number of live nodes across all lists on the arena.
-func (a *Arena) Len() int { return len(a.vert) - 1 - len(a.free) }
+func (a *Arena) Len() int { return a.live }
 
 // register attaches a new list and returns its owner id.
 func (a *Arena) register() int32 {
@@ -86,76 +70,62 @@ func (a *Arena) register() int32 {
 	return a.lists
 }
 
-// growSlots extends the vertex→handle table to cover vertex id n-1.
-func (a *Arena) growSlots(n int) {
-	for len(a.slot) < n {
-		a.slot = append(a.slot, 0)
+// grow extends every column to at least n zeroed nodes.
+func (a *Arena) grow(n int) {
+	k := n - len(a.kv)
+	if k <= 0 {
+		return
 	}
+	a.kv = append(a.kv, make([]keyOwner, k)...)
+	a.next = append(a.next, make([]int32, k)...)
+	a.prev = append(a.prev, make([]int32, k)...)
+	a.left = append(a.left, make([]int32, k)...)
+	a.right = append(a.right, make([]int32, k)...)
+	a.par = append(a.par, make([]int32, k)...)
+	a.size = append(a.size, make([]int32, k)...)
 }
 
-// growNodes appends k zeroed nodes.
-func (a *Arena) growNodes(k int) {
-	for ; k > 0; k-- {
-		a.vert = append(a.vert, 0)
-		a.next = append(a.next, 0)
-		a.prev = append(a.prev, 0)
-		a.left = append(a.left, 0)
-		a.right = append(a.right, 0)
-		a.par = append(a.par, 0)
-		a.size = append(a.size, 0)
-		a.key = append(a.key, 0)
-		a.owner = append(a.owner, 0)
-	}
-}
-
-// alloc takes a handle for vertex v on behalf of list id, recycling the most
-// recently freed handle when one exists. impl names the list kind for the
-// panic message. Panics if v is negative or already present in any list
-// sharing the arena (lists on one arena hold disjoint vertex sets).
+// alloc claims vertex v's node on behalf of list id and returns its handle.
+// impl names the list kind for the panic message. Panics if v is negative
+// or already present in any list sharing the arena (lists on one arena hold
+// disjoint vertex sets).
 func (a *Arena) alloc(id int32, v int, key uint64, impl string) int32 {
 	if v < 0 {
 		panic(fmt.Sprintf("order: negative vertex %d", v))
 	}
-	a.growSlots(v + 1)
-	if h := a.slot[v]; h != 0 {
-		if a.owner[h] == id {
+	a.grow(v + 2)
+	h := int32(v + 1)
+	if o := a.kv[h].owner; o != 0 {
+		if o == id {
 			panic(fmt.Sprintf("order: vertex %d already in %s", v, impl))
 		}
 		panic(fmt.Sprintf("order: vertex %d already held by another list on this arena", v))
 	}
-	var h int32
-	if k := len(a.free); k > 0 {
-		h = a.free[k-1]
-		a.free = a.free[:k-1]
-	} else {
-		h = int32(len(a.vert))
-		a.growNodes(1)
-	}
-	a.vert[h] = int32(v)
 	a.next[h], a.prev[h] = 0, 0
 	a.left[h], a.right[h], a.par[h] = 0, 0, 0
 	a.size[h] = 1
-	a.key[h] = key
-	a.owner[h] = id
-	a.slot[int32(v)] = h
+	a.kv[h] = keyOwner{key: key, owner: id}
+	a.live++
 	return h
 }
 
-// release returns handle h to the free list and clears its vertex slot.
+// release marks node h absent from every list.
 func (a *Arena) release(h int32) {
-	a.slot[a.vert[h]] = 0
-	a.owner[h] = 0
-	a.free = append(a.free, h)
+	a.kv[h].owner = 0
+	a.live--
 }
+
+// vertex returns the vertex id whose node is h.
+func vertex(h int32) int { return int(h) - 1 }
 
 // handle resolves vertex v to its node handle in list id, or 0 when v is
 // absent from that list (including when it lives in a sibling list).
 func (a *Arena) handle(id int32, v int) int32 {
-	if v < 0 || v >= len(a.slot) {
+	if uint(v) >= uint(len(a.kv)-1) {
 		return 0
 	}
-	h := a.slot[v]
-	if h == 0 || a.owner[h] != id {
+	h := int32(v + 1)
+	if a.kv[h].owner != id {
 		return 0
 	}
 	return h

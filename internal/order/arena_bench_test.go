@@ -32,8 +32,8 @@ func BenchmarkOrderInsertArenaTagList(b *testing.B) { churn(b, NewTagList()) }
 func BenchmarkOrderInsertPtrList(b *testing.B)      { churn(b, newPtrList()) }
 
 // BenchmarkOrderMigrate measures the korder level-migration pattern: moving
-// vertices back and forth between two lists sharing one arena (slot reuse,
-// no allocation in steady state).
+// vertices back and forth between two lists sharing one arena (each vertex
+// keeps its own node, no allocation in steady state).
 func BenchmarkOrderMigrate(b *testing.B) {
 	const n = 1024
 	a := NewArena()

@@ -18,12 +18,14 @@
 // the paper's implementation note that O_k is kept in a linked list with an
 // auxiliary structure A_k for comparisons.
 //
-// Both implementations store their nodes in an Arena — growable parallel
-// slices indexed by compact handles, with a direct vertex→node slot table —
-// instead of one heap object per element behind a map. Lists holding
+// Both implementations store their nodes in an Arena — growable columns
+// whose handle for vertex v is v + 1 — instead of one heap object per
+// element behind a map. There is no slot table and no free list: a vertex's
+// node is found by its id, so arena memory is O(max vertex id) and ids must
+// be dense, as the korder Maintainer's and the graph's are. Lists holding
 // disjoint vertex sets can share one arena (NewListOn), which is how the
-// korder Maintainer backs all per-level O_k lists with a single store and
-// makes level migration a slot reuse instead of a free+alloc.
+// korder Maintainer backs all per-level O_k lists with a single store; a
+// level migration moves a vertex's own node from one list to the other.
 package order
 
 // List is an ordered set of distinct non-negative vertex ids supporting

@@ -354,9 +354,9 @@ func TestTagListRelabelAtEnds(t *testing.T) {
 	}
 	for i, h := 0, tl.head; h != 0; i, h = i+1, tl.a.next[h] {
 		if i < 4 {
-			tl.a.key[h] = uint64(i + 1)
+			tl.a.kv[h].key = uint64(i + 1)
 		} else {
-			tl.a.key[h] = math.MaxUint64 - uint64(8-i)
+			tl.a.kv[h].key = math.MaxUint64 - uint64(8-i)
 		}
 	}
 	for v := 8; v < 108; v++ {

@@ -19,8 +19,8 @@ import "math"
 // of the treap's O(log n), at the price of O(n) Rank (used only in
 // tests/diagnostics).
 //
-// Nodes live in an Arena (tags in the arena's key column); steady-state
-// updates allocate nothing. Several lists may share one arena (see Arena).
+// Nodes live in an Arena (tags in the arena's key column, paired with the
+// owner); steady-state updates allocate nothing. Several lists may share one arena (see Arena).
 type TagList struct {
 	a          *Arena
 	id         int32
@@ -61,7 +61,7 @@ func (t *TagList) lowerTag(n int32) uint64 {
 	if t.a.prev[n] == 0 {
 		return 0
 	}
-	return t.a.key[t.a.prev[n]]
+	return t.a.kv[t.a.prev[n]].key
 }
 
 // upperTag returns the tag bound above n (exclusive); MaxUint64 when n is
@@ -70,7 +70,7 @@ func (t *TagList) upperTag(n int32) uint64 {
 	if t.a.next[n] == 0 {
 		return math.MaxUint64
 	}
-	return t.a.key[t.a.next[n]]
+	return t.a.kv[t.a.next[n]].key
 }
 
 // tagDensity is the growth factor T of the relabel thresholds: an aligned
@@ -101,11 +101,11 @@ func (t *TagList) assignTag(n int32) {
 	a, half := t.a, (hi-lo)/2
 	switch {
 	case a.next[n] == 0 && a.prev[n] != 0: // new tail
-		a.key[n] = lo + min(half, endGap)
+		a.kv[n].key = lo + min(half, endGap)
 	case a.prev[n] == 0 && a.next[n] != 0: // new head
-		a.key[n] = hi - min(half, endGap)
+		a.kv[n].key = hi - min(half, endGap)
 	default:
-		a.key[n] = lo + half
+		a.kv[n].key = lo + half
 	}
 }
 
@@ -118,9 +118,9 @@ func (t *TagList) assignTag(n int32) {
 // which leaves gaps on both sides of every element, n among them.
 func (t *TagList) relabel(n int32) {
 	a := t.a
-	anchor := a.key[a.next[n]]
+	anchor := a.kv[a.next[n]].key
 	if p := a.prev[n]; p != 0 {
-		anchor = a.key[p]
+		anchor = a.kv[p].key
 	}
 	first, last, count := n, n, 1
 	limit := 1.0
@@ -128,11 +128,11 @@ func (t *TagList) relabel(n int32) {
 		limit *= 2 / tagDensity
 		mask := ^uint64(0) >> (64 - i) // the range is [base, base+mask]
 		base := anchor &^ mask
-		for p := a.prev[first]; p != 0 && a.key[p] >= base; p = a.prev[p] {
+		for p := a.prev[first]; p != 0 && a.kv[p].key >= base; p = a.prev[p] {
 			first = p
 			count++
 		}
-		for q := a.next[last]; q != 0 && a.key[q]-base <= mask; q = a.next[q] {
+		for q := a.next[last]; q != 0 && a.kv[q].key-base <= mask; q = a.next[q] {
 			last = q
 			count++
 		}
@@ -141,7 +141,7 @@ func (t *TagList) relabel(n int32) {
 			tag := base
 			for e := first; ; e = a.next[e] {
 				tag += step
-				a.key[e] = tag
+				a.kv[e].key = tag
 				if e == last {
 					break
 				}
@@ -215,7 +215,7 @@ func (t *TagList) InsertBefore(before, v int) {
 	t.assignTag(n)
 }
 
-// Remove deletes v, returning its node handle to the arena's free list.
+// Remove deletes v, marking its node absent on the arena.
 func (t *TagList) Remove(v int) {
 	a := t.a
 	n := a.mustHandle(t.id, v, "Remove", "taglist")
@@ -247,7 +247,7 @@ func (t *TagList) Rank(v int) int {
 // Key returns the tag as a position-monotone key in O(1).
 func (t *TagList) Key(v int) uint64 {
 	n := t.a.mustHandle(t.id, v, "Key", "taglist")
-	return t.a.key[n]
+	return t.a.kv[n].key
 }
 
 // Less reports whether a precedes b in O(1).
@@ -257,7 +257,7 @@ func (t *TagList) Less(a, b int) bool {
 	}
 	na := t.a.mustHandle(t.id, a, "Less", "taglist")
 	nb := t.a.mustHandle(t.id, b, "Less", "taglist")
-	return t.a.key[na] < t.a.key[nb]
+	return t.a.kv[na].key < t.a.kv[nb].key
 }
 
 // Front returns the first element.
@@ -265,7 +265,7 @@ func (t *TagList) Front() (int, bool) {
 	if t.head == 0 {
 		return 0, false
 	}
-	return int(t.a.vert[t.head]), true
+	return vertex(t.head), true
 }
 
 // Back returns the last element.
@@ -273,7 +273,7 @@ func (t *TagList) Back() (int, bool) {
 	if t.tail == 0 {
 		return 0, false
 	}
-	return int(t.a.vert[t.tail]), true
+	return vertex(t.tail), true
 }
 
 // Next returns the element after v.
@@ -282,7 +282,7 @@ func (t *TagList) Next(v int) (int, bool) {
 	if t.a.next[n] == 0 {
 		return 0, false
 	}
-	return int(t.a.vert[t.a.next[n]]), true
+	return vertex(t.a.next[n]), true
 }
 
 // Prev returns the element before v.
@@ -291,5 +291,5 @@ func (t *TagList) Prev(v int) (int, bool) {
 	if t.a.prev[n] == 0 {
 		return 0, false
 	}
-	return int(t.a.vert[t.a.prev[n]]), true
+	return vertex(t.a.prev[n]), true
 }

@@ -9,9 +9,9 @@ import "fmt"
 // queries possible without knowing the rank in advance (Section VI(A)).
 //
 // Nodes live in an Arena: tree and list links are int32 handles into the
-// arena's field slices, and the vertex→node map of the previous
-// implementation is a direct slice index. Steady-state updates allocate
-// nothing. Several treaps may share one arena (see Arena).
+// arena's columns, and a vertex's node is found by its id (handle = id + 1).
+// Steady-state updates allocate nothing. Several treaps may share one arena
+// (see Arena).
 type Treap struct {
 	a    *Arena
 	id   int32
@@ -171,7 +171,7 @@ func (t *Treap) fixupInsert(n int32) {
 	for x := a.par[n]; x != 0; x = a.par[x] {
 		a.size[x]++
 	}
-	for a.par[n] != 0 && a.key[n] < a.key[a.par[n]] {
+	for a.par[n] != 0 && a.kv[n].key < a.kv[a.par[n]].key {
 		t.rotateUp(n)
 	}
 }
@@ -208,9 +208,8 @@ func (t *Treap) rotateUp(n int32) {
 	a.size[n] = a.size[a.left[n]] + a.size[a.right[n]] + 1
 }
 
-// Remove deletes v. Its node handle goes back to the arena's free list, so
-// a following insertion (into this list or a sibling on the same arena)
-// reuses the slot.
+// Remove deletes v. Its node stays v's own, so a following insertion of v
+// (into this list or a sibling on the same arena) reuses it.
 func (t *Treap) Remove(v int) {
 	a := t.a
 	n := a.mustHandle(t.id, v, "Remove", "treap")
@@ -233,7 +232,7 @@ func (t *Treap) Remove(v int) {
 			c = a.right[n]
 		case a.right[n] == 0:
 			c = a.left[n]
-		case a.key[a.left[n]] < a.key[a.right[n]]:
+		case a.kv[a.left[n]].key < a.kv[a.right[n]].key:
 			c = a.left[n]
 		default:
 			c = a.right[n]
@@ -287,7 +286,7 @@ func (t *Treap) Front() (int, bool) {
 	if t.head == 0 {
 		return 0, false
 	}
-	return int(t.a.vert[t.head]), true
+	return vertex(t.head), true
 }
 
 // Back returns the last element.
@@ -295,7 +294,7 @@ func (t *Treap) Back() (int, bool) {
 	if t.tail == 0 {
 		return 0, false
 	}
-	return int(t.a.vert[t.tail]), true
+	return vertex(t.tail), true
 }
 
 // Next returns the element after v in O(1).
@@ -304,7 +303,7 @@ func (t *Treap) Next(v int) (int, bool) {
 	if t.a.next[n] == 0 {
 		return 0, false
 	}
-	return int(t.a.vert[t.a.next[n]]), true
+	return vertex(t.a.next[n]), true
 }
 
 // Prev returns the element before v in O(1).
@@ -313,11 +312,11 @@ func (t *Treap) Prev(v int) (int, bool) {
 	if t.a.prev[n] == 0 {
 		return 0, false
 	}
-	return int(t.a.vert[t.a.prev[n]]), true
+	return vertex(t.a.prev[n]), true
 }
 
 // checkInvariants validates heap order, subtree sizes, parent links, DLL
-// and tree order agreement, and arena slot consistency. Test helper.
+// and tree order agreement, and node ownership. Test helper.
 func (t *Treap) checkInvariants() error {
 	a := t.a
 	var inorder []int32
@@ -328,25 +327,22 @@ func (t *Treap) checkInvariants() error {
 		}
 		if l := a.left[n]; l != 0 {
 			if a.par[l] != n {
-				return 0, fmt.Errorf("parent link broken at %d.left", a.vert[n])
+				return 0, fmt.Errorf("parent link broken at %d.left", vertex(n))
 			}
-			if a.key[l] < a.key[n] {
-				return 0, fmt.Errorf("heap violated at %d", a.vert[n])
+			if a.kv[l].key < a.kv[n].key {
+				return 0, fmt.Errorf("heap violated at %d", vertex(n))
 			}
 		}
 		if r := a.right[n]; r != 0 {
 			if a.par[r] != n {
-				return 0, fmt.Errorf("parent link broken at %d.right", a.vert[n])
+				return 0, fmt.Errorf("parent link broken at %d.right", vertex(n))
 			}
-			if a.key[r] < a.key[n] {
-				return 0, fmt.Errorf("heap violated at %d", a.vert[n])
+			if a.kv[r].key < a.kv[n].key {
+				return 0, fmt.Errorf("heap violated at %d", vertex(n))
 			}
 		}
-		if a.owner[n] != t.id {
-			return 0, fmt.Errorf("node of %d owned by list %d, not %d", a.vert[n], a.owner[n], t.id)
-		}
-		if a.slot[a.vert[n]] != n {
-			return 0, fmt.Errorf("slot of %d does not point back to its node", a.vert[n])
+		if a.kv[n].owner != t.id {
+			return 0, fmt.Errorf("node of %d owned by list %d, not %d", vertex(n), a.kv[n].owner, t.id)
 		}
 		ls, err := walk(a.left[n])
 		if err != nil {
@@ -358,7 +354,7 @@ func (t *Treap) checkInvariants() error {
 			return 0, err
 		}
 		if int(a.size[n]) != ls+rs+1 {
-			return 0, fmt.Errorf("size broken at %d: %d != %d", a.vert[n], a.size[n], ls+rs+1)
+			return 0, fmt.Errorf("size broken at %d: %d != %d", vertex(n), a.size[n], ls+rs+1)
 		}
 		return ls + rs + 1, nil
 	}
