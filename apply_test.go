@@ -279,43 +279,29 @@ func TestVertexOpsDedupAndAtomicity(t *testing.T) {
 }
 
 // TestSentinelErrors: every public mutation wraps the exported sentinels so
-// errors.Is works through all layers (engine -> korder/traversal -> graph).
+// errors.Is works through all layers (engine -> korder -> graph).
 func TestSentinelErrors(t *testing.T) {
-	for _, alg := range []Algorithm{OrderBased, Traversal} {
-		e := NewEngine(WithAlgorithm(alg))
-		if _, err := e.AddEdge(0, 1); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.AddEdge(0, 1); !errors.Is(err, ErrDuplicateEdge) {
-			t.Fatalf("%v: duplicate add error = %v", alg, err)
-		}
-		if _, err := e.AddEdge(2, 2); !errors.Is(err, ErrSelfLoop) {
-			t.Fatalf("%v: self loop error = %v", alg, err)
-		}
-		if _, err := e.AddEdge(-3, 1); !errors.Is(err, ErrVertexRange) {
-			t.Fatalf("%v: negative id error = %v", alg, err)
-		}
-		// Both in-range and out-of-range missing edges.
-		if _, err := e.RemoveEdge(0, 5); !errors.Is(err, ErrMissingEdge) {
-			t.Fatalf("%v: missing remove error = %v", alg, err)
-		}
-		if _, err := e.RemoveEdge(50, 60); !errors.Is(err, ErrMissingEdge) {
-			t.Fatalf("%v: out-of-range remove error = %v", alg, err)
-		}
+	e := NewEngine()
+	if _, err := e.AddEdge(0, 1); err != nil {
+		t.Fatal(err)
 	}
-	// ErrWrongEngine from snapshot operations on the traversal engine.
-	tr := NewEngine(WithAlgorithm(Traversal))
-	if err := tr.SaveIndex(discardWriter{}); !errors.Is(err, ErrWrongEngine) {
-		t.Fatalf("SaveIndex error = %v, want ErrWrongEngine", err)
+	if _, err := e.AddEdge(0, 1); !errors.Is(err, ErrDuplicateEdge) {
+		t.Fatalf("duplicate add error = %v", err)
 	}
-	if _, err := LoadIndex(nil, WithAlgorithm(Traversal)); !errors.Is(err, ErrWrongEngine) {
-		t.Fatalf("LoadIndex error = %v, want ErrWrongEngine", err)
+	if _, err := e.AddEdge(2, 2); !errors.Is(err, ErrSelfLoop) {
+		t.Fatalf("self loop error = %v", err)
+	}
+	if _, err := e.AddEdge(-3, 1); !errors.Is(err, ErrVertexRange) {
+		t.Fatalf("negative id error = %v", err)
+	}
+	// Both in-range and out-of-range missing edges.
+	if _, err := e.RemoveEdge(0, 5); !errors.Is(err, ErrMissingEdge) {
+		t.Fatalf("missing remove error = %v", err)
+	}
+	if _, err := e.RemoveEdge(50, 60); !errors.Is(err, ErrMissingEdge) {
+		t.Fatalf("out-of-range remove error = %v", err)
 	}
 }
-
-type discardWriter struct{}
-
-func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestViewSnapshot: a View must stay frozen while the engine moves on.
 func TestViewSnapshot(t *testing.T) {

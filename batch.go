@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"runtime/debug"
 
-	"kcore/internal/traversal"
+	"kcore/internal/korder"
 )
 
 // Batched updates: Apply takes the engine's write lock once, pre-validates
@@ -105,11 +105,10 @@ type BatchInfo struct {
 // affected vertex per update (or per net-changed vertex when the batch was
 // applied by recomputation — see BatchInfo.Recomputed).
 //
-// The surviving updates run one at a time through per-update maintenance
-// (on the order-based engine, the paper's OrderInsert and OrderRemoval). An
-// order-based batch that rewrites a large fraction of the graph is instead
-// applied by one wholesale recomputation; see WithRebuildThreshold and
-// BatchInfo.Recomputed.
+// The surviving updates run one at a time through per-update maintenance,
+// the paper's OrderInsert and OrderRemoval. A batch that rewrites a large
+// fraction of the graph is instead applied by one wholesale recomputation;
+// see WithRebuildThreshold and BatchInfo.Recomputed.
 func (e *Engine) Apply(batch Batch) (BatchInfo, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -186,12 +185,7 @@ func (e *Engine) executeGuarded(batch Batch, skip []bool, coalesced int) (info B
 // panics, the engine is beyond recovery and the panic propagates.
 func (e *Engine) containPanic(r any) (BatchInfo, error) {
 	oldCores := e.m.Cores()
-	switch impl := e.m.(type) {
-	case orderImpl:
-		impl.m.Reseed()
-	case travImpl:
-		e.m = travImpl{traversal.New(e.g, e.cfg.hops)}
-	}
+	e.m.Reseed()
 	var changed []int
 	for v := 0; v < e.g.NumVertices(); v++ {
 		old := 0
@@ -214,7 +208,7 @@ func (e *Engine) containPanic(r any) (BatchInfo, error) {
 // the per-update BatchInfo.Updates entry that the rebuild path elides.
 func (e *Engine) executeBatch(batch Batch, skip []bool, coalesced int) (BatchInfo, error) {
 	applied := len(batch) - coalesced
-	if impl, ok := e.m.(orderImpl); ok && applied > 1 {
+	if applied > 1 {
 		adds, removes := 0, 0
 		for i, up := range batch {
 			if skip != nil && skip[i] {
@@ -227,7 +221,7 @@ func (e *Engine) executeBatch(batch Batch, skip []bool, coalesced int) (BatchInf
 			}
 		}
 		if e.shouldRebuild(applied, adds, removes) {
-			return e.applyRebuild(impl, batch, skip, coalesced)
+			return e.applyRebuild(batch, skip, coalesced)
 		}
 	}
 	return e.applySequential(batch, skip, coalesced)
@@ -245,7 +239,7 @@ func (e *Engine) applySequential(batch Batch, skip []bool, coalesced int) (Batch
 	if dedup {
 		e.dedupCur++
 	}
-	// The maintainers return Changed slices that alias their pooled scratch
+	// The maintainer returns Changed slices that alias its pooled scratch
 	// (valid only until the next update), while BatchInfo escapes to the
 	// caller indefinitely. Copy-on-return: all per-update CoreChanged
 	// slices are carved out of one fresh per-batch buffer, costing O(1)
@@ -258,13 +252,12 @@ func (e *Engine) applySequential(batch Batch, skip []bool, coalesced int) (Batch
 			info.Updates = append(info.Updates, UpdateInfo{Coalesced: true})
 			continue
 		}
-		var changed []int
-		var visited int
+		var r korder.UpdateResult
 		var err error
 		if up.Op == OpAdd {
-			changed, visited, err = e.m.Insert(up.U, up.V)
+			r, err = e.m.Insert(up.U, up.V)
 		} else {
-			changed, visited, err = e.m.Remove(up.U, up.V)
+			r, err = e.m.Remove(up.U, up.V)
 		}
 		if err != nil {
 			// Unreachable after validation; reported structurally anyway so
@@ -274,17 +267,17 @@ func (e *Engine) applySequential(batch Batch, skip []bool, coalesced int) (Batch
 		}
 		e.seq++
 		e.exec.Sequential++
-		e.notify(up.Op, changed)
+		e.notify(up.Op, r.Changed)
 		start := len(carve)
-		carve = append(carve, changed...)
+		carve = append(carve, r.Changed...)
 		info.Applied++
 		info.Updates = append(info.Updates,
-			UpdateInfo{CoreChanged: carve[start:len(carve):len(carve)], Visited: visited})
-		info.Total.Visited += visited
+			UpdateInfo{CoreChanged: carve[start:len(carve):len(carve)], Visited: r.Visited})
+		info.Total.Visited += r.Visited
 		if !dedup {
-			info.Total.CoreChanged = append(info.Total.CoreChanged, changed...)
+			info.Total.CoreChanged = append(info.Total.CoreChanged, r.Changed...)
 		} else {
-			e.dedupTotal(&info, changed)
+			e.dedupTotal(&info, r.Changed)
 		}
 	}
 	info.Seq = e.seq

@@ -75,7 +75,7 @@ func chaosExperiment(cfg bench.Config) []bench.Result {
 			Name:       "chaos/write-availability",
 			NsPerOp:    availability,
 			Iterations: writes,
-			Params: map[string]any{
+			Params: bench.StampParams(map[string]any{
 				"unit":              "fraction of write batches acked applied (NOT ns)",
 				"seeds":             chaosSeeds,
 				"first_seed":        cfg.Seed,
@@ -89,19 +89,19 @@ func chaosExperiment(cfg bench.Config) []bench.Result {
 				"mean_final_edges":  totalFinalEdges / chaosSeeds,
 				"mean_run_ms":       totalElapsedMS / chaosSeeds,
 				"episodes_per_seed": 12,
-			},
+			}),
 		},
 		{
 			Name:       "chaos/recovery-median",
 			NsPerOp:    medianMS * 1e6,
 			Iterations: recoveries,
-			Params: map[string]any{
+			Params: bench.StampParams(map[string]any{
 				"unit":         "median degraded→healthy recovery (ns)",
 				"median_ms":    medianMS,
 				"max_ms":       maxMS,
 				"degradations": degradations,
 				"recoveries":   recoveries,
-			},
+			}),
 		},
 	}
 }

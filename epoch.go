@@ -119,19 +119,12 @@ func (ep *epoch) coresCopy() []int {
 // publishEpoch derives the next epoch from the previous one and installs
 // it. changed lists every pre-existing vertex whose core number changed
 // since the last publication (BatchInfo.Total.CoreChanged is exactly that
-// list, duplicate-free, on all three execution strategies); vertices
+// list, duplicate-free, on both execution strategies); vertices
 // created since the last epoch are always re-read from the maintainer, so
 // they need not appear in changed. The caller holds the write lock.
 func (e *Engine) publishEpoch(changed []int) {
 	old := e.ep.Load()
 	if old == nil {
-		e.publishEpochFull()
-		return
-	}
-	if _, ok := e.m.(orderImpl); !ok {
-		// The traversal engine is the comparison baseline: publication
-		// stays the simple full rebuild (its degeneracy needs an O(n)
-		// scan anyway).
 		e.publishEpochFull()
 		return
 	}
@@ -220,11 +213,10 @@ func appendPatch(patch []corePatch, p corePatch) []corePatch {
 
 // publishEpochFull rebuilds the read state from the maintainer into a
 // fresh base with an empty patch, trusting no previous epoch.
-// Construction, panic repair (after a wholesale reseed there is no
-// reliable changed list relative to the last published state), and
-// traversal engines land here; ordinary patch overflow folds from the
-// previous epoch inside publishEpoch instead. The caller holds the write
-// lock.
+// Construction and panic repair (after a wholesale reseed there is no
+// reliable changed list relative to the last published state) land here;
+// ordinary patch overflow folds from the previous epoch inside
+// publishEpoch instead. The caller holds the write lock.
 func (e *Engine) publishEpochFull() {
 	n := e.g.NumVertices()
 	cores := make([]int32, n)
@@ -235,26 +227,15 @@ func (e *Engine) publishEpochFull() {
 }
 
 // installEpoch stamps the remaining read-state fields and swaps the epoch
-// in. The caller holds the write lock.
+// in. The maintained level lists answer the degeneracy in O(degeneracy)
+// without touching the core numbers. The caller holds the write lock.
 func (e *Engine) installEpoch(cores []int32, patch []corePatch) {
-	maxc := 0
-	if impl, ok := e.m.(orderImpl); ok {
-		// The maintained level lists answer the degeneracy in
-		// O(degeneracy) without touching the core numbers.
-		maxc = impl.m.MaxCore()
-	} else {
-		for _, c := range cores {
-			if int(c) > maxc {
-				maxc = int(c)
-			}
-		}
-	}
 	e.ep.Store(&epoch{
 		cores:    cores,
 		patch:    patch,
 		vertices: e.g.NumVertices(),
 		edges:    e.g.NumEdges(),
-		maxCore:  maxc,
+		maxCore:  e.m.MaxCore(),
 		seq:      e.seq,
 		exec:     e.exec,
 	})

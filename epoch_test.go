@@ -1,7 +1,6 @@
 package kcore
 
 import (
-	"bytes"
 	"errors"
 	"math/rand/v2"
 	"sync"
@@ -58,7 +57,6 @@ func TestEpochMatchesLocked(t *testing.T) {
 		{"sequential", []Option{WithSeed(3), WithRebuildThreshold(-1, 0)}},
 		{"default", []Option{WithSeed(3)}},
 		{"rebuild", []Option{WithSeed(3), WithRebuildThreshold(1, 0.0001)}},
-		{"traversal", []Option{WithSeed(3), WithAlgorithm(Traversal)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := NewEngine(tc.opts...)
@@ -160,20 +158,16 @@ func TestEpochAfterPanicRepair(t *testing.T) {
 	}
 }
 
-// TestEpochRoundTrip checks that restore paths publish an initial epoch:
-// an engine rebuilt via FromIndex or LoadIndex must answer reads
-// immediately and pass the epoch tripwire.
+// TestEpochRoundTrip checks that the restore path publishes an initial
+// epoch: an engine rebuilt via FromIndex must answer reads immediately and
+// pass the epoch tripwire.
 func TestEpochRoundTrip(t *testing.T) {
 	e := NewEngine(WithSeed(5))
 	gen := newChurnGen(17, 80)
 	if _, err := e.Apply(gen.batch(200)); err != nil {
 		t.Fatal(err)
 	}
-	st, err := e.View(WithIndex()).Index()
-	if err != nil {
-		t.Fatal(err)
-	}
-	re, err := FromIndex(st)
+	re, err := FromIndex(e.Index())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,20 +176,6 @@ func TestEpochRoundTrip(t *testing.T) {
 	}
 	if re.Seq() != e.Seq() || re.Degeneracy() != e.Degeneracy() {
 		t.Fatalf("FromIndex: seq/degeneracy mismatch")
-	}
-	var buf bytes.Buffer
-	if err := e.SaveIndex(&buf); err != nil {
-		t.Fatal(err)
-	}
-	le, err := LoadIndex(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := le.Validate(); err != nil {
-		t.Fatalf("LoadIndex engine: %v", err)
-	}
-	if got, want := le.Cores(), e.Cores(); len(got) != len(want) {
-		t.Fatalf("LoadIndex cores len %d, want %d", len(got), len(want))
 	}
 }
 

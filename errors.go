@@ -1,7 +1,6 @@
 package kcore
 
 import (
-	"errors"
 	"fmt"
 
 	"kcore/internal/graph"
@@ -23,9 +22,6 @@ var (
 	ErrMissingEdge = graph.ErrMissingEdge
 	// ErrVertexRange is returned for negative vertex identifiers.
 	ErrVertexRange = graph.ErrVertexRange
-	// ErrWrongEngine is returned by operations that require a specific
-	// maintenance algorithm (e.g. SaveIndex needs the order-based engine).
-	ErrWrongEngine = errors.New("kcore: operation not supported by this engine")
 )
 
 // BatchError reports which update of a batch failed and why. Apply returns

@@ -138,15 +138,3 @@ func ExampleEngine_Subscribe() {
 	// core(2) 1->2
 	// core(0) 1->2
 }
-
-// The traversal baseline is available for comparison.
-func ExampleWithAlgorithm() {
-	e := kcore.NewEngine(kcore.WithAlgorithm(kcore.Traversal), kcore.WithTraversalHops(3))
-	for _, ed := range [][2]int{{0, 1}, {1, 2}, {0, 2}} {
-		if _, err := e.AddEdge(ed[0], ed[1]); err != nil {
-			log.Fatal(err)
-		}
-	}
-	fmt.Println(e.Algorithm(), e.Core(1))
-	// Output: traversal 2
-}

@@ -5,20 +5,18 @@ import (
 
 	"kcore/internal/graph"
 	"kcore/internal/korder"
-	"kcore/internal/order"
-
-	"kcore/internal/decomp"
 )
 
-// IndexState is the complete maintained state of an order-based engine at
-// one update sequence number: the edge set, the core numbers, and — the part
-// a fresh decomposition cannot reproduce — the maintained k-order, which
-// depends on the engine's whole update history. Together with the engine
-// parameters that drive deterministic replay (seed, heuristic) and the
-// order structure, it is exactly what a durable snapshot must capture so that
+// IndexState is the complete maintained state of an engine at one update
+// sequence number: the edge set, the core numbers, and — the part a fresh
+// decomposition cannot reproduce — the maintained k-order, which depends on
+// the engine's whole update history. Together with the engine parameters
+// that drive deterministic replay (seed, heuristic) and the order
+// structure, it is exactly what a durable snapshot must capture so that
 // snapshot + write-ahead-log replay reconstructs the engine bit-identically:
-// same cores, same k-order, same Seq. Capture one with View(WithIndex()) and
-// View.Index; rebuild an engine from one with FromIndex.
+// same cores, same k-order, same Seq. Capture one with Engine.Index; rebuild
+// an engine from one with FromIndex. It is the engine's one capture/restore
+// form: internal/persist's snapshot file is its encoding.
 type IndexState struct {
 	// Seq is the engine update sequence number the state was captured at.
 	Seq uint64
@@ -41,27 +39,48 @@ type IndexState struct {
 	Structure OrderStructure
 }
 
-// FromIndex reconstructs an order-based engine from a captured IndexState.
-// The state is fully verified in O(m + n) before installation (see
-// korder.Restore): a corrupted or internally inconsistent state yields an
-// error, never a silently-wrong engine. The engine adopts the state's Seq,
-// Seed and Heuristic, which replay determinism depends on, and its
-// Structure, so that a restored engine keeps its order structure (a state
-// captured from a TreapOrder engine restores a TreapOrder engine whatever
-// the default). Other options (WithRebuildThreshold, ...) may be supplied
-// as opts.
+// Index captures the engine's complete maintained state for a persistence
+// layer to serialize. It copies the edge list, core numbers and k-order in
+// O(m + n) under the read lock: the adjacency structure and the order are
+// mutated in place, so unlike the epoch they cannot be read without it.
+// Writers wait only for the copy, never for what the caller does with the
+// state. The returned state is the caller's own.
+func (e *Engine) Index() *IndexState {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return &IndexState{
+		Seq:       e.seq,
+		Vertices:  e.g.NumVertices(),
+		Edges:     e.g.Edges(),
+		Cores:     e.m.Cores(),
+		Order:     e.m.Order(),
+		Seed:      e.cfg.seed,
+		Heuristic: e.cfg.heuristic,
+		Structure: e.cfg.structure,
+	}
+}
+
+// FromIndex reconstructs an engine from a captured IndexState. The state is
+// fully verified in O(m + n) before installation (see korder.Restore): a
+// corrupted or internally inconsistent state, or a Heuristic or Structure
+// that names no defined constant, yields an error, never a silently-wrong
+// or stuck engine. The engine adopts the state's Seq, Seed and Heuristic,
+// which replay determinism depends on, and its Structure, so that a
+// restored engine keeps its order structure (a state captured from a
+// TreapOrder engine restores a TreapOrder engine whatever the default).
+// Other options (WithRebuildThreshold, ...) may be supplied as opts.
 func FromIndex(st *IndexState, opts ...Option) (*Engine, error) {
 	cfg := defaultConfig()
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.algorithm != OrderBased {
-		return nil, fmt.Errorf("kcore: FromIndex supports only the order-based engine: %w",
-			ErrWrongEngine)
-	}
 	cfg.seed = st.Seed
 	cfg.heuristic = st.Heuristic
 	cfg.structure = st.Structure
+	kopts, err := cfg.korderOptions()
+	if err != nil {
+		return nil, fmt.Errorf("kcore: index state: %w", err)
+	}
 	if st.Vertices < 0 {
 		return nil, fmt.Errorf("kcore: index state: negative vertex count %d", st.Vertices)
 	}
@@ -81,15 +100,11 @@ func FromIndex(st *IndexState, opts ...Option) (*Engine, error) {
 	copy(cores, st.Cores)
 	ord := make([]int, len(st.Order))
 	copy(ord, st.Order)
-	m, err := korder.Restore(g, cores, ord, korder.Options{
-		Heuristic: decomp.Heuristic(cfg.heuristic),
-		OrderKind: order.Kind(cfg.structure),
-		Seed:      cfg.seed,
-	})
+	m, err := korder.Restore(g, cores, ord, kopts)
 	if err != nil {
 		return nil, fmt.Errorf("kcore: %w", err)
 	}
-	e := &Engine{g: g, m: orderImpl{m}, cfg: cfg, seq: st.Seq}
+	e := &Engine{g: g, m: m, cfg: cfg, seq: st.Seq}
 	e.publishEpochFull()
 	return e, nil
 }

@@ -9,9 +9,10 @@ import (
 )
 
 // TestIntegrationLifecycle exercises the full public workflow end to end:
-// load a graph, maintain it through mixed churn, snapshot mid-stream,
-// restore, continue on both engines, and answer structural queries —
-// validating the maintained state against recomputation at every stage.
+// load a graph, maintain it through mixed churn, capture its index
+// mid-stream, restore, continue beside a reference engine, and answer
+// structural queries — validating the maintained state against
+// recomputation at every stage.
 func TestIntegrationLifecycle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2026, 1))
 
@@ -42,8 +43,8 @@ func TestIntegrationLifecycle(t *testing.T) {
 		t.Fatalf("stage 1: %v", err)
 	}
 
-	// Stage 2: churn, snapshotting halfway.
-	var snap bytes.Buffer
+	// Stage 2: churn, capturing the index halfway.
+	var snap *kcore.IndexState
 	edges := e.Edges()
 	for i, ed := range edges {
 		if i%3 == 0 {
@@ -52,19 +53,17 @@ func TestIntegrationLifecycle(t *testing.T) {
 			}
 		}
 		if i == len(edges)/2 {
-			if err := e.SaveIndex(&snap); err != nil {
-				t.Fatal(err)
-			}
+			snap = e.Index()
 		}
 	}
 	if err := e.Validate(); err != nil {
 		t.Fatalf("stage 2: %v", err)
 	}
 
-	// Stage 3: restore the snapshot and replay different updates; the
-	// restored engine must stay valid and agree with a traversal engine
-	// fed the same state.
-	r, err := kcore.LoadIndex(&snap)
+	// Stage 3: restore the captured index and replay different updates; the
+	// restored engine must stay valid and agree with a fresh engine loaded
+	// from the same edge list.
+	r, err := kcore.FromIndex(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +74,7 @@ func TestIntegrationLifecycle(t *testing.T) {
 	if err := r.Save(&dump); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := kcore.Load(&dump, kcore.WithAlgorithm(kcore.Traversal))
+	ref, err := kcore.Load(&dump)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,21 +87,21 @@ func TestIntegrationLifecycle(t *testing.T) {
 			if _, err := r.RemoveEdge(u, v); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := tr.RemoveEdge(u, v); err != nil {
+			if _, err := ref.RemoveEdge(u, v); err != nil {
 				t.Fatal(err)
 			}
 		} else {
 			if _, err := r.AddEdge(u, v); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := tr.AddEdge(u, v); err != nil {
+			if _, err := ref.AddEdge(u, v); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	for v := 0; v < groups*size; v++ {
-		if r.Core(v) != tr.Core(v) {
-			t.Fatalf("core(%d): restored %d vs traversal %d", v, r.Core(v), tr.Core(v))
+		if r.Core(v) != ref.Core(v) {
+			t.Fatalf("core(%d): restored %d vs reference %d", v, r.Core(v), ref.Core(v))
 		}
 	}
 

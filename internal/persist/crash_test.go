@@ -41,10 +41,7 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 	states := make([]*kcore.IndexState, 0, batches+1)
 	boundaries := make([]int64, 0, batches+1)
 	record := func() {
-		s, err := e.View(kcore.WithIndex()).Index()
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := e.Index()
 		states = append(states, s)
 		boundaries = append(boundaries, st.Stats().WALBytes)
 	}
@@ -108,10 +105,7 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 			t.Fatalf("trial %d (cut %d, torn %v): recovery failed: %v", trial, cut, torn, err)
 		}
 		want := states[j]
-		got, err := rst.Engine().View(kcore.WithIndex()).Index()
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := rst.Engine().Index()
 		if got.Seq != want.Seq {
 			t.Fatalf("trial %d (cut %d, torn %v): recovered seq %d, want %d",
 				trial, cut, torn, got.Seq, want.Seq)

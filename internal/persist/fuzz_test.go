@@ -16,10 +16,7 @@ func fuzzSeedSnapshot(tb testing.TB) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	st, err := e.View(kcore.WithIndex()).Index()
-	if err != nil {
-		tb.Fatal(err)
-	}
+	st := e.Index()
 	data, err := EncodeSnapshot(st)
 	if err != nil {
 		tb.Fatal(err)

@@ -28,11 +28,7 @@ func goldenState(tb testing.TB) *kcore.IndexState {
 	if _, err := e.Apply(kcore.Batch{kcore.Add(0, 5), kcore.Remove(2, 3), kcore.Add(6, 0)}); err != nil {
 		tb.Fatal(err)
 	}
-	st, err := e.View(kcore.WithIndex()).Index()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return st
+	return e.Index()
 }
 
 // goldenWAL is the fixed WAL byte stream (header + three records, one with
@@ -97,10 +93,7 @@ func TestGoldenSnapshotFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.View(kcore.WithIndex()).Index()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := e.Index()
 	if got.Seq != st.Seq || got.Seed != st.Seed || got.Vertices != st.Vertices {
 		t.Fatalf("golden decode header mismatch: %+v vs %+v", got, st)
 	}

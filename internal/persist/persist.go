@@ -36,7 +36,7 @@
 //	crc32     uint32   IEEE CRC-32 of every preceding byte
 //
 // Snapshots are written atomically (temp file + rename + directory sync)
-// from a View(WithIndex()) capture, so writers are blocked only for the
+// from an Engine.Index capture, so writers are blocked only for the
 // O(m + n) in-memory capture, never for the file write. Loading verifies
 // the CRC and then the state itself (korder.Restore's O(m + n)
 // certification), so a load that succeeds can never install

@@ -261,11 +261,7 @@ func decodeEngine(data []byte, opts ...kcore.Option) (*kcore.Engine, *kcore.Inde
 // and the directory entry is fsynced. Concurrent writers are blocked only
 // during the in-memory state capture, not the file write.
 func Save(path string, e *kcore.Engine) error {
-	st, err := e.View(kcore.WithIndex()).Index()
-	if err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	data, err := EncodeSnapshot(st)
+	data, err := EncodeSnapshot(e.Index())
 	if err != nil {
 		return err
 	}

@@ -32,12 +32,7 @@ func testEngine(t *testing.T) *kcore.Engine {
 
 // stateOf captures the observable maintained state for comparison.
 func stateOf(t *testing.T, e *kcore.Engine) *kcore.IndexState {
-	t.Helper()
-	st, err := e.View(kcore.WithIndex()).Index()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st
+	return e.Index()
 }
 
 // assertSameState fails unless two engines agree on cores, k-order, and seq.
@@ -193,22 +188,30 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 
 // TestSnapshotRejectsForgedState proves a well-formed snapshot (valid CRC)
 // carrying an internally inconsistent state still fails verification
-// instead of loading silently-wrong core numbers.
+// instead of loading silently-wrong core numbers, and that a header naming
+// an undefined heuristic or order structure fails instead of restoring an
+// engine whose first recomputation never terminates.
 func TestSnapshotRejectsForgedState(t *testing.T) {
 	e := testEngine(t)
 	st := stateOf(t, e)
-	forged := *st
-	forged.Cores = slices.Clone(st.Cores)
-	forged.Cores[0]++ // claim a core number the graph cannot support
-	data, err := EncodeSnapshot(&forged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeSnapshot(data); err != nil {
-		t.Fatalf("forged snapshot should decode structurally: %v", err)
-	}
-	if _, err := Load(writeTemp(t, data)); !errors.Is(err, ErrCorruptSnapshot) {
-		t.Fatalf("forged state loaded: err = %v, want ErrCorruptSnapshot", err)
+	for name, forge := range map[string]func(*kcore.IndexState){
+		// Claim a core number the graph cannot support.
+		"core":      func(f *kcore.IndexState) { f.Cores = slices.Clone(st.Cores); f.Cores[0]++ },
+		"heuristic": func(f *kcore.IndexState) { f.Heuristic = 7 },
+		"structure": func(f *kcore.IndexState) { f.Structure = 9 },
+	} {
+		forged := *st
+		forge(&forged)
+		data, err := EncodeSnapshot(&forged)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeSnapshot(data); err != nil {
+			t.Fatalf("%s: forged snapshot should decode structurally: %v", name, err)
+		}
+		if _, err := Load(writeTemp(t, data)); !errors.Is(err, ErrCorruptSnapshot) {
+			t.Fatalf("%s: forged state loaded: err = %v, want ErrCorruptSnapshot", name, err)
+		}
 	}
 }
 
@@ -265,16 +268,6 @@ func TestEncodeRejectsInvalidEdges(t *testing.T) {
 		if _, err := EncodeSnapshot(&st); err == nil {
 			t.Errorf("%s: EncodeSnapshot accepted %v", name, edges)
 		}
-	}
-}
-
-func TestSaveRequiresOrderEngine(t *testing.T) {
-	e, err := kcore.FromEdges([][2]int{{0, 1}}, kcore.WithAlgorithm(kcore.Traversal))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Save(filepath.Join(t.TempDir(), "x"), e); !errors.Is(err, kcore.ErrWrongEngine) {
-		t.Fatalf("Save on traversal engine: err = %v, want ErrWrongEngine", err)
 	}
 }
 

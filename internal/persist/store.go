@@ -420,10 +420,7 @@ func (s *Store) snapshotLocked() (SnapshotInfo, error) {
 // writeSnapshot captures the engine and atomically replaces the snapshot
 // file, updating the snapshot counters. It does not touch the WAL.
 func (s *Store) writeSnapshot() error {
-	st, err := s.engine.View(kcore.WithIndex()).Index()
-	if err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
+	st := s.engine.Index()
 	data, err := EncodeSnapshot(st)
 	if err != nil {
 		return err

@@ -280,10 +280,7 @@ func TestOpenSkipsCoveredRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == 19 {
-			s, err := e.View(kcore.WithIndex()).Index()
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := e.Index()
 			mid = s
 		}
 	}

@@ -64,12 +64,7 @@ func churnScript(base, batches, batchSize int, seed uint64) []kcore.Batch {
 
 // indexOf captures an engine's full replicated identity.
 func indexOf(t *testing.T, e *kcore.Engine) *kcore.IndexState {
-	t.Helper()
-	st, err := e.View(kcore.WithIndex()).Index()
-	if err != nil {
-		t.Fatalf("capture index: %v", err)
-	}
-	return st
+	return e.Index()
 }
 
 // sameState asserts bit-identical replicated state: seq, vertex space, core

@@ -27,10 +27,7 @@ func goldenStream(tb testing.TB) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	st, err := e.View(kcore.WithIndex()).Index()
-	if err != nil {
-		tb.Fatal(err)
-	}
+	st := e.Index()
 	snap, err := persist.EncodeSnapshot(st)
 	if err != nil {
 		tb.Fatal(err)

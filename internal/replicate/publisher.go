@@ -206,11 +206,7 @@ func (p *Publisher) Subscribe(remote string, from uint64, resume bool) (*Subscri
 	// p.mu (the apply hook takes p.mu under the engine write lock; holding
 	// both here would invert that order). Frames applied during the capture
 	// are already queued on sub and chain past the snapshot's seq.
-	st, err := p.engine.View(kcore.WithIndex()).Index()
-	if err != nil {
-		p.Unsubscribe(sub)
-		return nil, nil, fmt.Errorf("replicate: capture bootstrap state: %w", err)
-	}
+	st := p.engine.Index()
 	snap, err := persist.EncodeSnapshot(st)
 	if err != nil {
 		p.Unsubscribe(sub)

@@ -391,7 +391,7 @@ func (s *Server) handleCores(ts *tenantServing, w http.ResponseWriter, r *http.R
 }
 
 // handleSnapshotExport streams a KCORSNAP image of the current engine state
-// (View(WithIndex()), one read-lock capture), so followers and tools can
+// (Engine.Index, one read-lock capture), so followers and tools can
 // bootstrap without JSON — and without requiring the server to persist.
 func (s *Server) handleSnapshotExport(ts *tenantServing, w http.ResponseWriter, r *http.Request) {
 	if _, ok := negotiate(r.Header.Get("Accept"), wire.ContentTypeSnapshot); !ok {
@@ -399,12 +399,7 @@ func (s *Server) handleSnapshotExport(ts *tenantServing, w http.ResponseWriter, 
 			wire.ContentTypeSnapshot, r.Header.Get("Accept")))
 		return
 	}
-	st, err := ts.eng().View(kcore.WithIndex()).Index()
-	if err != nil {
-		writeError(w, &wire.Error{Code: wire.CodeInternal, Status: http.StatusInternalServerError,
-			Message: fmt.Sprintf("engine cannot export its index: %v", err)})
-		return
-	}
+	st := ts.eng().Index()
 	data, err := persist.EncodeSnapshot(st)
 	if err != nil {
 		writeError(w, &wire.Error{Code: wire.CodeInternal, Status: http.StatusInternalServerError,
@@ -430,7 +425,7 @@ func (s *Server) handleStats(ts *tenantServing, w http.ResponseWriter, r *http.R
 		Edges:      edges,
 		Degeneracy: degeneracy,
 		Seq:        seq,
-		Algorithm:  eng.Algorithm().String(),
+		Algorithm:  "order-based", // the engine's one maintainer; the field stays for wire clients
 		Watchers:   int(ts.watchers.Load()),
 		Exec: wire.ExecStats{
 			Sequential: ex.Sequential,

@@ -2,11 +2,13 @@ package traversal
 
 import (
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
 	"kcore/internal/graph"
 	"kcore/internal/korder"
+	"kcore/internal/order"
 )
 
 func newMaint(t testing.TB, g *graph.Undirected, hops int) *Maintainer {
@@ -181,39 +183,60 @@ func TestRandomStreamOracle(t *testing.T) {
 
 // TestAgreesWithOrderBased runs identical random streams through the
 // traversal maintainer and the order-based maintainer; every core number
-// must agree after every update.
+// must agree after every update, for h = 2 and 3 against both order
+// structures.
 func TestAgreesWithOrderBased(t *testing.T) {
-	rng := rand.New(rand.NewPCG(55, 56))
-	n := 30
-	gT := graph.New(n)
-	gO := graph.New(n)
-	mT := newMaint(t, gT, 2)
-	mO := korder.New(gO, korder.Options{Seed: 9})
-	for step := 0; step < 500; step++ {
-		u, v := rng.IntN(n), rng.IntN(n)
-		if u == v {
-			continue
-		}
-		if gT.HasEdge(u, v) {
-			if _, err := mT.Remove(u, v); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := mO.Remove(u, v); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			if _, err := mT.Insert(u, v); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := mO.Insert(u, v); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for x := 0; x < n; x++ {
-			if mT.Core(x) != mO.Core(x) {
-				t.Fatalf("step %d: core(%d): traversal %d vs order-based %d",
-					step, x, mT.Core(x), mO.Core(x))
-			}
+	streams := []struct {
+		rng1, rng2, seed uint64
+		n, steps         int
+	}{
+		{rng1: 55, rng2: 56, seed: 9, n: 30, steps: 500},
+		{rng1: 1, rng2: 2, seed: 5, n: 25, steps: 300},
+	}
+	for _, hops := range []int{2, 3} {
+		for _, kind := range []order.Kind{order.KindTreap, order.KindTagList} {
+			t.Run(fmt.Sprintf("h%d/%s", hops, kind), func(t *testing.T) {
+				for _, st := range streams {
+					rng := rand.New(rand.NewPCG(st.rng1, st.rng2))
+					gT := graph.New(st.n)
+					gO := graph.New(st.n)
+					mT := newMaint(t, gT, hops)
+					mO := korder.New(gO, korder.Options{OrderKind: kind, Seed: st.seed})
+					for step := 0; step < st.steps; step++ {
+						u, v := rng.IntN(st.n), rng.IntN(st.n)
+						if u == v {
+							continue
+						}
+						if gT.HasEdge(u, v) {
+							if _, err := mT.Remove(u, v); err != nil {
+								t.Fatal(err)
+							}
+							if _, err := mO.Remove(u, v); err != nil {
+								t.Fatal(err)
+							}
+						} else {
+							if _, err := mT.Insert(u, v); err != nil {
+								t.Fatal(err)
+							}
+							if _, err := mO.Insert(u, v); err != nil {
+								t.Fatal(err)
+							}
+						}
+						for x := 0; x < st.n; x++ {
+							if mT.Core(x) != mO.Core(x) {
+								t.Fatalf("step %d: core(%d): traversal %d vs order-based %d",
+									step, x, mT.Core(x), mO.Core(x))
+							}
+						}
+					}
+					if err := mT.CheckInvariants(); err != nil {
+						t.Fatal(err)
+					}
+					if err := mO.CheckInvariants(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

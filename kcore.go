@@ -4,11 +4,12 @@
 // of the updated edge, instead of recomputing the decomposition from
 // scratch.
 //
-// The default engine implements the order-based core-maintenance algorithms
+// The engine implements the order-based core-maintenance algorithms
 // (OrderInsert / OrderRemoval) of Zhang, Yu, Zhang and Qin, "A Fast
 // Order-Based Approach for Core Maintenance" (ICDE 2017). The traversal
-// algorithm of Sariyüce et al. (PVLDB 2013 / VLDBJ 2016) is available as an
-// alternative for comparison.
+// algorithm of Sariyüce et al. (PVLDB 2013 / VLDBJ 2016), its baseline,
+// lives in internal/traversal, where the paper reproductions and the
+// cross-checks call it.
 //
 // # Quick start
 //
@@ -43,17 +44,17 @@
 //     (vertex, old core, new core, update sequence number) so streaming
 //     consumers stop polling Cores.
 //   - Structured errors: mutations wrap the sentinel errors ErrSelfLoop,
-//     ErrDuplicateEdge, ErrMissingEdge, ErrVertexRange and ErrWrongEngine,
-//     so callers branch with errors.Is; batch failures additionally carry
-//     the offending position via *BatchError.
+//     ErrDuplicateEdge, ErrMissingEdge and ErrVertexRange, so callers
+//     branch with errors.Is; batch failures additionally carry the
+//     offending position via *BatchError.
 //
 // For durability, the engine exposes a persistence seam rather than a
 // persistence layer: AddApplyHook registers an observer of every applied
 // batch under the write lock (a write-ahead log appends and fsyncs there,
 // so Apply returning nil means both applied and durable; a replication
-// publisher registers on the same list), View(WithIndex()) captures the
-// complete maintained state for snapshotting, and FromIndex restores it
-// with full verification. Recovery re-applies logged batches through plain
+// publisher registers on the same list), Index captures the complete
+// maintained state for snapshotting, and FromIndex restores it with full
+// verification. Recovery re-applies logged batches through plain
 // Apply. The snapshot + WAL store built on this seam lives in
 // internal/persist and is wired into cmd/kcore-serve via -data-dir.
 package kcore
@@ -68,32 +69,9 @@ import (
 	"kcore/internal/graph"
 	"kcore/internal/korder"
 	"kcore/internal/order"
-	"kcore/internal/traversal"
 )
 
-// Algorithm selects the maintenance algorithm.
-type Algorithm int
-
-const (
-	// OrderBased is the paper's order-based algorithm (recommended).
-	OrderBased Algorithm = iota
-	// Traversal is the Sariyüce et al. baseline.
-	Traversal
-)
-
-// String names the algorithm.
-func (a Algorithm) String() string {
-	switch a {
-	case OrderBased:
-		return "order-based"
-	case Traversal:
-		return "traversal"
-	default:
-		return "unknown"
-	}
-}
-
-// Heuristic selects the initial k-order generation rule (order-based only).
+// Heuristic selects the initial k-order generation rule.
 type Heuristic int
 
 const (
@@ -105,11 +83,11 @@ const (
 	RandomDegPlusFirst
 )
 
-// OrderStructure selects the per-level order representation (order-based
-// engine only). Both structures hold the same sequence and give the
-// maintenance scan distinct position-monotone keys, so the choice changes
-// speed only: cores, the k-order and every BatchInfo are identical. The
-// values are stored in snapshots and must not be renumbered.
+// OrderStructure selects the per-level order representation. Both
+// structures hold the same sequence and give the maintenance scan distinct
+// position-monotone keys, so the choice changes speed only: cores, the
+// k-order and every BatchInfo are identical. The values are stored in
+// snapshots and must not be renumbered.
 type OrderStructure int
 
 const (
@@ -122,10 +100,8 @@ const (
 )
 
 type config struct {
-	algorithm    Algorithm
 	heuristic    Heuristic
 	structure    OrderStructure
-	hops         int
 	seed         uint64
 	rebuildFloor int
 	rebuildFrac  float64
@@ -140,28 +116,21 @@ const (
 )
 
 func defaultConfig() config {
-	return config{structure: TagOrder, hops: 2, seed: 1,
+	return config{structure: TagOrder, seed: 1,
 		rebuildFloor: defaultRebuildFloor, rebuildFrac: defaultRebuildFrac}
 }
 
 // Option configures an Engine.
 type Option func(*config)
 
-// WithAlgorithm selects the maintenance algorithm (default OrderBased).
-func WithAlgorithm(a Algorithm) Option { return func(c *config) { c.algorithm = a } }
-
 // WithHeuristic selects the initial k-order heuristic (default
-// SmallDegPlusFirst; order-based engine only).
+// SmallDegPlusFirst).
 func WithHeuristic(h Heuristic) Option { return func(c *config) { c.heuristic = h } }
 
-// WithOrderStructure selects the order representation (default TagOrder;
-// order-based engine only). TreapOrder gives the paper's structure with
-// identical results at O(log n) per comparison.
+// WithOrderStructure selects the order representation (default TagOrder).
+// TreapOrder gives the paper's structure with identical results at
+// O(log n) per comparison.
 func WithOrderStructure(s OrderStructure) Option { return func(c *config) { c.structure = s } }
-
-// WithTraversalHops sets h for the traversal engine (default 2; ignored by
-// the order-based engine).
-func WithTraversalHops(h int) Option { return func(c *config) { c.hops = h } }
 
 // WithSeed makes all internal randomization deterministic (default 1).
 func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
@@ -173,11 +142,11 @@ func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 // Deprecated: no effect.
 func WithWorkers(n int) Option { return func(*config) {} }
 
-// WithRebuildThreshold tunes the maintain-vs-recompute cost model
-// (order-based engine only): a batch whose surviving update count is at
-// least floor and at least fraction*(m+n) of the post-batch graph is
-// applied by one wholesale O(m + n) recomputation instead of per-update
-// maintenance, which is much faster but coarsens the result — see
+// WithRebuildThreshold tunes the maintain-vs-recompute cost model: a batch
+// whose surviving update count is at least floor and at least
+// fraction*(m+n) of the post-batch graph is applied by one wholesale
+// O(m + n) recomputation instead of per-update maintenance, which is much
+// faster but coarsens the result — see
 // BatchInfo.Recomputed. floor < 0 disables recomputation entirely.
 // Defaults: floor 256, fraction 0.15 (measured; see EXPERIMENTS.md).
 func WithRebuildThreshold(floor int, fraction float64) Option {
@@ -198,7 +167,7 @@ type UpdateInfo struct {
 	// (BatchInfo.Recomputed), the aggregated CoreChanged instead lists the
 	// net-changed vertices in ascending order.
 	//
-	// The slice is owned by the caller: unlike the internal maintainers'
+	// The slice is owned by the caller: unlike the internal maintainer's
 	// pooled buffers, it never aliases engine scratch, so it stays valid
 	// indefinitely and across later updates.
 	CoreChanged []int
@@ -211,40 +180,6 @@ type UpdateInfo struct {
 	Coalesced bool
 }
 
-// maintainer abstracts the two algorithm implementations.
-type maintainer interface {
-	Insert(u, v int) (changed []int, visited int, err error)
-	Remove(u, v int) (changed []int, visited int, err error)
-	Core(v int) int
-	Cores() []int
-}
-
-type orderImpl struct{ m *korder.Maintainer }
-
-func (o orderImpl) Insert(u, v int) ([]int, int, error) {
-	r, err := o.m.Insert(u, v)
-	return r.Changed, r.Visited, err
-}
-func (o orderImpl) Remove(u, v int) ([]int, int, error) {
-	r, err := o.m.Remove(u, v)
-	return r.Changed, r.Visited, err
-}
-func (o orderImpl) Core(v int) int { return o.m.Core(v) }
-func (o orderImpl) Cores() []int   { return o.m.Cores() }
-
-type travImpl struct{ m *traversal.Maintainer }
-
-func (t travImpl) Insert(u, v int) ([]int, int, error) {
-	r, err := t.m.Insert(u, v)
-	return r.Changed, r.Visited, err
-}
-func (t travImpl) Remove(u, v int) ([]int, int, error) {
-	r, err := t.m.Remove(u, v)
-	return r.Changed, r.Visited, err
-}
-func (t travImpl) Core(v int) int { return t.m.Core(v) }
-func (t travImpl) Cores() []int   { return t.m.Cores() }
-
 // Engine is a dynamic k-core decomposition engine. It is safe for
 // concurrent use by multiple goroutines: mutations (Apply, AddEdge, ...)
 // serialize behind a write lock; queries over the maintained read-state
@@ -254,7 +189,7 @@ func (t travImpl) Cores() []int   { return t.m.Cores() }
 type Engine struct {
 	mu  sync.RWMutex
 	g   *graph.Undirected
-	m   maintainer
+	m   *korder.Maintainer
 	cfg config
 	seq uint64 // updates applied over the engine's lifetime; guarded by mu
 
@@ -294,11 +229,13 @@ type Engine struct {
 }
 
 // NewEngine returns an empty engine. Vertices are dense non-negative
-// integers created implicitly by AddEdge/AddVertex.
+// integers created implicitly by AddEdge/AddVertex. It panics on a
+// Heuristic or OrderStructure value that names no defined constant.
 func NewEngine(opts ...Option) *Engine {
 	e, err := FromEdges(nil, opts...)
 	if err != nil {
-		// Unreachable: an empty edge set cannot fail.
+		// An empty edge set cannot fail: the error names an unknown
+		// WithHeuristic or WithOrderStructure value.
 		panic(err)
 	}
 	return e
@@ -337,28 +274,33 @@ func Load(r io.Reader, opts ...Option) (*Engine, error) {
 }
 
 func fromGraph(g *graph.Undirected, cfg config) (*Engine, error) {
-	e := &Engine{g: g, cfg: cfg}
-	switch cfg.algorithm {
-	case OrderBased:
-		e.m = orderImpl{korder.New(g, korder.Options{
-			Heuristic: decomp.Heuristic(cfg.heuristic),
-			OrderKind: order.Kind(cfg.structure),
-			Seed:      cfg.seed,
-		})}
-	case Traversal:
-		if cfg.hops < 2 {
-			return nil, fmt.Errorf("kcore: traversal hops must be >= 2, got %d", cfg.hops)
-		}
-		e.m = travImpl{traversal.New(g, cfg.hops)}
-	default:
-		return nil, fmt.Errorf("kcore: unknown algorithm %d", cfg.algorithm)
+	opts, err := cfg.korderOptions()
+	if err != nil {
+		return nil, fmt.Errorf("kcore: %w", err)
 	}
+	e := &Engine{g: g, m: korder.New(g, opts), cfg: cfg}
 	e.publishEpochFull()
 	return e, nil
 }
 
-// Algorithm reports the engine's maintenance algorithm.
-func (e *Engine) Algorithm() Algorithm { return e.cfg.algorithm }
+// korderOptions builds the maintainer options from the engine config. It is
+// the one place the heuristic and order structure are checked, for every
+// constructor: under a heuristic it does not know, the peel picks no vertex
+// and never terminates, and an unknown structure would silently run as the
+// treap.
+func (c config) korderOptions() (korder.Options, error) {
+	if c.heuristic < SmallDegPlusFirst || c.heuristic > RandomDegPlusFirst {
+		return korder.Options{}, fmt.Errorf("unknown heuristic %d", c.heuristic)
+	}
+	if c.structure < TreapOrder || c.structure > TagOrder {
+		return korder.Options{}, fmt.Errorf("unknown order structure %d", c.structure)
+	}
+	return korder.Options{
+		Heuristic: decomp.Heuristic(c.heuristic),
+		OrderKind: order.Kind(c.structure),
+		Seed:      c.seed,
+	}, nil
+}
 
 // ExecStats counts, over the engine's lifetime, how many applied updates
 // went through each batch execution mode: per-update maintenance or
@@ -577,19 +519,12 @@ func (e *Engine) CoreComponents(k int) [][]int {
 
 // GreedyColoring colors the graph greedily along the maintained degeneracy
 // order, guaranteeing at most Degeneracy()+1 colors (the classic k-core
-// application to coloring). Only the order-based engine maintains an order;
-// other engines compute one on the fly. Returns per-vertex colors and the
-// number of colors used.
+// application to coloring). Returns per-vertex colors and the number of
+// colors used.
 func (e *Engine) GreedyColoring() ([]int, int) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	var ord []int
-	if impl, ok := e.m.(orderImpl); ok {
-		ord = impl.m.Order()
-	} else {
-		ord = decomp.KOrder(e.g, decomp.SmallDegPlusFirst, e.cfg.seed).Order
-	}
-	return decomp.GreedyColorByOrder(e.g, ord)
+	return decomp.GreedyColorByOrder(e.g, e.m.Order())
 }
 
 // Edges returns all current edges with u < v.
@@ -606,45 +541,6 @@ func (e *Engine) Save(w io.Writer) error {
 	return graph.WriteEdgeList(w, e.g)
 }
 
-// SaveIndex serializes the full maintained index (graph, core numbers, and
-// k-order) so a later LoadIndex can resume without recomputing — and, more
-// importantly, with the exact same maintained order. Only the order-based
-// engine supports snapshots; others get an error wrapping ErrWrongEngine.
-func (e *Engine) SaveIndex(w io.Writer) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	impl, ok := e.m.(orderImpl)
-	if !ok {
-		return fmt.Errorf("kcore: SaveIndex requires the order-based engine (have %s): %w",
-			e.cfg.algorithm, ErrWrongEngine)
-	}
-	return impl.m.WriteSnapshot(w)
-}
-
-// LoadIndex restores an order-based engine from a SaveIndex snapshot,
-// verifying its integrity in O(m + n).
-func LoadIndex(r io.Reader, opts ...Option) (*Engine, error) {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.algorithm != OrderBased {
-		return nil, fmt.Errorf("kcore: LoadIndex supports only the order-based engine: %w",
-			ErrWrongEngine)
-	}
-	m, err := korder.LoadSnapshot(r, korder.Options{
-		Heuristic: decomp.Heuristic(cfg.heuristic),
-		OrderKind: order.Kind(cfg.structure),
-		Seed:      cfg.seed,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("kcore: %w", err)
-	}
-	e := &Engine{g: m.Graph(), m: orderImpl{m}, cfg: cfg}
-	e.publishEpochFull()
-	return e, nil
-}
-
 // Validate checks the maintained state against a from-scratch
 // recomputation. It is intended for tests and debugging; cost is
 // O((m+n) log n).
@@ -654,14 +550,7 @@ func (e *Engine) Validate() error {
 	if err := e.validateEpochLocked(); err != nil {
 		return err
 	}
-	switch impl := e.m.(type) {
-	case orderImpl:
-		return impl.m.CheckInvariants()
-	case travImpl:
-		return impl.m.CheckInvariants()
-	default:
-		return fmt.Errorf("kcore: unknown engine implementation")
-	}
+	return e.m.CheckInvariants()
 }
 
 // validateEpochLocked checks the published epoch against the authoritative

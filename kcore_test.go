@@ -3,6 +3,7 @@ package kcore
 import (
 	"bytes"
 	"math/rand/v2"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -81,46 +82,6 @@ func TestLoadAndSave(t *testing.T) {
 	}
 }
 
-func TestAlgorithmsAgree(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	ord := NewEngine(WithAlgorithm(OrderBased), WithSeed(5))
-	trv := NewEngine(WithAlgorithm(Traversal), WithTraversalHops(3))
-	const n = 25
-	for step := 0; step < 300; step++ {
-		u, v := rng.IntN(n), rng.IntN(n)
-		if u == v {
-			continue
-		}
-		if ord.HasEdge(u, v) {
-			if _, err := ord.RemoveEdge(u, v); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := trv.RemoveEdge(u, v); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			if _, err := ord.AddEdge(u, v); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := trv.AddEdge(u, v); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for x := 0; x < n; x++ {
-			if ord.Core(x) != trv.Core(x) {
-				t.Fatalf("step %d: core(%d) disagreement %d vs %d",
-					step, x, ord.Core(x), trv.Core(x))
-			}
-		}
-	}
-	if err := ord.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := trv.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestOptionCombos(t *testing.T) {
 	for _, h := range []Heuristic{SmallDegPlusFirst, LargeDegPlusFirst, RandomDegPlusFirst} {
 		for _, s := range []OrderStructure{TreapOrder, TagOrder} {
@@ -136,18 +97,14 @@ func TestOptionCombos(t *testing.T) {
 			}
 		}
 	}
-	if _, err := FromEdges(nil, WithAlgorithm(Traversal), WithTraversalHops(1)); err == nil {
-		t.Fatal("hops=1 should fail")
+	// A value outside the defined constants is an error, not a peel that
+	// never terminates (heuristic) or a silent treap (structure).
+	edges := [][2]int{{0, 1}, {1, 2}}
+	if _, err := FromEdges(edges, WithHeuristic(Heuristic(7))); err == nil {
+		t.Fatal("unknown heuristic should fail")
 	}
-	if _, err := FromEdges(nil, WithAlgorithm(Algorithm(9))); err == nil {
-		t.Fatal("unknown algorithm should fail")
-	}
-}
-
-func TestAlgorithmString(t *testing.T) {
-	if OrderBased.String() != "order-based" || Traversal.String() != "traversal" ||
-		Algorithm(7).String() != "unknown" {
-		t.Fatal("Algorithm.String broken")
+	if _, err := FromEdges(edges, WithOrderStructure(OrderStructure(9))); err == nil {
+		t.Fatal("unknown order structure should fail")
 	}
 }
 
@@ -155,9 +112,6 @@ func TestQueries(t *testing.T) {
 	e, err := FromEdges([][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if e.Algorithm() != OrderBased {
-		t.Fatal("default algorithm should be order-based")
 	}
 	if !e.HasEdge(0, 1) || e.HasEdge(0, 3) {
 		t.Fatal("HasEdge wrong")
@@ -285,92 +239,93 @@ func TestCommunityQueries(t *testing.T) {
 }
 
 func TestGreedyColoring(t *testing.T) {
-	for _, alg := range []Algorithm{OrderBased, Traversal} {
-		e := NewEngine(WithAlgorithm(alg), WithSeed(3))
-		// K4 needs exactly 4 colors.
-		for i := 0; i < 4; i++ {
-			for j := i + 1; j < 4; j++ {
-				mustAdd(t, e, i, j)
+	e := NewEngine(WithSeed(3))
+	// K4 needs exactly 4 colors.
+	for i := 0; i < 4; i++ {
+		for j := i + 1; j < 4; j++ {
+			mustAdd(t, e, i, j)
+		}
+	}
+	mustAdd(t, e, 3, 4) // pendant
+	colors, k := e.GreedyColoring()
+	if k != 4 {
+		t.Fatalf("colors=%d want 4", k)
+	}
+	for u := 0; u < 4; u++ {
+		for v := u + 1; v < 4; v++ {
+			if colors[u] == colors[v] {
+				t.Fatal("K4 coloring improper")
 			}
 		}
-		mustAdd(t, e, 3, 4) // pendant
-		colors, k := e.GreedyColoring()
-		if k != 4 {
-			t.Fatalf("%v: colors=%d want 4", alg, k)
-		}
-		for u := 0; u < 4; u++ {
-			for v := u + 1; v < 4; v++ {
-				if colors[u] == colors[v] {
-					t.Fatalf("%v: K4 coloring improper", alg)
-				}
-			}
-		}
-		if colors[4] == colors[3] {
-			t.Fatalf("%v: pendant conflicts", alg)
-		}
+	}
+	if colors[4] == colors[3] {
+		t.Fatal("pendant conflicts")
 	}
 }
 
+// restoreCopy captures e with Index and restores it with FromIndex; the
+// restored engine must report exactly the captured state.
+func restoreCopy(t *testing.T, e *Engine) *Engine {
+	t.Helper()
+	st := e.Index()
+	e2, err := FromIndex(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(e2.Index(), st) {
+		t.Fatalf("structure %d: restored state differs from the capture", st.Structure)
+	}
+	return e2
+}
+
+// TestSaveLoadIndex: Index -> FromIndex restores the same maintained state
+// on both order structures, the restored engine keeps maintaining, and a
+// state naming an undefined heuristic or order structure is refused.
 func TestSaveLoadIndex(t *testing.T) {
-	e, err := FromEdges([][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := e.SaveIndex(&buf); err != nil {
-		t.Fatal(err)
-	}
-	e2, err := LoadIndex(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < 5; v++ {
-		if e.Core(v) != e2.Core(v) {
-			t.Fatalf("core(%d): %d vs %d", v, e.Core(v), e2.Core(v))
+	for _, s := range []OrderStructure{TreapOrder, TagOrder} {
+		e, err := FromEdges([][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}},
+			WithOrderStructure(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e2 := restoreCopy(t, e)
+		for v := 0; v < 5; v++ {
+			if e.Core(v) != e2.Core(v) {
+				t.Fatalf("structure %d: core(%d): %d vs %d", s, v, e.Core(v), e2.Core(v))
+			}
+		}
+		mustAdd(t, e2, 3, 0)
+		if err := e2.Validate(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// Restored engine keeps maintaining.
-	if _, err := e2.AddEdge(3, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := e2.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Traversal engines do not support snapshots.
-	tr := NewEngine(WithAlgorithm(Traversal))
-	if err := tr.SaveIndex(&bytes.Buffer{}); err == nil {
-		t.Fatal("traversal SaveIndex should fail")
-	}
-	if _, err := LoadIndex(strings.NewReader("junk"), WithAlgorithm(Traversal)); err == nil {
-		t.Fatal("LoadIndex with traversal should fail")
-	}
-	if _, err := LoadIndex(strings.NewReader("junk")); err == nil {
-		t.Fatal("junk index should fail")
+	st := NewEngine().Index()
+	for _, forge := range []func(*IndexState){
+		func(st *IndexState) { st.Heuristic = 7 },
+		func(st *IndexState) { st.Structure = 9 },
+	} {
+		bad := *st
+		forge(&bad)
+		if _, err := FromIndex(&bad); err == nil {
+			t.Fatalf("FromIndex accepted heuristic %d, structure %d", bad.Heuristic, bad.Structure)
+		}
 	}
 }
 
+// TestSnapshotWithTagOrder: a tag-list engine restored from its Index keeps
+// the tag list and keeps maintaining.
 func TestSnapshotWithTagOrder(t *testing.T) {
 	e, err := FromEdges([][2]int{{0, 1}, {1, 2}, {0, 2}},
 		WithOrderStructure(TagOrder), WithSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := e.SaveIndex(&buf); err != nil {
-		t.Fatal(err)
+	e2 := restoreCopy(t, e)
+	if got := e2.Index().Structure; got != TagOrder {
+		t.Fatalf("restored structure %d, want TagOrder", got)
 	}
-	e2, err := LoadIndex(&buf, WithOrderStructure(TagOrder), WithSeed(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e2.AddEdge(0, 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e2.AddEdge(1, 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e2.AddEdge(2, 3); err != nil {
-		t.Fatal(err)
+	for _, v := range []int{0, 1, 2} {
+		mustAdd(t, e2, v, 3)
 	}
 	if e2.Core(3) != 3 {
 		t.Fatalf("core(3)=%d want 3", e2.Core(3))

@@ -8,46 +8,41 @@ import (
 // An injected probe panic must reject the batch cleanly: no state change,
 // no seq advance, a *PanicError, and a usable engine afterwards.
 func TestApplyProbePanicQuarantinesCleanly(t *testing.T) {
-	for _, opts := range [][]Option{
-		{WithSeed(1)},
-		{WithAlgorithm(Traversal)},
-	} {
-		e := NewEngine(opts...)
-		if _, err := e.AddEdges([][2]int{{0, 1}, {1, 2}, {0, 2}}); err != nil {
-			t.Fatalf("seed batch: %v", err)
+	e := NewEngine(WithSeed(1))
+	if _, err := e.AddEdges([][2]int{{0, 1}, {1, 2}, {0, 2}}); err != nil {
+		t.Fatalf("seed batch: %v", err)
+	}
+	seq := e.Seq()
+	arm := true
+	e.SetApplyProbe(func(updates int) {
+		if arm {
+			arm = false
+			panic("injected")
 		}
-		seq := e.Seq()
-		arm := true
-		e.SetApplyProbe(func(updates int) {
-			if arm {
-				arm = false
-				panic("injected")
-			}
-		})
-		_, err := e.Apply(Batch{Add(2, 3), Add(3, 4)})
-		var pe *PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("Apply err = %v, want *PanicError", err)
-		}
-		if pe.Value != "injected" || len(pe.Stack) == 0 {
-			t.Fatalf("PanicError = {Value:%v Stack:%d bytes}", pe.Value, len(pe.Stack))
-		}
-		if e.Seq() != seq {
-			t.Fatalf("seq advanced across quarantined batch: %d -> %d", seq, e.Seq())
-		}
-		if got := e.ExecStats().Panics; got != 1 {
-			t.Fatalf("ExecStats.Panics = %d, want 1", got)
-		}
-		if e.Core(0) != 2 {
-			t.Fatalf("core(0) = %d after quarantine, want 2", e.Core(0))
-		}
-		// The engine stays fully usable.
-		if _, err := e.Apply(Batch{Add(2, 3), Add(3, 4)}); err != nil {
-			t.Fatalf("post-quarantine Apply: %v", err)
-		}
-		if e.Seq() != seq+2 {
-			t.Fatalf("post-quarantine seq = %d, want %d", e.Seq(), seq+2)
-		}
+	})
+	_, err := e.Apply(Batch{Add(2, 3), Add(3, 4)})
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("Apply err = %v, want *PanicError", err)
+	}
+	if pe.Value != "injected" || len(pe.Stack) == 0 {
+		t.Fatalf("PanicError = {Value:%v Stack:%d bytes}", pe.Value, len(pe.Stack))
+	}
+	if e.Seq() != seq {
+		t.Fatalf("seq advanced across quarantined batch: %d -> %d", seq, e.Seq())
+	}
+	if got := e.ExecStats().Panics; got != 1 {
+		t.Fatalf("ExecStats.Panics = %d, want 1", got)
+	}
+	if e.Core(0) != 2 {
+		t.Fatalf("core(0) = %d after quarantine, want 2", e.Core(0))
+	}
+	// The engine stays fully usable.
+	if _, err := e.Apply(Batch{Add(2, 3), Add(3, 4)}); err != nil {
+		t.Fatalf("post-quarantine Apply: %v", err)
+	}
+	if e.Seq() != seq+2 {
+		t.Fatalf("post-quarantine seq = %d, want %d", e.Seq(), seq+2)
 	}
 }
 

@@ -24,9 +24,8 @@ func (e *Engine) shouldRebuild(applied, adds, removes int) bool {
 // graph directly, then reseed the maintainer from one static O(m + n)
 // decomposition. Per-update attribution is lost — see BatchInfo.Recomputed
 // for the coarsened result semantics.
-func (e *Engine) applyRebuild(impl orderImpl, batch Batch, skip []bool, coalesced int) (BatchInfo, error) {
-	m := impl.m
-	oldCores := m.Cores()
+func (e *Engine) applyRebuild(batch Batch, skip []bool, coalesced int) (BatchInfo, error) {
+	oldCores := e.m.Cores()
 	info := BatchInfo{Coalesced: coalesced, Recomputed: true}
 	for i, up := range batch {
 		if skip != nil && skip[i] {
@@ -41,7 +40,7 @@ func (e *Engine) applyRebuild(impl orderImpl, batch Batch, skip []bool, coalesce
 		if err != nil {
 			// Unreachable after validation. Reseed anyway so the maintained
 			// state matches the partially mutated graph before reporting.
-			m.Reseed()
+			e.m.Reseed()
 			info.Seq = e.seq
 			return info, &BatchError{Index: i, Update: up, Err: err}
 		}
@@ -49,7 +48,7 @@ func (e *Engine) applyRebuild(impl orderImpl, batch Batch, skip []bool, coalesce
 		info.Applied++
 		e.exec.Recomputed++
 	}
-	m.Reseed()
+	e.m.Reseed()
 	info.Seq = e.seq
 
 	// Net effect: diff old and new cores. Vertices created by the batch had
@@ -60,7 +59,7 @@ func (e *Engine) applyRebuild(impl orderImpl, batch Batch, skip []bool, coalesce
 		if v < len(oldCores) {
 			old = oldCores[v]
 		}
-		if m.Core(v) != old {
+		if e.m.Core(v) != old {
 			info.Total.CoreChanged = append(info.Total.CoreChanged, v)
 		}
 	}

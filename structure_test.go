@@ -27,14 +27,7 @@ func TestOrderStructuresAgree(t *testing.T) {
 	}
 	sameIndex := func(at int) {
 		t.Helper()
-		ts, err := treap.View(WithIndex()).Index()
-		if err != nil {
-			t.Fatal(err)
-		}
-		gs, err := tag.View(WithIndex()).Index()
-		if err != nil {
-			t.Fatal(err)
-		}
+		ts, gs := treap.Index(), tag.Index()
 		if ts.Structure != TreapOrder || gs.Structure != TagOrder {
 			t.Fatalf("structures = %d, %d; want treap, tag", ts.Structure, gs.Structure)
 		}

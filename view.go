@@ -1,7 +1,5 @@
 package kcore
 
-import "fmt"
-
 // View is an immutable, internally consistent snapshot of the engine's
 // maintained state: core numbers, degeneracy, and graph size, all captured
 // at the same update sequence number. A View answers any number of queries
@@ -14,74 +12,12 @@ import "fmt"
 // use by multiple goroutines and stays valid indefinitely no matter how the
 // engine is mutated (or even unloaded) afterwards: nothing it returns
 // aliases engine scratch.
-type View struct {
-	ep *epoch
+type View struct{ ep *epoch }
 
-	// Index capture (WithIndex only): the full maintained state needed to
-	// reconstruct the engine bit-identically — see View.Index.
-	index *IndexState
-}
-
-// ViewOption configures what a View captures beyond the default core
-// snapshot.
-type ViewOption func(*viewConfig)
-
-type viewConfig struct{ index bool }
-
-// WithIndex makes the View additionally capture the complete maintained
-// index — edge list, core numbers, and the maintained k-order — retrievable
-// via View.Index. Capture cost grows from O(1) to O(m + n) under one
-// read-lock acquisition (the adjacency structure and maintained order are
-// mutated in place, so unlike the core snapshot they cannot be read without
-// the lock); it is how the durable snapshot writer (internal/persist)
-// observes a consistent state without blocking writers while the file is
-// written. Order-based engines only: on other engines the View is still
-// valid but Index returns an error.
-func WithIndex() ViewOption { return func(c *viewConfig) { c.index = true } }
-
-// View captures a consistent snapshot of the current state. The default
-// capture is one atomic epoch load — O(1), lock-free; WithIndex takes a
-// read lock and copies the full maintained state in O(m + n).
-func (e *Engine) View(opts ...ViewOption) *View {
-	var cfg viewConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if !cfg.index {
-		return &View{ep: e.loadEpoch()}
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	// Under the read lock no publication is in flight, so the current
-	// epoch describes exactly the state the index capture walks.
-	v := &View{ep: e.loadEpoch()}
-	if impl, ok := e.m.(orderImpl); ok {
-		v.index = &IndexState{
-			Seq:       e.seq,
-			Vertices:  e.g.NumVertices(),
-			Edges:     e.g.Edges(),
-			Cores:     e.m.Cores(),
-			Order:     impl.m.Order(),
-			Seed:      e.cfg.seed,
-			Heuristic: e.cfg.heuristic,
-			Structure: e.cfg.structure,
-		}
-	}
-	return v
-}
-
-// Index returns the complete maintained state captured at View time, for
-// serialization by a persistence layer. It requires the View to have been
-// taken with WithIndex on an order-based engine; otherwise the error wraps
-// ErrWrongEngine. The returned state shares the View's internal slices —
-// callers must treat it as read-only.
-func (v *View) Index() (*IndexState, error) {
-	if v.index == nil {
-		return nil, fmt.Errorf("kcore: View captured no index (need View(WithIndex()) on the order-based engine): %w",
-			ErrWrongEngine)
-	}
-	return v.index, nil
-}
+// View captures a consistent snapshot of the current state: one atomic
+// epoch load — O(1), lock-free. Engine.Index captures the full maintained
+// state instead.
+func (e *Engine) View() *View { return &View{ep: e.loadEpoch()} }
 
 // Seq is the engine update sequence number at which the snapshot was taken.
 func (v *View) Seq() uint64 { return v.ep.seq }
