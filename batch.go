@@ -101,9 +101,11 @@ type BatchInfo struct {
 // Validation also coalesces self-annihilating update pairs — see
 // BatchInfo.Coalesced for the exact semantics.
 //
-// On success, subscribers (see Subscribe) receive one CoreChange event per
-// affected vertex per update (or per net-changed vertex when the batch was
-// applied by recomputation — see BatchInfo.Recomputed).
+// On success, Apply publishes the batch's epoch and then runs the apply
+// hooks (see AddApplyHook) before it returns. Subscribers (see Subscribe)
+// are hooks: they receive one CoreChange event per affected vertex per
+// update (or per net-changed vertex when the batch was applied by
+// recomputation — see BatchInfo.Recomputed).
 //
 // The surviving updates run one at a time through per-update maintenance,
 // the paper's OrderInsert and OrderRemoval. A batch that rewrites a large
@@ -142,17 +144,18 @@ func (e *Engine) applyLocked(batch Batch) (BatchInfo, error) {
 	}
 	info, err := e.executeGuarded(batch, skip, coalesced)
 	// Publish the post-batch epoch before the apply hooks run, so
-	// readers never wait behind a WAL fsync. Total.CoreChanged is the
+	// readers never wait behind a WAL fsync and a subscriber holding an
+	// event for seq S already reads Seq() >= S. Total.CoreChanged is the
 	// complete changed-vertex list on every execution strategy, including
 	// a mid-batch error's applied prefix; the panic path published its own
-	// full rebuild inside containPanic (its diff is relative to the
-	// panic-time cores, not the last epoch, so no patch list exists).
+	// full rebuild and ran its repair record inside containPanic.
 	if _, panicked := err.(*PanicError); !panicked {
 		e.publishEpoch(info.Total.CoreChanged)
 	}
 	if err == nil && info.Applied > 0 && len(e.hooks) > 0 {
 		err = e.runApplyHooks(batch, skip, &info)
 	}
+	e.changes = nil
 	return info, err
 }
 
@@ -179,26 +182,21 @@ func (e *Engine) executeGuarded(batch Batch, skip []bool, coalesced int) (info B
 // graph structures are mutated update-by-update, so after an arbitrary
 // panic they reflect some applied prefix of the batch; the maintained
 // cores/k-order, however, may be mid-flight. Reseeding recomputes them
-// from the graph as it stands, and subscribers receive diff events for
-// any repair-visible core changes (panics injected via the apply probe
-// fire pre-mutation, so their diff is empty). If the repair itself
-// panics, the engine is beyond recovery and the panic propagates.
+// from the graph as it stands. The hooks never see the quarantined batch,
+// so their last view is the last published epoch: when the repair moved a
+// core number relative to it, they receive a repair record carrying those
+// changes (panics injected via the apply probe fire pre-mutation, so their
+// diff is empty). If the repair itself panics, the engine is beyond
+// recovery and the panic propagates.
 func (e *Engine) containPanic(r any) (BatchInfo, error) {
-	oldCores := e.m.Cores()
+	last := e.loadEpoch()
 	e.m.Reseed()
-	var changed []int
-	for v := 0; v < e.g.NumVertices(); v++ {
-		old := 0
-		if v < len(oldCores) {
-			old = oldCores[v]
-		}
-		if e.m.Core(v) != old {
-			changed = append(changed, v)
-		}
-	}
-	e.notifyDiff(changed, oldCores)
 	e.exec.Panics++
 	e.publishEpochFull()
+	if diff := e.diffSince(last); len(diff) > 0 {
+		// Hook errors are dropped: this Apply fails with the PanicError.
+		_ = e.runHooks(AppliedBatch{Seq: e.seq, Changes: diff})
+	}
 	return BatchInfo{Seq: e.seq}, &PanicError{Value: r, Stack: debug.Stack()}
 }
 
@@ -239,6 +237,7 @@ func (e *Engine) applySequential(batch Batch, skip []bool, coalesced int) (Batch
 	if dedup {
 		e.dedupCur++
 	}
+	record := len(e.hooks) > 0
 	// The maintainer returns Changed slices that alias its pooled scratch
 	// (valid only until the next update), while BatchInfo escapes to the
 	// caller indefinitely. Copy-on-return: all per-update CoreChanged
@@ -267,7 +266,9 @@ func (e *Engine) applySequential(batch Batch, skip []bool, coalesced int) (Batch
 		}
 		e.seq++
 		e.exec.Sequential++
-		e.notify(up.Op, r.Changed)
+		if record {
+			e.recordChanges(up.Op, r.Changed)
+		}
 		start := len(carve)
 		carve = append(carve, r.Changed...)
 		info.Applied++
@@ -282,6 +283,20 @@ func (e *Engine) applySequential(batch Batch, skip []bool, coalesced int) (Batch
 	}
 	info.Seq = e.seq
 	return info, nil
+}
+
+// recordChanges appends one update's core changes to e.changes, tagged
+// with the current seq; op tells the direction every change took (+1 for
+// insertions, -1 for removals).
+func (e *Engine) recordChanges(op Op, changed []int) {
+	delta := 1
+	if op == OpRemove {
+		delta = -1
+	}
+	for _, v := range changed {
+		c := e.m.Core(v)
+		e.changes = append(e.changes, CoreChange{Vertex: v, OldCore: c - delta, NewCore: c, Seq: e.seq})
+	}
 }
 
 // dedupTotal appends changed vertices to info.Total.CoreChanged, keeping

@@ -34,14 +34,6 @@ import "slices"
 //   - All publications happen while holding the engine write lock, so the
 //     stores are totally ordered and epoch sequence numbers are monotonic:
 //     a reader that loads seq S and loads again later sees seq' >= S.
-//
-// One semantic note: subscriber events (Subscribe) are emitted per update
-// *during* batch execution, while the epoch for the batch is published at
-// the end. A subscriber that receives an event for sequence S and
-// immediately queries the engine may briefly observe an epoch with
-// seq < S; poll Seq() >= S when that matters. (The previous locked
-// implementation hid this window only from readers that blocked for the
-// whole Apply; asynchronous consumers could always observe lag.)
 
 // maxEpochPatch bounds the patch: one more accumulated change folds the
 // epoch into a fresh base. The bound trades the writer's fold frequency

@@ -52,9 +52,9 @@ func (e *BatchError) Unwrap() error { return e.Err }
 // HookError reports that a batch was applied in memory but one or more
 // apply hooks — typically the write-ahead log of a persistence layer (see
 // AddApplyHook) — failed afterwards. The distinction matters: on a
-// *HookError the engine state HAS advanced (BatchInfo is valid, subscribers
-// were notified), only durability failed, so callers must not re-submit the
-// batch — a retry would double-apply it. Branch with errors.As:
+// *HookError the engine state HAS advanced (BatchInfo is valid, every hook
+// and subscription saw the batch), only durability failed, so callers must
+// not re-submit the batch — a retry would double-apply it. Branch with errors.As:
 //
 //	var he *kcore.HookError
 //	if errors.As(err, &he) {
@@ -77,12 +77,15 @@ func (e *HookError) Unwrap() error { return e.Err }
 //
 // A quarantined batch may have applied a prefix of its updates before the
 // panic (Seq tells how far the sequence advanced). Those updates were NOT
-// handed to the apply hooks, so a persistence layer will refuse the
-// next append as a sequence gap until it heals by snapshot, and a
-// replication follower crossing the gap re-bootstraps — both by design:
-// the durability and replication planes never paper over a hole. Panics
-// injected through the fault plane's apply probe fire before any mutation,
-// so they quarantine cleanly with no prefix.
+// handed to the apply hooks. Instead, when the repaired cores differ from
+// the last published state, the hooks receive a repair record (see
+// AppliedBatch) whose Changes carry that diff, so subscribers stay in step;
+// the record has no Updates, so a persistence layer will refuse the next
+// append as a sequence gap until it heals by snapshot, and a replication
+// follower crossing the gap re-bootstraps — both by design: the durability
+// and replication planes never paper over a hole. Panics injected through
+// the fault plane's apply probe fire before any mutation, so they
+// quarantine cleanly with no prefix and no repair record.
 type PanicError struct {
 	// Value is the recovered panic value.
 	Value any

@@ -6,19 +6,25 @@ import (
 )
 
 // Apply hooks are the engine's commit stream: a persistence layer (see
-// internal/persist) and a replication publisher (see internal/replicate)
-// each register a function that observes every successfully applied
-// batch — its surviving updates and the resulting sequence number —
-// synchronously, under the engine's write lock, in apply order. Because
-// hooks run before Apply returns, a hook that appends to a write-ahead log
-// with fsync gives callers a hard guarantee: when Apply returns nil, the
-// batch is both applied in memory and durable on disk.
+// internal/persist), a replication publisher (see internal/replicate) and
+// every change subscription (see Subscribe) each register a function that
+// observes every successfully applied batch — its surviving updates, the
+// core changes they caused and the resulting sequence number —
+// synchronously, under the engine's write lock, in apply order, after the
+// batch's epoch is published. Because hooks run before Apply returns, a
+// hook that appends to a write-ahead log with fsync gives callers a hard
+// guarantee: when Apply returns nil, the batch is both applied in memory
+// and durable on disk.
 
 // AppliedBatch is the record of one committed batch: what the engine hands
 // to every ApplyHook, what the write-ahead log stores, and what replication
 // ships. Applying Updates to an engine in the state it had at Start
 // reproduces the batch bit for bit, because order-based maintenance is
 // deterministic.
+//
+// A record with no Updates is a panic repair (see PanicError): its Changes
+// are the repair's diff against the last published state. It is not a
+// batch and must not be logged or replicated.
 type AppliedBatch struct {
 	// Seq is the engine update sequence number after the batch (equals
 	// BatchInfo.Seq of the Apply that produced it).
@@ -30,6 +36,13 @@ type AppliedBatch struct {
 	// engine-owned scratch: it is valid only for the duration of the hook
 	// call and must be copied (or encoded) by hooks that retain it.
 	Updates []Update
+	// Changes holds the core changes the batch caused, as Subscribe
+	// delivers them: one CoreChange per affected vertex per update in
+	// settlement order, or, for a batch applied by recomputation (see
+	// BatchInfo.Recomputed) and for a repair record, one per net-changed
+	// vertex in ascending vertex order. It has the same lifetime as
+	// Updates. Records read back from a log carry no Changes.
+	Changes []CoreChange
 }
 
 // Start is the engine sequence number the batch applied onto.
@@ -44,18 +57,21 @@ type ApplyHook func(AppliedBatch) error
 // AddApplyHook appends fn (which must not be nil) to the engine's ordered
 // hook list and returns a function that detaches it. Every hook is called
 // after every successfully applied batch with at least one surviving
-// update, in registration order, and every hook runs even when an earlier
-// one failed: the engine's in-memory state advanced regardless. Hooks run
-// synchronously while the engine's write lock is held, so invocations are
-// totally ordered and match the sequence-number order exactly; a hook must
-// not call back into the engine (deadlock) and should be fast — its
-// latency is added to every mutation.
+// update, and after every panic repair that changed a core number (see
+// AppliedBatch), in registration order, and every hook runs even when an
+// earlier one failed: the engine's in-memory state advanced regardless.
+// Hooks run synchronously while the engine's write lock is held, after the
+// batch's epoch is published, so invocations are totally ordered and match
+// the sequence-number order exactly; a hook must not call back into the
+// engine (deadlock) and should be fast — its latency is added to every
+// mutation.
 //
 // When hooks return errors, Apply (and the convenience wrappers built on
 // it) return them joined in one *HookError. The batch itself remains
-// applied — BatchInfo is valid, subscribers were notified — so callers must
-// treat a *HookError as "state advanced, durability failed" and not retry
-// the batch.
+// applied — BatchInfo is valid, earlier hooks and subscriptions saw it — so
+// callers must treat a *HookError as "state advanced, durability failed"
+// and not retry the batch. Errors returned for a repair record are
+// dropped: that Apply already fails with its *PanicError.
 //
 // remove takes the write lock, so once it returns no Apply is running fn;
 // calling it again is a no-op.
@@ -106,7 +122,12 @@ func (e *Engine) runApplyHooks(batch Batch, skip []bool, info *BatchInfo) error 
 		e.hookBuf = buf
 		updates = Batch(buf)
 	}
-	rec := AppliedBatch{Seq: info.Seq, Updates: updates}
+	return e.runHooks(AppliedBatch{Seq: info.Seq, Updates: updates, Changes: e.changes})
+}
+
+// runHooks hands rec to every registered hook in order and joins their
+// errors into one *HookError. Caller holds the write lock.
+func (e *Engine) runHooks(rec AppliedBatch) error {
 	var errs []error
 	for _, h := range e.hooks {
 		if err := (*h)(rec); err != nil {

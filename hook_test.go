@@ -108,7 +108,7 @@ func TestApplyHookList(t *testing.T) {
 	})
 	removeSecond := e.AddApplyHook(func(rec AppliedBatch) error {
 		order = append(order, "second")
-		seen = append(seen, AppliedBatch{rec.Seq, slices.Clone(rec.Updates)})
+		seen = append(seen, AppliedBatch{Seq: rec.Seq, Updates: slices.Clone(rec.Updates)})
 		return nil
 	})
 

@@ -9,10 +9,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -196,6 +198,57 @@ func TestReplicationDifferential(t *testing.T) {
 	ps := pub.Stats()
 	if ps.Bootstraps < 2 || ps.HeadSeq != final {
 		t.Fatalf("publisher stats = %+v, want >=2 bootstraps at head %d", ps, final)
+	}
+}
+
+// TestFollowerCloseReleasesConnections: once Close returns, the follower
+// holds no connection to the primary. A kept-alive healthz connection, or
+// one a cancelled poll dialed but never used, would otherwise keep the
+// primary's graceful shutdown waiting.
+func TestFollowerCloseReleasesConnections(t *testing.T) {
+	engine := kcore.NewEngine()
+	pub := replicate.NewPublisher(engine, replicate.PublisherOptions{})
+	defer pub.Close()
+	srv := server.New(engine, server.Options{Publisher: pub})
+	defer srv.Shutdown(context.Background())
+	var open, polls atomic.Int64
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/healthz" {
+			polls.Add(1)
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		switch st {
+		case http.StateNew:
+			open.Add(1)
+		case http.StateClosed, http.StateHijacked:
+			open.Add(-1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+
+	f, err := replicate.StartFollower(context.Background(), ts.URL,
+		replicate.FollowerOptions{PollInterval: time.Millisecond})
+	if err != nil {
+		t.Fatalf("StartFollower: %v", err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for polls.Load() < 3 {
+		if time.Now().After(deadline) {
+			f.Close()
+			t.Fatalf("follower polled the primary %d times, want 3", polls.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	f.Close()
+	deadline = time.Now().Add(5 * time.Second)
+	for open.Load() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d connection(s) still open at the primary after Close", open.Load())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

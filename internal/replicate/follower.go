@@ -157,12 +157,15 @@ func (f *Follower) DropConnection() {
 	}
 }
 
-// Close stops streaming and polling. The last installed engine remains
-// readable.
+// Close stops streaming and polling, then closes the client's idle
+// connections. The last installed engine remains readable.
 func (f *Follower) Close() {
 	f.cancel()
 	f.DropConnection()
 	f.wg.Wait()
+	// A poll cancelled mid-dial still dials into the idle pool; left open,
+	// that unused connection holds the primary's Shutdown for 5 s.
+	f.opts.Client.CloseIdleConnections()
 }
 
 // FollowerStats is a point-in-time snapshot of the follower's counters.

@@ -102,8 +102,13 @@ func NewPublisher(engine *kcore.Engine, opts PublisherOptions) *Publisher {
 // extend the history, fan out. It runs under the engine write lock — keep
 // it allocation-light and never call back into the engine. It never fails:
 // replication mirrors the engine's in-memory state, which advanced even
-// when an earlier hook (the WAL append) failed.
+// when an earlier hook (the WAL append) failed. A panic-repair record (no
+// Updates, see kcore.AppliedBatch) is not a batch and is not shipped: the
+// quarantined prefix reaches followers as a gap at the next frame.
 func (p *Publisher) onApply(rec kcore.AppliedBatch) error {
+	if len(rec.Updates) == 0 {
+		return nil
+	}
 	data, err := persist.AppendWALFrame(nil, rec)
 	if err != nil {
 		// Unreachable: the engine validated the batch (no negative vertices,

@@ -43,14 +43,13 @@ type Options struct {
 	// number of updates buffered across queued requests before further
 	// requests are rejected with HTTP 429. Default 100000.
 	MaxPending int
-	// WatchBuffer is the default per-watch subscription buffer (overridable
-	// per request via ?buffer=, clamped to MaxWatchBuffer). Default 256.
+	// WatchBuffer is the default per-watch lag window (overridable per
+	// request via ?buffer=). Both are clamped to WatchRing. Default 256.
 	WatchBuffer int
-	// MaxWatchBuffer caps the per-request ?buffer= parameter. Default 65536.
-	MaxWatchBuffer int
 	// WatchRing is the capacity of each tenant's watch broadcast ring: every
 	// change event is encoded once into it, and each watcher reads through
-	// a cursor whose lag window is min(?buffer=, WatchRing). Default 4096.
+	// a cursor whose lag window is min(?buffer= or WatchBuffer, WatchRing);
+	// the watch hello reports that window. Default 4096.
 	WatchRing int
 	// ReadHeaderTimeout guards Serve against slow-header clients (a
 	// slowloris opener never parks a connection past it). Default 10s.
@@ -116,9 +115,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.WatchBuffer <= 0 {
 		o.WatchBuffer = 256
-	}
-	if o.MaxWatchBuffer <= 0 {
-		o.MaxWatchBuffer = 65536
 	}
 	if o.WatchRing <= 0 {
 		o.WatchRing = 4096

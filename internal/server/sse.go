@@ -50,7 +50,7 @@ func (s *Server) handleWatch(ts *tenantServing, w http.ResponseWriter, r *http.R
 			writeError(w, badRequest("buffer must be a positive integer, got %q", v))
 			return
 		}
-		buffer = min(n, s.opts.MaxWatchBuffer)
+		buffer = n
 	}
 
 	// The engine is captured once: on a follower a re-bootstrap swaps the
@@ -88,9 +88,10 @@ func (s *Server) handleWatch(ts *tenantServing, w http.ResponseWriter, r *http.R
 
 	// Seq is read after the cursor is attached, so every change with a
 	// greater sequence number is covered; changes at or before the hello seq
-	// may additionally be delivered (see wire.HelloEvent).
+	// may additionally be delivered (see wire.HelloEvent). The hello echoes
+	// the cursor's lag window, which the ring capacity clamps.
 	out := newEventWriter(w, binary)
-	if out.hello(wire.HelloEvent{Seq: eng.Seq(), MinCore: minCore, Buffer: buffer}) != nil {
+	if out.hello(wire.HelloEvent{Seq: eng.Seq(), MinCore: minCore, Buffer: int(cursor.window)}) != nil {
 		return
 	}
 	flusher.Flush()

@@ -55,6 +55,31 @@ func TestWatchDeliversChanges(t *testing.T) {
 	}
 }
 
+// TestWatchHelloReportsClampedBuffer: the hello echoes the lag window in
+// effect, which the ring capacity clamps, whether the buffer comes from
+// the server default or from ?buffer=.
+func TestWatchHelloReportsClampedBuffer(t *testing.T) {
+	e := kcore.NewEngine()
+	_, c := newTestServer(t, e, Options{WatchRing: 64})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, tc := range []struct{ request, want int }{
+		{0, 64}, // the default 256, clamped
+		{10, 10},
+		{5000, 64},
+	} {
+		events, err := c.Watch(ctx, WatchOptions{Buffer: tc.request})
+		if err != nil {
+			t.Fatalf("Watch(buffer=%d): %v", tc.request, err)
+		}
+		ev := <-events
+		if ev.Type != wire.EventHello || ev.Hello == nil || ev.Hello.Buffer != tc.want {
+			t.Fatalf("buffer=%d: first event %q carries hello %+v, want buffer %d",
+				tc.request, ev.Type, ev.Hello, tc.want)
+		}
+	}
+}
+
 func TestWatchMinCoreFilter(t *testing.T) {
 	e := kcore.NewEngine()
 	_, c := newTestServer(t, e, Options{})

@@ -205,11 +205,12 @@
 // through its own cursor. Delivery keeps kcore.Subscribe's drop-on-full
 // semantics: the engine never blocks on a slow watcher. Events that fall out
 // of a watcher's lag window — the "buffer" query parameter (default 256),
-// effectively clamped to the ring capacity (kcore-serve -watch-ring,
-// default 4096) — are dropped, and the next time the stream catches up a
-// "lagged" event reports the cumulative drop count. The count may slightly
-// over-report for min_core-filtered subscribers: drops are counted before
-// the filter, so some dropped events would have been filtered out anyway.
+// clamped to the ring capacity (kcore-serve -watch-ring, default 4096); the
+// hello reports the clamped value — are dropped, and the next time the
+// stream catches up a "lagged" event reports the cumulative drop count.
+// The count may slightly over-report for min_core-filtered subscribers:
+// drops are counted before the filter, so some dropped events would have
+// been filtered out anyway.
 // Consumers that must not miss changes should treat "lagged" as a signal to
 // resynchronize via GET /v1/cores (or /v1/stats + /v1/kcore).
 package wire
@@ -532,7 +533,9 @@ type HelloEvent struct {
 	// the cursor attaches to the broadcast ring before Seq is read, so a
 	// change racing the subscription can appear on both sides of the hello.
 	Seq uint64 `json:"seq"`
-	// MinCore and Buffer echo the subscription parameters in effect.
+	// MinCore and Buffer echo the subscription parameters in effect: Buffer
+	// is the watcher's lag window, the requested buffer clamped to the
+	// server's ring capacity.
 	MinCore int `json:"min_core"`
 	Buffer  int `json:"buffer"`
 }

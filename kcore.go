@@ -52,10 +52,10 @@
 // persistence layer: AddApplyHook registers an observer of every applied
 // batch under the write lock (a write-ahead log appends and fsyncs there,
 // so Apply returning nil means both applied and durable; a replication
-// publisher registers on the same list), Index captures the complete
-// maintained state for snapshotting, and FromIndex restores it with full
-// verification. Recovery re-applies logged batches through plain
-// Apply. The snapshot + WAL store built on this seam lives in
+// publisher and Subscribe register on the same list), Index captures the
+// complete maintained state for snapshotting, and FromIndex restores it
+// with full verification. Recovery re-applies logged batches through
+// plain Apply. The snapshot + WAL store built on this seam lives in
 // internal/persist and is wired into cmd/kcore-serve via -data-dir.
 package kcore
 
@@ -213,19 +213,15 @@ type Engine struct {
 	// published with every epoch, see ExecStats).
 	exec ExecStats
 
-	// Change subscriptions (see subscribe.go). subMu guards subs; subCount
-	// mirrors len(subs) so the no-subscriber fast path skips locking.
-	subMu     sync.Mutex
-	subs      map[uint64]*subscriber
-	nextSubID uint64
-	subCount  atomic.Int32
-
 	// Apply observers (guarded by mu; see hook.go): hooks see every
 	// applied batch in registration order, probe is the fault plane's
-	// pre-execution callback, hookBuf is the reused surviving-update buffer.
+	// pre-execution callback, hookBuf is the reused surviving-update buffer,
+	// changes the current batch's AppliedBatch.Changes (a fresh slice per
+	// batch, dropped once the hooks ran).
 	hooks   []*ApplyHook
 	probe   func(updates int)
 	hookBuf []Update
+	changes []CoreChange
 }
 
 // NewEngine returns an empty engine. Vertices are dense non-negative

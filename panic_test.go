@@ -2,6 +2,7 @@ package kcore
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -92,6 +93,45 @@ func TestPanicContainmentNotifiesNoSpuriousEvents(t *testing.T) {
 	case ev := <-ch:
 		t.Fatalf("pre-mutation quarantine emitted event %+v", ev)
 	default:
+	}
+}
+
+// A panic after the interrupted update already moved a core number must
+// still reach subscribers: the repair is diffed against the last published
+// state, so the update's own changes, never delivered because its batch
+// never committed, arrive as repair events.
+func TestPanicRepairReachesSubscribers(t *testing.T) {
+	e := NewEngine(WithSeed(1))
+	if _, err := e.AddEdges([][2]int{{0, 1}, {1, 2}, {0, 2}}); err != nil {
+		t.Fatalf("seed: %v", err)
+	}
+	seq := e.Seq()
+	ch, cancel := e.Subscribe(WithBuffer(16))
+	defer cancel()
+	// The probe runs under the write lock, so it can stand in for an
+	// update that moved cores and then panicked: it drives the maintainer
+	// directly (vertex 3 rises 0 -> 1) before panicking.
+	e.SetApplyProbe(func(int) {
+		if _, err := e.m.Insert(2, 3); err != nil {
+			t.Errorf("maintainer insert: %v", err)
+		}
+		panic("boom")
+	})
+	_, err := e.Apply(Batch{Add(5, 6)})
+	e.SetApplyProbe(nil)
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("Apply err = %v, want *PanicError", err)
+	}
+	if e.Core(3) != 1 || e.Seq() != seq {
+		t.Fatalf("after repair core(3) = %d, seq = %d; want 1, %d", e.Core(3), e.Seq(), seq)
+	}
+	want := []CoreChange{{Vertex: 3, OldCore: 0, NewCore: 1, Seq: seq}}
+	if got := drain(ch); !slices.Equal(got, want) {
+		t.Fatalf("subscriber got %+v, want %+v", got, want)
+	}
+	if err := e.Validate(); err != nil {
+		t.Fatalf("Validate after repair: %v", err)
 	}
 }
 

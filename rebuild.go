@@ -25,7 +25,9 @@ func (e *Engine) shouldRebuild(applied, adds, removes int) bool {
 // decomposition. Per-update attribution is lost — see BatchInfo.Recomputed
 // for the coarsened result semantics.
 func (e *Engine) applyRebuild(batch Batch, skip []bool, coalesced int) (BatchInfo, error) {
-	oldCores := e.m.Cores()
+	// Between batches the published epoch equals the maintained cores, so
+	// it is the pre-batch state the net effect is diffed against.
+	prev := e.loadEpoch()
 	info := BatchInfo{Coalesced: coalesced, Recomputed: true}
 	for i, up := range batch {
 		if skip != nil && skip[i] {
@@ -50,20 +52,25 @@ func (e *Engine) applyRebuild(batch Batch, skip []bool, coalesced int) (BatchInf
 	}
 	e.m.Reseed()
 	info.Seq = e.seq
+	diff := e.diffSince(prev)
+	for _, c := range diff {
+		info.Total.CoreChanged = append(info.Total.CoreChanged, c.Vertex)
+	}
+	info.Total.Visited = e.g.NumVertices()
+	e.changes = diff
+	return info, nil
+}
 
-	// Net effect: diff old and new cores. Vertices created by the batch had
-	// implicit core 0 before it.
-	n := e.g.NumVertices()
-	for v := 0; v < n; v++ {
-		old := 0
-		if v < len(oldCores) {
-			old = oldCores[v]
-		}
-		if e.m.Core(v) != old {
-			info.Total.CoreChanged = append(info.Total.CoreChanged, v)
+// diffSince returns one CoreChange per vertex whose maintained core number
+// differs from its core in ep, in ascending vertex order, all tagged with
+// the current seq. Vertices created since ep had core 0. The caller holds
+// the write lock.
+func (e *Engine) diffSince(ep *epoch) []CoreChange {
+	var diff []CoreChange
+	for v := 0; v < e.g.NumVertices(); v++ {
+		if old, c := ep.core(v), e.m.Core(v); c != old {
+			diff = append(diff, CoreChange{Vertex: v, OldCore: old, NewCore: c, Seq: e.seq})
 		}
 	}
-	info.Total.Visited = n
-	e.notifyDiff(info.Total.CoreChanged, oldCores)
-	return info, nil
+	return diff
 }

@@ -1,12 +1,19 @@
 package kcore
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Change subscriptions: push-style notification of core-number changes, so
 // streaming consumers (alerting, cohort tracking) stop polling Cores().
-// Events are emitted synchronously while the engine's write lock is held;
-// delivery into each subscriber channel is non-blocking — a subscriber that
-// falls behind its buffer loses events rather than stalling the writer.
+// A subscription is an apply hook (see AddApplyHook) forwarding each batch's
+// AppliedBatch.Changes into a channel, so events arrive after the batch's
+// epoch is published (an event for seq S finds Seq() >= S) and after every
+// hook registered earlier. Delivery is non-blocking: a subscriber that falls
+// behind its buffer loses events rather than stalling the writer. Subscribe
+// and its cancel take the engine's write lock, so calling either from inside
+// an apply hook or the apply probe (see SetApplyProbe) deadlocks.
 
 // CoreChange is one vertex's core-number transition caused by one update.
 type CoreChange struct {
@@ -23,12 +30,6 @@ type CoreChange struct {
 	// the change (see Engine.Seq). All changes of one update share one Seq;
 	// recomputed batches tag every event with the batch's final Seq.
 	Seq uint64
-}
-
-type subscriber struct {
-	ch      chan CoreChange
-	minCore int
-	dropped *atomic.Uint64
 }
 
 type subConfig struct {
@@ -78,84 +79,29 @@ func (e *Engine) Subscribe(opts ...SubscribeOption) (<-chan CoreChange, func()) 
 	for _, o := range opts {
 		o(&cfg)
 	}
-	s := &subscriber{
-		ch:      make(chan CoreChange, cfg.buffer),
-		minCore: cfg.minCore,
-		dropped: cfg.dropped,
-	}
-	e.subMu.Lock()
-	if e.subs == nil {
-		e.subs = make(map[uint64]*subscriber)
-	}
-	e.nextSubID++
-	id := e.nextSubID
-	e.subs[id] = s
-	e.subMu.Unlock()
-	e.subCount.Add(1)
-	cancel := func() {
-		e.subMu.Lock()
-		if _, ok := e.subs[id]; ok {
-			delete(e.subs, id)
-			close(s.ch)
-			e.subCount.Add(-1)
-		}
-		e.subMu.Unlock()
-	}
-	return s.ch, cancel
-}
-
-// notify fans one update's core changes out to all subscribers. The caller
-// holds the engine write lock; op tells the direction every change took
-// (+1 for insertions, -1 for removals).
-func (e *Engine) notify(op Op, changed []int) {
-	if len(changed) == 0 || e.subCount.Load() == 0 {
-		return
-	}
-	delta := 1
-	if op == OpRemove {
-		delta = -1
-	}
-	e.subMu.Lock()
-	defer e.subMu.Unlock()
-	for _, v := range changed {
-		newCore := e.m.Core(v)
-		e.deliver(CoreChange{Vertex: v, OldCore: newCore - delta, NewCore: newCore, Seq: e.seq})
-	}
-}
-
-// notifyDiff fans out the net core changes of a recomputed batch (see
-// BatchInfo.Recomputed): one event per changed vertex, in ascending vertex
-// order, all tagged with the batch's final sequence number. The caller
-// holds the engine write lock; changed lists the vertices whose core
-// numbers differ from oldCores (implicitly 0 beyond its length).
-func (e *Engine) notifyDiff(changed []int, oldCores []int) {
-	if len(changed) == 0 || e.subCount.Load() == 0 {
-		return
-	}
-	e.subMu.Lock()
-	defer e.subMu.Unlock()
-	for _, v := range changed {
-		old := 0
-		if v < len(oldCores) {
-			old = oldCores[v]
-		}
-		e.deliver(CoreChange{Vertex: v, OldCore: old, NewCore: e.m.Core(v), Seq: e.seq})
-	}
-}
-
-// deliver fans one event out to all subscribers, applying each one's
-// min-core filter and non-blocking drop policy. The caller holds subMu.
-func (e *Engine) deliver(ev CoreChange) {
-	for _, s := range e.subs {
-		if ev.NewCore < s.minCore && ev.OldCore < s.minCore {
-			continue
-		}
-		select {
-		case s.ch <- ev:
-		default:
-			if s.dropped != nil {
-				s.dropped.Add(1)
+	ch := make(chan CoreChange, cfg.buffer)
+	remove := e.AddApplyHook(func(rec AppliedBatch) error {
+		for _, ev := range rec.Changes {
+			if ev.NewCore < cfg.minCore && ev.OldCore < cfg.minCore {
+				continue
+			}
+			select {
+			case ch <- ev:
+			default:
+				if cfg.dropped != nil {
+					cfg.dropped.Add(1)
+				}
 			}
 		}
+		return nil
+	})
+	// Once remove returns no Apply is running the hook, so the close
+	// cannot race a send.
+	var once sync.Once
+	return ch, func() {
+		once.Do(func() {
+			remove()
+			close(ch)
+		})
 	}
 }

@@ -153,3 +153,53 @@ func TestSubscribeMultiple(t *testing.T) {
 	}
 	cancelB()
 }
+
+// TestSubscribeEventsFollowEpoch: a subscription is an apply hook, so its
+// events arrive after every hook registered before it has run and after
+// the batch's epoch is published: a consumer holding an event for seq S
+// reads Seq() >= S.
+func TestSubscribeEventsFollowEpoch(t *testing.T) {
+	e := NewEngine()
+	var ch <-chan CoreChange
+	buffered := -1
+	removeHook := e.AddApplyHook(func(AppliedBatch) error {
+		buffered = len(ch)
+		return nil
+	})
+	ch, cancel := e.Subscribe(WithBuffer(32))
+	// Six rises: two for the first edge, one for the second, three for the
+	// triangle closure.
+	if _, err := e.Apply(Batch{Add(0, 1), Add(1, 2), Add(0, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	if buffered != 0 {
+		t.Fatalf("earlier hook found %d of the batch's events already buffered, want 0", buffered)
+	}
+	if evs := drain(ch); len(evs) != 6 {
+		t.Fatalf("subscriber got %v, want 6 events", evs)
+	}
+	removeHook()
+	cancel()
+
+	evs, cancelDrain := e.Subscribe(WithBuffer(4096))
+	ahead := make(chan int)
+	go func() {
+		n := 0
+		for ev := range evs {
+			if e.Seq() < ev.Seq {
+				n++
+			}
+		}
+		ahead <- n
+	}()
+	for i := 0; i < 300; i++ {
+		v := 10 + 4*i
+		if _, err := e.Apply(Batch{Add(v, v+1), Add(v+2, v+3)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cancelDrain()
+	if n := <-ahead; n != 0 {
+		t.Fatalf("%d events arrived before Seq() reached their seq", n)
+	}
+}
