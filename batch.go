@@ -182,14 +182,21 @@ func (e *Engine) executeGuarded(batch Batch, skip []bool, coalesced int) (info B
 // graph structures are mutated update-by-update, so after an arbitrary
 // panic they reflect some applied prefix of the batch; the maintained
 // cores/k-order, however, may be mid-flight. Reseeding recomputes them
-// from the graph as it stands. The hooks never see the quarantined batch,
-// so their last view is the last published epoch: when the repair moved a
-// core number relative to it, they receive a repair record carrying those
-// changes (panics injected via the apply probe fire pre-mutation, so their
-// diff is empty). If the repair itself panics, the engine is beyond
-// recovery and the panic propagates.
+// from the graph as it stands. An update mutates the graph before its
+// maintenance runs, so an update interrupted after its mutation is counted
+// here: seq advances by one, and every later batch chains after it. The
+// hooks never see the quarantined batch, so their last view is the last
+// published epoch: when the repair moved a core number relative to it,
+// they receive a repair record carrying those changes at the repaired seq
+// (panics injected via the apply probe fire pre-mutation, so their diff is
+// empty). If the repair itself panics, the engine is beyond recovery and
+// the panic propagates.
 func (e *Engine) containPanic(r any) (BatchInfo, error) {
 	last := e.loadEpoch()
+	if e.g.NumEdges() != e.seqEdges {
+		e.seq++
+		e.seqEdges = e.g.NumEdges()
+	}
 	e.m.Reseed()
 	e.exec.Panics++
 	e.publishEpochFull()
@@ -265,6 +272,7 @@ func (e *Engine) applySequential(batch Batch, skip []bool, coalesced int) (Batch
 			return info, &BatchError{Index: i, Update: up, Err: err}
 		}
 		e.seq++
+		e.seqEdges = e.g.NumEdges()
 		e.exec.Sequential++
 		if record {
 			e.recordChanges(up.Op, r.Changed)

@@ -106,7 +106,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr stri
 		readOnly     = fs.Bool("read-only", false, "reject writes with the stable read_only error; reads keep working")
 		maxTenants   = fs.Int("max-tenants", 64, "largest number of resident tenants (HTTP 429 tenant_limit beyond)")
 		tenantIdle   = fs.Duration("tenant-idle", 15*time.Minute, "evict durable tenants untouched this long back to disk (0 disables; requires -data-dir)")
-		replHistory  = fs.Int("replicate-history", 4<<20, "in-memory replication frame history bytes for follower resume (negative disables the replication endpoint)")
+		replHistory  = fs.Int("replicate-history", 4<<20, "in-memory replication frame history bytes: every follower's send window (a follower further behind is dropped and resumes) and the resume tier for reconnects (negative disables the replication endpoint)")
 		chaosSpec    = fs.String("chaos", "", "FAULT INJECTION (testing only): internal/fault rule spec, e.g. \"seed=42;wal.write:p=0.01;conn.read:p=0.005,drop;apply:panic,count=2\"")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -76,16 +76,19 @@ func (e *HookError) Unwrap() error { return e.Err }
 // stays usable; the batch is rejected.
 //
 // A quarantined batch may have applied a prefix of its updates before the
-// panic (Seq tells how far the sequence advanced). Those updates were NOT
+// panic (Seq tells how far the sequence advanced). The prefix includes the
+// interrupted update when it had already mutated the graph: seq counts it,
+// so no graph change goes without a sequence number. Those updates were NOT
 // handed to the apply hooks. Instead, when the repaired cores differ from
 // the last published state, the hooks receive a repair record (see
-// AppliedBatch) whose Changes carry that diff, so subscribers stay in step;
-// the record has no Updates, so a persistence layer will refuse the next
-// append as a sequence gap until it heals by snapshot, and a replication
-// follower crossing the gap re-bootstraps — both by design: the durability
-// and replication planes never paper over a hole. Panics injected through
-// the fault plane's apply probe fire before any mutation, so they
-// quarantine cleanly with no prefix and no repair record.
+// AppliedBatch) at the repaired seq whose Changes carry that diff, so
+// subscribers stay in step; the record has no Updates, so a persistence
+// layer will refuse the next append as a sequence gap until it heals by
+// snapshot, and a replication follower crossing the gap re-bootstraps —
+// both by design: the durability and replication planes never paper over a
+// hole. Panics injected through the fault plane's apply probe fire before
+// any mutation, so they quarantine cleanly with no prefix and no repair
+// record.
 type PanicError struct {
 	// Value is the recovered panic value.
 	Value any

@@ -10,13 +10,13 @@ import (
 // IndexState is the complete maintained state of an engine at one update
 // sequence number: the edge set, the core numbers, and — the part a fresh
 // decomposition cannot reproduce — the maintained k-order, which depends on
-// the engine's whole update history. Together with the engine parameters
-// that drive deterministic replay (seed, heuristic) and the order
-// structure, it is exactly what a durable snapshot must capture so that
-// snapshot + write-ahead-log replay reconstructs the engine bit-identically:
-// same cores, same k-order, same Seq. Capture one with Engine.Index; rebuild
-// an engine from one with FromIndex. It is the engine's one capture/restore
-// form: internal/persist's snapshot file is its encoding.
+// the engine's whole update history. Together with the seed that drives
+// deterministic replay, it is exactly what a durable snapshot must capture
+// so that snapshot + write-ahead-log replay reconstructs the engine
+// bit-identically: same cores, same k-order, same Seq. Capture one with
+// Engine.Index; rebuild an engine from one with FromIndex. It is the
+// engine's one capture/restore form: internal/persist's snapshot file is
+// its encoding.
 type IndexState struct {
 	// Seq is the engine update sequence number the state was captured at.
 	Seq uint64
@@ -29,14 +29,10 @@ type IndexState struct {
 	Cores []int
 	// Order is the maintained k-order, front to back.
 	Order []int
-	// Seed and Heuristic are the engine parameters that must survive a
-	// restore for subsequent updates (including wholesale recomputations)
-	// to replay deterministically. Structure does not affect replay (both
-	// order structures produce identical results); it is kept so that a
-	// restored engine keeps the structure it was captured with.
-	Seed      uint64
-	Heuristic Heuristic
-	Structure OrderStructure
+	// Seed is the engine seed (WithSeed); it must survive a restore for
+	// subsequent updates, including wholesale recomputations, to replay
+	// deterministically.
+	Seed uint64
 }
 
 // Index captures the engine's complete maintained state for a persistence
@@ -49,38 +45,24 @@ func (e *Engine) Index() *IndexState {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return &IndexState{
-		Seq:       e.seq,
-		Vertices:  e.g.NumVertices(),
-		Edges:     e.g.Edges(),
-		Cores:     e.m.Cores(),
-		Order:     e.m.Order(),
-		Seed:      e.cfg.seed,
-		Heuristic: e.cfg.heuristic,
-		Structure: e.cfg.structure,
+		Seq:      e.seq,
+		Vertices: e.g.NumVertices(),
+		Edges:    e.g.Edges(),
+		Cores:    e.m.Cores(),
+		Order:    e.m.Order(),
+		Seed:     e.cfg.seed,
 	}
 }
 
 // FromIndex reconstructs an engine from a captured IndexState. The state is
 // fully verified in O(m + n) before installation (see korder.Restore): a
-// corrupted or internally inconsistent state, or a Heuristic or Structure
-// that names no defined constant, yields an error, never a silently-wrong
-// or stuck engine. The engine adopts the state's Seq, Seed and Heuristic,
-// which replay determinism depends on, and its Structure, so that a
-// restored engine keeps its order structure (a state captured from a
-// TreapOrder engine restores a TreapOrder engine whatever the default).
-// Other options (WithRebuildThreshold, ...) may be supplied as opts.
+// corrupted or internally inconsistent state yields an error, never a
+// silently-wrong engine. The engine adopts the state's Seq and Seed, which
+// replay determinism depends on; other options (WithRebuildThreshold, ...)
+// may be supplied as opts.
 func FromIndex(st *IndexState, opts ...Option) (*Engine, error) {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := newConfig(opts)
 	cfg.seed = st.Seed
-	cfg.heuristic = st.Heuristic
-	cfg.structure = st.Structure
-	kopts, err := cfg.korderOptions()
-	if err != nil {
-		return nil, fmt.Errorf("kcore: index state: %w", err)
-	}
 	if st.Vertices < 0 {
 		return nil, fmt.Errorf("kcore: index state: negative vertex count %d", st.Vertices)
 	}
@@ -100,11 +82,11 @@ func FromIndex(st *IndexState, opts ...Option) (*Engine, error) {
 	copy(cores, st.Cores)
 	ord := make([]int, len(st.Order))
 	copy(ord, st.Order)
-	m, err := korder.Restore(g, cores, ord, kopts)
+	m, err := korder.Restore(g, cores, ord, maintainerOptions(cfg.seed))
 	if err != nil {
 		return nil, fmt.Errorf("kcore: %w", err)
 	}
-	e := &Engine{g: g, m: m, cfg: cfg, seq: st.Seq}
+	e := &Engine{g: g, m: m, cfg: cfg, seq: st.Seq, seqEdges: g.NumEdges()}
 	e.publishEpochFull()
 	return e, nil
 }

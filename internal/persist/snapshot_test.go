@@ -1,9 +1,12 @@
 package persist
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -122,41 +125,42 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	assertSameState(t, e, got)
 }
 
-// TestSnapshotOrderStructure pins the default order structure in the
-// snapshot: a default engine stores TagOrder in header byte 13, and an
-// engine restored from the snapshot keeps the stored structure, whichever
-// it is (a snapshot written by a treap engine restores a treap engine).
-func TestSnapshotOrderStructure(t *testing.T) {
-	for _, tc := range []struct {
-		opts []kcore.Option
-		want kcore.OrderStructure
-	}{
-		{nil, kcore.TagOrder},
-		{[]kcore.Option{kcore.WithOrderStructure(kcore.TreapOrder)}, kcore.TreapOrder},
-	} {
-		e, err := kcore.FromEdges(gen.BarabasiAlbert(40, 3, 5).Edges(), tc.opts...)
-		if err != nil {
-			t.Fatal(err)
+// TestSnapshotHeaderFixedBytes pins header bytes 12 (heuristic) and 13
+// (order structure): the engine runs one configuration, so it writes 0 to
+// both. A snapshot with byte 13 = 1, as engines that stored the tag list
+// wrote it, loads to the same state; any other value is corrupt.
+func TestSnapshotHeaderFixedBytes(t *testing.T) {
+	e := testEngine(t)
+	data, err := EncodeSnapshot(stateOf(t, e))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data[12] != 0 || data[13] != 0 {
+		t.Fatalf("header bytes 12-13 = %d %d, want 0 0", data[12], data[13])
+	}
+	withHeader := func(heuristic, structure byte) string {
+		b := slices.Clone(data)
+		b[12], b[13] = heuristic, structure
+		n := len(b) - 4
+		binary.LittleEndian.PutUint32(b[n:], crc32.ChecksumIEEE(b[:n]))
+		return writeTemp(t, b)
+	}
+	fresh, err := Load(withHeader(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tagList, err := Load(withHeader(0, 1))
+	if err != nil {
+		t.Fatalf("snapshot with structure byte 1: %v", err)
+	}
+	if !reflect.DeepEqual(tagList.Index(), fresh.Index()) {
+		t.Fatal("structure byte 1 restores a different state than byte 0")
+	}
+	assertSameState(t, e, tagList)
+	for _, bad := range [][2]byte{{1, 0}, {0, 2}} {
+		if _, err := Load(withHeader(bad[0], bad[1])); !errors.Is(err, ErrCorruptSnapshot) {
+			t.Fatalf("header bytes %d %d: err = %v, want ErrCorruptSnapshot", bad[0], bad[1], err)
 		}
-		data, err := EncodeSnapshot(stateOf(t, e))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := kcore.OrderStructure(data[13]); got != tc.want {
-			t.Fatalf("header byte 13 = %d, want %d", got, tc.want)
-		}
-		st, err := DecodeSnapshot(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		restored, err := kcore.FromIndex(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := stateOf(t, restored).Structure; got != tc.want {
-			t.Fatalf("restored engine structure = %d, want %d", got, tc.want)
-		}
-		assertSameState(t, e, restored)
 	}
 }
 
@@ -188,17 +192,13 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 
 // TestSnapshotRejectsForgedState proves a well-formed snapshot (valid CRC)
 // carrying an internally inconsistent state still fails verification
-// instead of loading silently-wrong core numbers, and that a header naming
-// an undefined heuristic or order structure fails instead of restoring an
-// engine whose first recomputation never terminates.
+// instead of loading silently-wrong core numbers.
 func TestSnapshotRejectsForgedState(t *testing.T) {
 	e := testEngine(t)
 	st := stateOf(t, e)
 	for name, forge := range map[string]func(*kcore.IndexState){
 		// Claim a core number the graph cannot support.
-		"core":      func(f *kcore.IndexState) { f.Cores = slices.Clone(st.Cores); f.Cores[0]++ },
-		"heuristic": func(f *kcore.IndexState) { f.Heuristic = 7 },
-		"structure": func(f *kcore.IndexState) { f.Structure = 9 },
+		"core": func(f *kcore.IndexState) { f.Cores = slices.Clone(st.Cores); f.Cores[0]++ },
 	} {
 		forged := *st
 		forge(&forged)

@@ -24,8 +24,8 @@ import (
 // FollowerOptions tunes the follower side. The zero value picks defaults.
 type FollowerOptions struct {
 	// Engine options applied when rebuilding the engine from a shipped
-	// snapshot (rebuild thresholds; seed/heuristic/structure come from the
-	// snapshot itself — determinism requires the primary's).
+	// snapshot (rebuild thresholds; the seed comes from the snapshot itself
+	// — determinism requires the primary's).
 	Engine []kcore.Option
 	// Client is the HTTP client for the stream and the seq poll. The
 	// default enables TCP keepalives (dead primaries are detected within

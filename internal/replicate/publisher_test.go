@@ -66,8 +66,7 @@ func TestPublisherSnapshotBootstrap(t *testing.T) {
 
 	apply(t, e, kcore.Add(2, 3), kcore.Add(3, 4))
 	apply(t, e, kcore.Remove(0, 1))
-	<-sub.Notify()
-	frames, lastSeq, err := sub.Next()
+	frames, lastSeq, _, err := sub.Next()
 	if err != nil {
 		t.Fatalf("Next: %v", err)
 	}
@@ -84,14 +83,26 @@ func TestPublisherSnapshotBootstrap(t *testing.T) {
 	if stats.Bootstraps != 1 || stats.HeadSeq != e.Seq() || len(stats.Subscribers) != 1 {
 		t.Fatalf("publisher stats = %+v", stats)
 	}
-	if s := stats.Subscribers[0]; s.SentSeq != e.Seq() {
-		t.Fatalf("subscriber sent seq = %d, want %d", s.SentSeq, e.Seq())
+	if s := stats.Subscribers[0]; s.SentSeq != e.Seq() || s.QueuedBytes != 0 {
+		t.Fatalf("subscriber sent seq = %d with %d unread bytes, want %d with 0", s.SentSeq, s.QueuedBytes, e.Seq())
+	}
+
+	// At the head, Next returns a wait channel that the next append closes.
+	frames, _, wait, err := sub.Next()
+	if err != nil || len(frames) != 0 || wait == nil {
+		t.Fatalf("Next at head = %d frames, wait %v, err %v; want a wait channel", len(frames), wait != nil, err)
+	}
+	apply(t, e, kcore.Add(4, 5))
+	select {
+	case <-wait:
+	default:
+		t.Fatal("append did not close the wait channel")
 	}
 }
 
 // TestMemoryTailResume covers the reconnect path served from the in-memory
-// history: exact frame-boundary tiling, empty tail at head, and the
-// snapshot fallbacks for mid-frame or evicted resume points.
+// history: the cursor placed at an exact frame boundary, at the head, and
+// the snapshot fallback for a mid-frame resume point.
 func TestMemoryTailResume(t *testing.T) {
 	e := kcore.NewEngine(kcore.WithSeed(3))
 	p := NewPublisher(e, PublisherOptions{})
@@ -104,22 +115,27 @@ func TestMemoryTailResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Subscribe(resume 2): %v", err)
 	}
+	frames, lastSeq, _, err := sub.Next()
 	p.Unsubscribe(sub)
-	if boot.Snapshot != nil {
-		t.Fatalf("boundary resume served a snapshot")
+	if boot.Snapshot != nil || len(boot.Backlog) != 0 || boot.BacklogSeq != 2 {
+		t.Fatalf("boundary resume bootstrap = %+v, want none at seq 2", boot)
 	}
-	recs := decodeFrames(t, boot.Backlog)
-	if len(recs) != 1 || recs[0].Seq != 4 || boot.BacklogSeq != 4 {
-		t.Fatalf("resume(2) backlog = %+v seq %d, want the 3..4 frame", recs, boot.BacklogSeq)
+	if err != nil {
+		t.Fatalf("Next: %v", err)
+	}
+	recs := decodeFrames(t, frames)
+	if len(recs) != 1 || recs[0].Seq != 4 || lastSeq != 4 {
+		t.Fatalf("resume(2) frames = %+v up to %d, want the 3..4 frame", recs, lastSeq)
 	}
 
 	sub, boot, err = p.Subscribe("at-head", 4, true)
 	if err != nil {
 		t.Fatalf("Subscribe(resume 4): %v", err)
 	}
+	frames, _, _, err = sub.Next()
 	p.Unsubscribe(sub)
-	if boot.Snapshot != nil || len(boot.Backlog) != 0 || boot.BacklogSeq != 4 {
-		t.Fatalf("resume at head = %+v, want empty backlog at seq 4", boot)
+	if boot.Snapshot != nil || len(boot.Backlog) != 0 || boot.BacklogSeq != 4 || len(frames) != 0 || err != nil {
+		t.Fatalf("resume at head = %+v then %d frames (err %v), want nothing at seq 4", boot, len(frames), err)
 	}
 
 	// Seq 3 is inside the two-update frame: not a boundary of this lineage.
@@ -200,23 +216,35 @@ func TestWALFileResume(t *testing.T) {
 	}
 }
 
-// TestBackpressureDropsSubscriber pins the slow-follower contract: queue
-// overflow drops the whole subscriber (partial frames would break the
-// chain), Next reports ErrDropped, and the drop is counted.
+// TestBackpressureDropsSubscriber pins the slow-follower contract: the
+// history is every subscriber's send window. The newest frame is always
+// kept, so a subscriber one batch behind reads it; a subscriber whose next
+// unread frame was trimmed is dropped whole (partial frames would break the
+// chain), Next reports ErrDropped, and the drop is counted once.
 func TestBackpressureDropsSubscriber(t *testing.T) {
 	e := kcore.NewEngine(kcore.WithSeed(3))
-	p := NewPublisher(e, PublisherOptions{QueueBytes: 1})
+	p := NewPublisher(e, PublisherOptions{HistoryBytes: 1}) // keeps only the newest frame
 	defer p.Close()
-	sub, _, err := p.Subscribe("slow", 0, false)
+	slow, _, err := p.Subscribe("slow", 0, false)
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
-	defer p.Unsubscribe(sub)
-
+	defer p.Unsubscribe(slow)
 	apply(t, e, kcore.Add(0, 1))
-	<-sub.Notify()
-	if _, _, err := sub.Next(); !errors.Is(err, ErrDropped) {
-		t.Fatalf("Next after overflow = %v, want ErrDropped", err)
+	fast, _, err := p.Subscribe("fast", 1, true)
+	if err != nil {
+		t.Fatalf("Subscribe: %v", err)
+	}
+	defer p.Unsubscribe(fast)
+	apply(t, e, kcore.Add(1, 2))
+
+	if frames, lastSeq, _, err := fast.Next(); err != nil || len(frames) != 1 || lastSeq != 2 {
+		t.Fatalf("one batch behind: Next = %d frames up to %d, err %v; want the newest frame", len(frames), lastSeq, err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, _, _, err := slow.Next(); !errors.Is(err, ErrDropped) {
+			t.Fatalf("Next %d two batches behind = %v, want ErrDropped", i, err)
+		}
 	}
 	if st := p.Stats(); st.Drops != 1 {
 		t.Fatalf("stats = %+v, want 1 drop", st)

@@ -41,11 +41,13 @@
 //
 // # Backpressure
 //
-// The primary never blocks on a slow follower. Frames queue per subscriber
-// up to a byte budget; past it the subscriber is dropped (counted in
+// The primary never blocks on a slow follower. The primary keeps one
+// bounded history of encoded frames, and each follower's stream is a
+// cursor into it, so the history is every follower's send window: a
+// follower that falls more than the history behind is dropped (counted in
 // /v1/stats, analogous to the watch stream's lagged-drop accounting) and
-// the follower reconnects — usually resuming from history, degenerating to
-// a snapshot re-bootstrap only if it stayed away long enough.
+// reconnects — usually resuming from the WAL file, degenerating to a
+// snapshot re-bootstrap only if it stayed away long enough.
 package replicate
 
 import (

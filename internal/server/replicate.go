@@ -73,9 +73,9 @@ func (s *Server) handleReplicate(ts *tenantServing, w http.ResponseWriter, r *ht
 	arm := func() { _ = rc.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout)) }
 	arm()
 
-	// Bootstrap: KCOREREP header (+snapshot unless resuming from the exact
-	// chain position), then the KCOREWAL header the live frames extend, then
-	// any backlog frames queued between the resume point and registration.
+	// Bootstrap: KCOREREP header (+snapshot unless resuming), then the
+	// KCOREWAL header the live frames extend, then any backlog frames read
+	// from the WAL file between the resume point and registration.
 	head := replicate.AppendBootstrap(nil, boot.Snapshot)
 	head = persist.AppendWALHeader(head)
 	if _, err := w.Write(head); err != nil {
@@ -90,29 +90,30 @@ func (s *Server) handleReplicate(ts *tenantServing, w http.ResponseWriter, r *ht
 	flusher.Flush()
 
 	for {
-		select {
-		case <-sub.Notify():
-			frames, lastSeq, err := sub.Next()
-			if err != nil {
-				// Dropped for backpressure (or publisher close). Nothing can
-				// be written mid-stream; the close is the signal.
-				return
-			}
-			if len(frames) == 0 {
-				continue
-			}
-			arm()
-			for _, f := range frames {
-				if _, err := w.Write(f); err != nil {
-					return
-				}
-			}
-			sub.MarkSent(lastSeq)
-			flusher.Flush()
-		case <-r.Context().Done():
-			return
-		case <-s.stop:
+		frames, lastSeq, wait, err := sub.Next()
+		if err != nil {
+			// Dropped (the history outran this follower) or publisher
+			// close. Nothing can be written mid-stream; the close is the
+			// signal.
 			return
 		}
+		if len(frames) == 0 {
+			select {
+			case <-wait:
+				continue
+			case <-r.Context().Done():
+				return
+			case <-s.stop:
+				return
+			}
+		}
+		arm()
+		for _, f := range frames {
+			if _, err := w.Write(f); err != nil {
+				return
+			}
+		}
+		sub.MarkSent(lastSeq)
+		flusher.Flush()
 	}
 }

@@ -354,7 +354,8 @@ type PrimaryReplication struct {
 	// Followers lists the connected replication subscribers.
 	Followers []FollowerConn `json:"followers"`
 	// Bootstraps/Resumes/WALResumes count served connection kinds; Drops
-	// counts subscribers disconnected for backpressure (they reconnect).
+	// counts followers disconnected because they fell more than the frame
+	// history behind (they reconnect and resume).
 	Bootstraps uint64 `json:"bootstraps"`
 	Resumes    uint64 `json:"resumes"`
 	WALResumes uint64 `json:"wal_resumes"`
@@ -367,7 +368,8 @@ type FollowerConn struct {
 	// FromSeq is the seq the follower asked to resume from (0 on a fresh
 	// bootstrap); SentSeq is the last seq handed to its transport — the
 	// closest one-way streaming gets to an acked seq; SeqLag is HeadSeq
-	// minus SentSeq.
+	// minus SentSeq. QueuedBytes is how many bytes of the frame history the
+	// follower's stream has not read yet.
 	FromSeq     uint64 `json:"from_seq"`
 	SentSeq     uint64 `json:"sent_seq"`
 	SeqLag      uint64 `json:"seq_lag"`

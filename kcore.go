@@ -71,37 +71,7 @@ import (
 	"kcore/internal/order"
 )
 
-// Heuristic selects the initial k-order generation rule.
-type Heuristic int
-
-const (
-	// SmallDegPlusFirst is the paper's recommended heuristic.
-	SmallDegPlusFirst Heuristic = iota
-	// LargeDegPlusFirst removes large remaining-degree vertices first.
-	LargeDegPlusFirst
-	// RandomDegPlusFirst removes a random removable vertex.
-	RandomDegPlusFirst
-)
-
-// OrderStructure selects the per-level order representation. Both
-// structures hold the same sequence and give the maintenance scan distinct
-// position-monotone keys, so the choice changes speed only: cores, the
-// k-order and every BatchInfo are identical. The values are stored in
-// snapshots and must not be renumbered.
-type OrderStructure int
-
-const (
-	// TreapOrder uses the paper's order-statistics treap (Section VI(A)):
-	// O(log n) comparisons, O(log n) updates.
-	TreapOrder OrderStructure = iota
-	// TagOrder uses a labeled order-maintenance list: O(1) comparisons and
-	// locally relabeled inserts. The engine default.
-	TagOrder
-)
-
 type config struct {
-	heuristic    Heuristic
-	structure    OrderStructure
 	seed         uint64
 	rebuildFloor int
 	rebuildFrac  float64
@@ -115,22 +85,16 @@ const (
 	defaultRebuildFrac  = 0.15
 )
 
-func defaultConfig() config {
-	return config{structure: TagOrder, seed: 1,
-		rebuildFloor: defaultRebuildFloor, rebuildFrac: defaultRebuildFrac}
+func newConfig(opts []Option) config {
+	cfg := config{seed: 1, rebuildFloor: defaultRebuildFloor, rebuildFrac: defaultRebuildFrac}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg
 }
 
 // Option configures an Engine.
 type Option func(*config)
-
-// WithHeuristic selects the initial k-order heuristic (default
-// SmallDegPlusFirst).
-func WithHeuristic(h Heuristic) Option { return func(c *config) { c.heuristic = h } }
-
-// WithOrderStructure selects the order representation (default TagOrder).
-// TreapOrder gives the paper's structure with identical results at
-// O(log n) per comparison.
-func WithOrderStructure(s OrderStructure) Option { return func(c *config) { c.structure = s } }
 
 // WithSeed makes all internal randomization deterministic (default 1).
 func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
@@ -192,6 +156,11 @@ type Engine struct {
 	m   *korder.Maintainer
 	cfg config
 	seq uint64 // updates applied over the engine's lifetime; guarded by mu
+	// seqEdges is the graph's edge count as of update seq (guarded by mu).
+	// An update mutates the graph before its maintenance runs, so a panic
+	// that finds a different count interrupted a mutated update (see
+	// containPanic).
+	seqEdges int
 
 	// ep is the epoch-published read-state (see epoch.go): written only by
 	// mutators holding mu, loaded lock-free by the read APIs. Invariant:
@@ -225,77 +194,48 @@ type Engine struct {
 }
 
 // NewEngine returns an empty engine. Vertices are dense non-negative
-// integers created implicitly by AddEdge/AddVertex. It panics on a
-// Heuristic or OrderStructure value that names no defined constant.
+// integers created implicitly by AddEdge/AddVertex.
 func NewEngine(opts ...Option) *Engine {
-	e, err := FromEdges(nil, opts...)
-	if err != nil {
-		// An empty edge set cannot fail: the error names an unknown
-		// WithHeuristic or WithOrderStructure value.
-		panic(err)
-	}
-	return e
+	return fromGraph(&graph.Undirected{}, newConfig(opts))
 }
 
 // FromEdges builds an engine from an initial edge list (duplicates and self
 // loops are rejected). Building from a batch is much faster than inserting
 // edges one by one: the initial decomposition runs in O(m + n).
 func FromEdges(edges [][2]int, opts ...Option) (*Engine, error) {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
 	g := &graph.Undirected{}
 	for _, e := range edges {
 		if err := g.AddEdge(e[0], e[1]); err != nil {
 			return nil, fmt.Errorf("kcore: edge (%d,%d): %w", e[0], e[1], err)
 		}
 	}
-	return fromGraph(g, cfg)
+	return fromGraph(g, newConfig(opts)), nil
 }
 
 // Load builds an engine from a whitespace-separated edge list ("u v" per
 // line; '#' and '%' comments allowed; duplicate edges and self loops are
 // skipped).
 func Load(r io.Reader, opts ...Option) (*Engine, error) {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
 	g, err := graph.ReadEdgeList(r)
 	if err != nil {
 		return nil, fmt.Errorf("kcore: %w", err)
 	}
-	return fromGraph(g, cfg)
+	return fromGraph(g, newConfig(opts)), nil
 }
 
-func fromGraph(g *graph.Undirected, cfg config) (*Engine, error) {
-	opts, err := cfg.korderOptions()
-	if err != nil {
-		return nil, fmt.Errorf("kcore: %w", err)
-	}
-	e := &Engine{g: g, m: korder.New(g, opts), cfg: cfg}
+func fromGraph(g *graph.Undirected, cfg config) *Engine {
+	e := &Engine{g: g, m: korder.New(g, maintainerOptions(cfg.seed)), cfg: cfg, seqEdges: g.NumEdges()}
 	e.publishEpochFull()
-	return e, nil
+	return e
 }
 
-// korderOptions builds the maintainer options from the engine config. It is
-// the one place the heuristic and order structure are checked, for every
-// constructor: under a heuristic it does not know, the peel picks no vertex
-// and never terminates, and an unknown structure would silently run as the
-// treap.
-func (c config) korderOptions() (korder.Options, error) {
-	if c.heuristic < SmallDegPlusFirst || c.heuristic > RandomDegPlusFirst {
-		return korder.Options{}, fmt.Errorf("unknown heuristic %d", c.heuristic)
-	}
-	if c.structure < TreapOrder || c.structure > TagOrder {
-		return korder.Options{}, fmt.Errorf("unknown order structure %d", c.structure)
-	}
-	return korder.Options{
-		Heuristic: decomp.Heuristic(c.heuristic),
-		OrderKind: order.Kind(c.structure),
-		Seed:      c.seed,
-	}, nil
+// maintainerOptions is the engine's one maintainer configuration: the
+// paper's recommended initial k-order (small deg+ first) on the tag list,
+// whose comparisons cost O(1). The treap and the other heuristics give
+// identical cores and stay in the internal packages for the paper
+// reproductions.
+func maintainerOptions(seed uint64) korder.Options {
+	return korder.Options{Heuristic: decomp.SmallDegPlusFirst, OrderKind: order.KindTagList, Seed: seed}
 }
 
 // ExecStats counts, over the engine's lifetime, how many applied updates

@@ -82,29 +82,27 @@ func TestLoadAndSave(t *testing.T) {
 	}
 }
 
+// TestOptionCombos: every remaining option, alone, builds an engine that
+// maintains correct cores, whichever execution path the rebuild threshold
+// picks for the batch.
 func TestOptionCombos(t *testing.T) {
-	for _, h := range []Heuristic{SmallDegPlusFirst, LargeDegPlusFirst, RandomDegPlusFirst} {
-		for _, s := range []OrderStructure{TreapOrder, TagOrder} {
-			e := NewEngine(WithHeuristic(h), WithOrderStructure(s), WithSeed(9))
-			mustAdd(t, e, 0, 1)
-			mustAdd(t, e, 1, 2)
-			mustAdd(t, e, 0, 2)
-			if e.Core(1) != 2 {
-				t.Fatalf("h=%v s=%v: core=%d", h, s, e.Core(1))
-			}
-			if err := e.Validate(); err != nil {
-				t.Fatalf("h=%v s=%v: %v", h, s, err)
-			}
+	for i, opts := range [][]Option{
+		nil,
+		{WithSeed(9)},
+		{WithRebuildThreshold(-1, 0)}, // never recompute
+		{WithRebuildThreshold(1, 0)},  // always recompute
+		{WithWorkers(4)},
+	} {
+		e := NewEngine(opts...)
+		if _, err := e.AddEdges([][2]int{{0, 1}, {1, 2}, {0, 2}}); err != nil {
+			t.Fatalf("options %d: %v", i, err)
 		}
-	}
-	// A value outside the defined constants is an error, not a peel that
-	// never terminates (heuristic) or a silent treap (structure).
-	edges := [][2]int{{0, 1}, {1, 2}}
-	if _, err := FromEdges(edges, WithHeuristic(Heuristic(7))); err == nil {
-		t.Fatal("unknown heuristic should fail")
-	}
-	if _, err := FromEdges(edges, WithOrderStructure(OrderStructure(9))); err == nil {
-		t.Fatal("unknown order structure should fail")
+		if e.Core(1) != 2 {
+			t.Fatalf("options %d: core=%d", i, e.Core(1))
+		}
+		if err := e.Validate(); err != nil {
+			t.Fatalf("options %d: %v", i, err)
+		}
 	}
 }
 
@@ -263,73 +261,22 @@ func TestGreedyColoring(t *testing.T) {
 	}
 }
 
-// restoreCopy captures e with Index and restores it with FromIndex; the
-// restored engine must report exactly the captured state.
-func restoreCopy(t *testing.T, e *Engine) *Engine {
-	t.Helper()
+// TestSaveLoadIndex: Index -> FromIndex restores exactly the captured
+// state, and the restored engine keeps maintaining.
+func TestSaveLoadIndex(t *testing.T) {
+	e, err := FromEdges([][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	st := e.Index()
 	e2, err := FromIndex(st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(e2.Index(), st) {
-		t.Fatalf("structure %d: restored state differs from the capture", st.Structure)
+		t.Fatal("restored state differs from the capture")
 	}
-	return e2
-}
-
-// TestSaveLoadIndex: Index -> FromIndex restores the same maintained state
-// on both order structures, the restored engine keeps maintaining, and a
-// state naming an undefined heuristic or order structure is refused.
-func TestSaveLoadIndex(t *testing.T) {
-	for _, s := range []OrderStructure{TreapOrder, TagOrder} {
-		e, err := FromEdges([][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}},
-			WithOrderStructure(s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		e2 := restoreCopy(t, e)
-		for v := 0; v < 5; v++ {
-			if e.Core(v) != e2.Core(v) {
-				t.Fatalf("structure %d: core(%d): %d vs %d", s, v, e.Core(v), e2.Core(v))
-			}
-		}
-		mustAdd(t, e2, 3, 0)
-		if err := e2.Validate(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := NewEngine().Index()
-	for _, forge := range []func(*IndexState){
-		func(st *IndexState) { st.Heuristic = 7 },
-		func(st *IndexState) { st.Structure = 9 },
-	} {
-		bad := *st
-		forge(&bad)
-		if _, err := FromIndex(&bad); err == nil {
-			t.Fatalf("FromIndex accepted heuristic %d, structure %d", bad.Heuristic, bad.Structure)
-		}
-	}
-}
-
-// TestSnapshotWithTagOrder: a tag-list engine restored from its Index keeps
-// the tag list and keeps maintaining.
-func TestSnapshotWithTagOrder(t *testing.T) {
-	e, err := FromEdges([][2]int{{0, 1}, {1, 2}, {0, 2}},
-		WithOrderStructure(TagOrder), WithSeed(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2 := restoreCopy(t, e)
-	if got := e2.Index().Structure; got != TagOrder {
-		t.Fatalf("restored structure %d, want TagOrder", got)
-	}
-	for _, v := range []int{0, 1, 2} {
-		mustAdd(t, e2, v, 3)
-	}
-	if e2.Core(3) != 3 {
-		t.Fatalf("core(3)=%d want 3", e2.Core(3))
-	}
+	mustAdd(t, e2, 3, 0)
 	if err := e2.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -99,7 +99,8 @@ func TestPanicContainmentNotifiesNoSpuriousEvents(t *testing.T) {
 // A panic after the interrupted update already moved a core number must
 // still reach subscribers: the repair is diffed against the last published
 // state, so the update's own changes, never delivered because its batch
-// never committed, arrive as repair events.
+// never committed, arrive as repair events. The update had mutated the
+// graph, so the repair counts it: the events carry the advanced seq.
 func TestPanicRepairReachesSubscribers(t *testing.T) {
 	e := NewEngine(WithSeed(1))
 	if _, err := e.AddEdges([][2]int{{0, 1}, {1, 2}, {0, 2}}); err != nil {
@@ -123,15 +124,70 @@ func TestPanicRepairReachesSubscribers(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("Apply err = %v, want *PanicError", err)
 	}
-	if e.Core(3) != 1 || e.Seq() != seq {
-		t.Fatalf("after repair core(3) = %d, seq = %d; want 1, %d", e.Core(3), e.Seq(), seq)
+	if e.Core(3) != 1 || e.Seq() != seq+1 {
+		t.Fatalf("after repair core(3) = %d, seq = %d; want 1, %d", e.Core(3), e.Seq(), seq+1)
 	}
-	want := []CoreChange{{Vertex: 3, OldCore: 0, NewCore: 1, Seq: seq}}
+	want := []CoreChange{{Vertex: 3, OldCore: 0, NewCore: 1, Seq: seq + 1}}
 	if got := drain(ch); !slices.Equal(got, want) {
 		t.Fatalf("subscriber got %+v, want %+v", got, want)
 	}
 	if err := e.Validate(); err != nil {
 		t.Fatalf("Validate after repair: %v", err)
+	}
+}
+
+// An update that panics after mutating the graph must still consume a
+// sequence number. Otherwise the next batch's record chains onto the
+// pre-panic seq with no gap, and a log replay or a follower silently
+// reproduces a graph without the interrupted edge while the engine keeps
+// it. With the update counted, the record after the panic does not chain,
+// so the durability and replication planes see the hole.
+func TestPanicHalfAppliedLeavesGap(t *testing.T) {
+	base := [][2]int{{0, 1}, {1, 2}, {0, 2}}
+	e, err := FromEdges(base, WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []AppliedBatch
+	defer e.AddApplyHook(func(rec AppliedBatch) error {
+		if len(rec.Updates) > 0 {
+			recs = append(recs, AppliedBatch{Seq: rec.Seq, Updates: slices.Clone(rec.Updates)})
+		}
+		return nil
+	})()
+	// The probe stands in for a maintainer panic after the graph mutation
+	// (see TestPanicRepairReachesSubscribers).
+	e.SetApplyProbe(func(int) {
+		if _, err := e.m.Insert(2, 3); err != nil {
+			t.Errorf("maintainer insert: %v", err)
+		}
+		panic("boom")
+	})
+	_, err = e.Apply(Batch{Add(5, 6)})
+	e.SetApplyProbe(nil)
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("Apply err = %v, want *PanicError", err)
+	}
+	if _, err := e.Apply(Batch{Add(3, 4)}); err != nil {
+		t.Fatalf("post-repair Apply: %v", err)
+	}
+
+	replica, err := FromEdges(base, WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if rec.Start() != replica.Seq() {
+			return // the gap is visible: a log heals by snapshot, a follower re-bootstraps
+		}
+		if _, err := replica.Apply(Batch(rec.Updates)); err != nil {
+			t.Fatalf("replay record at seq %d: %v", rec.Seq, err)
+		}
+	}
+	if replica.Seq() != e.Seq() || replica.NumEdges() != e.NumEdges() {
+		t.Fatalf("records chained with no gap but diverged: replica at seq %d with %d edges, engine at seq %d with %d",
+			replica.Seq(), replica.NumEdges(), e.Seq(), e.NumEdges())
 	}
 }
 

@@ -47,6 +47,7 @@ func (e *Engine) applyRebuild(batch Batch, skip []bool, coalesced int) (BatchInf
 			return info, &BatchError{Index: i, Update: up, Err: err}
 		}
 		e.seq++
+		e.seqEdges = e.g.NumEdges()
 		info.Applied++
 		e.exec.Recomputed++
 	}
