@@ -22,7 +22,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"kcore"
 	"kcore/internal/bench"
@@ -32,22 +31,20 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "experiment name: all|batchapi|parallel|serve|serve2|persist|replicate|chaos|readpath|"+strings.Join(bench.ExperimentNames, "|"))
+		experiment = flag.String("experiment", "all", "experiment name: all|parallel|serve2|persist|replicate|chaos|readpath|"+strings.Join(bench.ExperimentNames, "|"))
 		edges      = flag.Int("edges", 10000, "workload edges per dataset (paper: 100000)")
 		groups     = flag.Int("groups", 10, "stability-test groups (paper: 100)")
 		hops       = flag.String("hops", "2,3,4,5,6", "traversal hop variants")
 		seed       = flag.Uint64("seed", 42, "RNG seed")
 		dsNames    = flag.String("datasets", "", "comma-separated dataset subset (default: all 11)")
-		jsonPath   = flag.String("json", "", "write measured results (hotpath, batchapi, parallel and serve experiments) as one JSON document to this path")
+		jsonPath   = flag.String("json", "", "write the measured results (hotpath, parallel, serve2, persist, replicate, chaos and readpath experiments) as one JSON document to this path, replacing it")
 		compare    = flag.String("compare", "", "regression guard: OLD.json,NEW.json — compare the -compare-name result and exit 1 when NEW exceeds OLD by more than -max-ratio")
 		cmpName    = flag.String("compare-name", "engine/apply-batch", "result name checked by -compare")
 		maxRatio   = flag.Float64("max-ratio", 1.2, "largest allowed NEW/OLD ns-per-op ratio for -compare")
 		fanout     = flag.String("fanout", "100,1000,10000", "watcher tiers the serve2 fan-out sweep runs")
 		minSpeedup = flag.Float64("min-speedup", 0, "speedup guard: serve2 fails unless binary ingest beats JSON by this factor; readpath fails unless epoch reads beat locked reads by it (0 = off)")
-		jsonMerge  = flag.Bool("json-merge", false, "merge -json results into an existing report instead of overwriting it (same-name rows are replaced)")
 	)
 	flag.Parse()
-	mergeReports = *jsonMerge
 
 	if *compare != "" {
 		if err := compareReports(*compare, *cmpName, *maxRatio); err != nil {
@@ -82,17 +79,9 @@ func main() {
 	report := bench.NewReport()
 
 	switch *experiment {
-	case "batchapi":
-		report.Results = append(report.Results, batchAPI(*edges, *seed)...)
-		writeReport(report, *jsonPath)
-		return
 	case "parallel":
 		fmt.Println("=== parallel ===")
 		report.Results = append(report.Results, parallelExperiment(cfg)...)
-		writeReport(report, *jsonPath)
-		return
-	case "serve":
-		report.Results = append(report.Results, serveExperiment(cfg)...)
 		writeReport(report, *jsonPath)
 		return
 	case "serve2":
@@ -136,7 +125,7 @@ func main() {
 	names := bench.ExperimentNames
 	if *experiment != "all" {
 		if _, ok := bench.Experiments[*experiment]; !ok {
-			fatal(fmt.Errorf("unknown experiment %q (valid: all, batchapi, parallel, serve, serve2, persist, replicate, chaos, readpath, %s)",
+			fatal(fmt.Errorf("unknown experiment %q (valid: all, parallel, serve2, persist, replicate, chaos, readpath, %s)",
 				*experiment, strings.Join(bench.ExperimentNames, ", ")))
 		}
 		names = []string{*experiment}
@@ -157,41 +146,9 @@ func main() {
 
 // writeReport writes the JSON document when -json was given. An empty
 // result list still produces a valid (schema-stamped) report.
-// mergeReports makes writeReport fold results into an existing report file
-// (set by -json-merge); BENCH_serve.json carries both the serve and serve2
-// experiments this way.
-var mergeReports bool
-
 func writeReport(r *bench.Report, path string) {
 	if path == "" {
 		return
-	}
-	if mergeReports {
-		if old, err := loadReportDoc(path); err == nil {
-			fresh := make(map[string]bench.Result, len(r.Results))
-			order := []string{}
-			for _, res := range r.Results {
-				if _, ok := fresh[res.Name]; !ok {
-					order = append(order, res.Name)
-				}
-				fresh[res.Name] = res
-			}
-			merged := make([]bench.Result, 0, len(old.Results)+len(r.Results))
-			for _, res := range old.Results {
-				if nres, ok := fresh[res.Name]; ok {
-					merged = append(merged, nres)
-					delete(fresh, nres.Name)
-					continue
-				}
-				merged = append(merged, res)
-			}
-			for _, name := range order {
-				if res, ok := fresh[name]; ok {
-					merged = append(merged, res)
-				}
-			}
-			r.Results = merged
-		}
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -303,23 +260,6 @@ func reportHint(path string) string {
 		path, bench.ReportSchema, bench.ReportSchema, path)
 }
 
-// loadReportDoc reads one report document whole, for -json-merge.
-func loadReportDoc(path string) (*bench.Report, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var rep bench.Report
-	if err := json.NewDecoder(f).Decode(&rep); err != nil {
-		return nil, err
-	}
-	if rep.Schema != bench.ReportSchema {
-		return nil, fmt.Errorf("%s has schema %q, want %q", path, rep.Schema, bench.ReportSchema)
-	}
-	return &rep, nil
-}
-
 // loadReport reads one BENCH_*.json report into a name-indexed result map,
 // explaining exactly what is wrong (and how to fix it) on failure.
 func loadReport(path string) (map[string]bench.Result, error) {
@@ -362,61 +302,4 @@ func resultNames(m map[string]bench.Result) []string {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "kcore-bench:", err)
 	os.Exit(1)
-}
-
-// batchAPI measures the v1 public API head to head: one Apply batch against
-// the same insertions through per-call AddEdge. It exercises the engine
-// boundary (locking, validation, result assembly), unlike the algorithm
-// experiments above which call the maintainers directly. The returned
-// results carry best-of-rounds wall time only; allocation counters come
-// from the hotpath experiment.
-func batchAPI(edges int, seed uint64) []bench.Result {
-	g := gen.BarabasiAlbert(max(edges/3, 100), 4, seed)
-	all := g.Edges()
-	if len(all) > edges {
-		all = all[:edges]
-	}
-	batch := make(kcore.Batch, len(all))
-	for i, ed := range all {
-		batch[i] = kcore.Add(ed[0], ed[1])
-	}
-	fmt.Printf("=== batchapi === (%d insertions, BA graph)\n", len(all))
-
-	const rounds = 5
-	var batchBest, singleBest time.Duration
-	for r := 0; r < rounds; r++ {
-		e := kcore.NewEngine(kcore.WithSeed(seed))
-		start := time.Now()
-		if _, err := e.Apply(batch); err != nil {
-			fatal(err)
-		}
-		if d := time.Since(start); r == 0 || d < batchBest {
-			batchBest = d
-		}
-	}
-	for r := 0; r < rounds; r++ {
-		e := kcore.NewEngine(kcore.WithSeed(seed))
-		start := time.Now()
-		for _, ed := range all {
-			if _, err := e.AddEdge(ed[0], ed[1]); err != nil {
-				fatal(err)
-			}
-		}
-		if d := time.Since(start); r == 0 || d < singleBest {
-			singleBest = d
-		}
-	}
-	fmt.Printf("Apply(batch):   %12v  (%.0f ns/edge)\n",
-		batchBest, float64(batchBest.Nanoseconds())/float64(len(all)))
-	fmt.Printf("AddEdge loop:   %12v  (%.0f ns/edge)\n",
-		singleBest, float64(singleBest.Nanoseconds())/float64(len(all)))
-	fmt.Printf("speedup:        %12.2fx\n", float64(singleBest)/float64(batchBest))
-	params := map[string]any{
-		"edges": len(all), "rounds": rounds, "unit": "ns per whole workload",
-		"allocs_measured": false,
-	}
-	return []bench.Result{
-		{Name: "batchapi/apply", NsPerOp: float64(batchBest.Nanoseconds()), Iterations: rounds, Params: params},
-		{Name: "batchapi/per-edge", NsPerOp: float64(singleBest.Nanoseconds()), Iterations: rounds, Params: params},
-	}
 }

@@ -56,15 +56,15 @@ func replicateExperiment(cfg bench.Config) []bench.Result {
 	return results
 }
 
-// replicaProc is one serving process of the fleet: the primary or a
-// follower, with its HTTP front door.
-type replicaProc struct {
+// servingProc is one loopback kcore-serve with its HTTP front door: a
+// standalone server, or in the replicate fleet the primary or a follower.
+type servingProc struct {
 	srv    *server.Server
 	client *server.Client
 	fol    *replicate.Follower
 }
 
-func startReplicaServer(eng *kcore.Engine, opts server.Options) (*replicaProc, error) {
+func startServer(eng *kcore.Engine, opts server.Options) (*servingProc, error) {
 	srv := server.New(eng, opts)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -76,10 +76,10 @@ func startReplicaServer(eng *kcore.Engine, opts server.Options) (*replicaProc, e
 		_ = srv.Close()
 		return nil, err
 	}
-	return &replicaProc{srv: srv, client: client, fol: opts.Follower}, nil
+	return &servingProc{srv: srv, client: client, fol: opts.Follower}, nil
 }
 
-func (rp *replicaProc) stop() {
+func (rp *servingProc) stop() {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	_ = rp.srv.Shutdown(ctx)
@@ -96,7 +96,7 @@ func runReplicateLoad(p replicateParams, numFollowers int) ([]bench.Result, erro
 	}
 	pub := replicate.NewPublisher(engine, replicate.PublisherOptions{})
 	defer pub.Close()
-	primary, err := startReplicaServer(engine, server.Options{Publisher: pub})
+	primary, err := startServer(engine, server.Options{Publisher: pub})
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +108,7 @@ func runReplicateLoad(p replicateParams, numFollowers int) ([]bench.Result, erro
 	// Followers bootstrap from the preloaded primary; catch-up time spans
 	// StartFollower (snapshot transfer + replay) until zero lag against the
 	// primary seq at start.
-	fleet := []*replicaProc{primary}
+	fleet := []*servingProc{primary}
 	var catchup []time.Duration
 	bootSeq := engine.Seq()
 	for i := 0; i < numFollowers; i++ {
@@ -124,7 +124,7 @@ func runReplicateLoad(p replicateParams, numFollowers int) ([]bench.Result, erro
 			time.Sleep(time.Millisecond)
 		}
 		catchup = append(catchup, time.Since(t0))
-		fp, err := startReplicaServer(fol.Engine(), server.Options{Follower: fol})
+		fp, err := startServer(fol.Engine(), server.Options{Follower: fol})
 		if err != nil {
 			fol.Close()
 			return nil, fmt.Errorf("follower %d server: %w", i, err)

@@ -4,12 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
+	"math/rand/v2"
 	"testing"
 	"time"
 
 	"kcore"
 	"kcore/internal/bench"
+	"kcore/internal/gen"
 	"kcore/internal/persist"
 	"kcore/internal/server"
 	"kcore/internal/server/wire"
@@ -25,6 +26,9 @@ import (
 //   - serve2/http-ingest-{json,binary} run the same batch script end to end
 //     through POST /v1/batch on a loopback server, one protocol per fresh
 //     server, reporting p50 per-batch latency and updates/sec.
+//   - serve2/http-query-kcore times GET /v1/kcore on an idle loopback
+//     server, the one query route no other benchmark times (perfbench's
+//     serve-read-write reads GET /v1/core).
 //   - serve2/fanout-N sweeps the watch broadcast ring with N in-process
 //     subscribers (see server.FanoutLoad for why they are not real TCP
 //     watchers: 2 file descriptors per connection caps a 10k run above
@@ -43,6 +47,11 @@ func serve2Experiment(cfg bench.Config, fanout []int, minSpeedup float64) []benc
 		fatal(err)
 	}
 	results = append(results, httpRes...)
+	kcoreRes, err := httpQueryKCoreBench(cfg)
+	if err != nil {
+		fatal(err)
+	}
+	results = append(results, kcoreRes)
 	for _, n := range fanout {
 		res, err := fanoutBench(cfg, n)
 		if err != nil {
@@ -165,34 +174,107 @@ func httpIngestBench(cfg bench.Config, batchSize int) ([]bench.Result, error) {
 }
 
 func runHTTPIngest(script [][]wire.Update, binary bool) ([]time.Duration, time.Duration, error) {
-	engine := kcore.NewEngine()
-	srv := server.New(engine, server.Options{})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	sp, err := startServer(kcore.NewEngine(), server.Options{})
 	if err != nil {
 		return nil, 0, err
 	}
-	go func() { _ = srv.Serve(l) }()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-	}()
-	client, err := server.NewClient("http://"+l.Addr().String(), nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	client.Binary = binary
+	defer sp.stop()
+	sp.client.Binary = binary
 	ctx := context.Background()
 	lat := make([]time.Duration, 0, len(script))
 	start := time.Now()
 	for _, b := range script {
 		t0 := time.Now()
-		if _, err := client.Batch(ctx, b); err != nil {
+		if _, err := sp.client.Batch(ctx, b); err != nil {
 			return nil, 0, err
 		}
 		lat = append(lat, time.Since(t0))
 	}
 	return lat, time.Since(start), nil
+}
+
+// serveWriterScript builds one writer's valid batch sequence over the
+// private vertex block [base, base+64): mixed adds and removes against the
+// writer's own edge history, mirroring the differential test's generator.
+func serveWriterScript(base, batches, batchSize int, seed uint64) [][]wire.Update {
+	const span = 64
+	rng := rand.New(rand.NewPCG(seed, 0xbeef))
+	present := map[[2]int]bool{}
+	var presentList [][2]int
+	out := make([][]wire.Update, 0, batches)
+	for b := 0; b < batches; b++ {
+		batch := make([]wire.Update, 0, batchSize)
+		for len(batch) < batchSize {
+			if len(presentList) > 0 && rng.Float64() < 0.35 {
+				i := rng.IntN(len(presentList))
+				e := presentList[i]
+				presentList[i] = presentList[len(presentList)-1]
+				presentList = presentList[:len(presentList)-1]
+				delete(present, e)
+				batch = append(batch, wire.Update{Op: wire.OpRemove, U: e[0], V: e[1]})
+				continue
+			}
+			u := base + rng.IntN(span)
+			v := base + rng.IntN(span)
+			if u == v {
+				continue
+			}
+			if u > v {
+				u, v = v, u
+			}
+			if present[[2]int{u, v}] {
+				continue
+			}
+			present[[2]int{u, v}] = true
+			presentList = append(presentList, [2]int{u, v})
+			batch = append(batch, wire.Update{Op: wire.OpAdd, U: u, V: v})
+		}
+		out = append(out, batch)
+	}
+	return out
+}
+
+// httpQueryKCoreBench times GET /v1/kcore with k = 2, 3, 4 in turn on an
+// idle loopback server over an Erdős–Rényi graph of edges/2 vertices and
+// 3·edges/2 edges. The response lists every k-core vertex, so its cost
+// grows with the core's size, not with the engine's update path.
+func httpQueryKCoreBench(cfg bench.Config) (bench.Result, error) {
+	const queries = 300
+	n, m := max(cfg.Edges/2, 500), max(3*cfg.Edges/2, 1500)
+	engine, err := kcore.FromEdges(gen.ErdosRenyi(n, m, cfg.Seed).Edges(), kcore.WithSeed(cfg.Seed))
+	if err != nil {
+		return bench.Result{}, err
+	}
+	sp, err := startServer(engine, server.Options{})
+	if err != nil {
+		return bench.Result{}, err
+	}
+	defer sp.stop()
+	ctx := context.Background()
+	lat := make([]time.Duration, 0, queries)
+	vertices := 0
+	for i := 0; i < queries; i++ {
+		t0 := time.Now()
+		resp, err := sp.client.KCore(ctx, 2+i%3)
+		if err != nil {
+			return bench.Result{}, fmt.Errorf("serve2/http-query-kcore: %w", err)
+		}
+		lat = append(lat, time.Since(t0))
+		vertices += resp.Count
+	}
+	s := bench.Summarize(lat)
+	const name = "serve2/http-query-kcore"
+	fmt.Printf("%-26s p50 %10v  p99 %10v  %d queries, k = 2..4, %.0f vertices per answer\n",
+		name, s.P50, s.P99, s.Count, float64(vertices)/queries)
+	return bench.Result{
+		Name:       name,
+		NsPerOp:    float64(s.P50.Nanoseconds()),
+		Iterations: s.Count,
+		Params: bench.StampParams(s.Params(map[string]any{
+			"base_n": n, "base_m": m, "k": "2..4", "seed": cfg.Seed,
+			"vertices_per_answer": float64(vertices) / queries,
+		})),
+	}, nil
 }
 
 // fanoutBench runs one watcher tier through the broadcast ring.

@@ -80,13 +80,13 @@ func (e *HookError) Unwrap() error { return e.Err }
 // interrupted update when it had already mutated the graph: seq counts it,
 // so no graph change goes without a sequence number. Those updates were NOT
 // handed to the apply hooks. Instead, when the repaired cores differ from
-// the last published state, the hooks receive a repair record (see
-// AppliedBatch) at the repaired seq whose Changes carry that diff, so
-// subscribers stay in step; the record has no Updates, so a persistence
-// layer will refuse the next append as a sequence gap until it heals by
-// snapshot, and a replication follower crossing the gap re-bootstraps —
-// both by design: the durability and replication planes never paper over a
-// hole. Panics injected through the fault plane's apply probe fire before
+// the last published state and a subscription is active (see Subscribe),
+// the hooks receive a repair record (see AppliedBatch) at the repaired seq
+// whose Changes carry that diff, so subscribers stay in step. No record
+// carries the quarantined batch's Updates, so a persistence layer will
+// refuse the next append as a sequence gap until it heals by snapshot, and
+// a replication follower crossing the gap re-bootstraps — both by design:
+// the durability and replication planes never paper over a hole. Panics injected through the fault plane's apply probe fire before
 // any mutation, so they quarantine cleanly with no prefix and no repair
 // record.
 type PanicError struct {

@@ -24,7 +24,8 @@ import (
 //
 // A record with no Updates is a panic repair (see PanicError): its Changes
 // are the repair's diff against the last published state. It is not a
-// batch and must not be logged or replicated.
+// batch and must not be logged or replicated. Repair records are sent only
+// while a Subscribe subscription is active, since Changes is all they carry.
 type AppliedBatch struct {
 	// Seq is the engine update sequence number after the batch (equals
 	// BatchInfo.Seq of the Apply that produced it).
@@ -40,8 +41,10 @@ type AppliedBatch struct {
 	// delivers them: one CoreChange per affected vertex per update in
 	// settlement order, or, for a batch applied by recomputation (see
 	// BatchInfo.Recomputed) and for a repair record, one per net-changed
-	// vertex in ascending vertex order. It has the same lifetime as
-	// Updates. Records read back from a log carry no Changes.
+	// vertex in ascending vertex order. The engine builds it only while at
+	// least one Subscribe subscription is active; otherwise it is nil, so
+	// hooks that never read it cost no allocation. It has the same lifetime
+	// as Updates. Records read back from a log carry no Changes.
 	Changes []CoreChange
 }
 
@@ -57,9 +60,11 @@ type ApplyHook func(AppliedBatch) error
 // AddApplyHook appends fn (which must not be nil) to the engine's ordered
 // hook list and returns a function that detaches it. Every hook is called
 // after every successfully applied batch with at least one surviving
-// update, and after every panic repair that changed a core number (see
-// AppliedBatch), in registration order, and every hook runs even when an
-// earlier one failed: the engine's in-memory state advanced regardless.
+// update, and, while a Subscribe subscription is active, after every panic
+// repair that changed a core number (see AppliedBatch), in registration
+// order, and every hook runs even when an earlier one failed: the engine's
+// in-memory state advanced regardless. AppliedBatch.Changes is nil unless
+// a Subscribe subscription is active.
 // Hooks run synchronously while the engine's write lock is held, after the
 // batch's epoch is published, so invocations are totally ordered and match
 // the sequence-number order exactly; a hook must not call back into the
@@ -76,14 +81,29 @@ type ApplyHook func(AppliedBatch) error
 // remove takes the write lock, so once it returns no Apply is running fn;
 // calling it again is a no-op.
 func (e *Engine) AddApplyHook(fn ApplyHook) (remove func()) {
+	return e.addHook(fn, false)
+}
+
+// addHook registers fn; sub marks a Subscribe subscription, whose hook is
+// the one reader of AppliedBatch.Changes. The count of live subscriptions
+// changes under the write lock together with the hook list, so no batch
+// runs a subscription's hook without building its Changes. Subscribe's
+// cancel calls remove once, so the count drops once per subscription.
+func (e *Engine) addHook(fn ApplyHook, sub bool) (remove func()) {
 	h := &fn
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.hooks = append(e.hooks, h)
+	if sub {
+		e.subs++
+	}
 	return func() {
 		e.mu.Lock()
 		defer e.mu.Unlock()
 		e.hooks = slices.DeleteFunc(e.hooks, func(x *ApplyHook) bool { return x == h })
+		if sub {
+			e.subs--
+		}
 	}
 }
 

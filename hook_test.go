@@ -7,6 +7,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"kcore/internal/gen"
+	"kcore/internal/workload"
 )
 
 // TestApplyHookObservesBatches: the hook sees every applied batch's
@@ -181,6 +184,93 @@ func TestApplyHookNoAllocs(t *testing.T) {
 	}
 	if calls == 0 {
 		t.Fatal("hooks never ran")
+	}
+}
+
+// TestChangesOnlyForSubscribers: the engine builds AppliedBatch.Changes
+// only while a Subscribe subscription is active, on the maintenance and the
+// recompute path alike. A hook registered through AddApplyHook sees nil
+// Changes before and after a subscription, so a hook that never reads them
+// (the WAL, the replication publisher) adds no allocation to a batch.
+func TestChangesOnlyForSubscribers(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"sequential", []Option{WithSeed(1)}},
+		{"rebuild", []Option{WithRebuildThreshold(2, 0.0), WithSeed(1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine(tc.opts...)
+			var changes []CoreChange
+			e.AddApplyHook(func(rec AppliedBatch) error {
+				changes = rec.Changes
+				return nil
+			})
+			apply := func(b Batch) {
+				t.Helper()
+				info, err := e.Apply(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(info.Total.CoreChanged) == 0 {
+					t.Fatalf("batch %v changed no core", b)
+				}
+			}
+			apply(Batch{Add(0, 1), Add(1, 2), Add(0, 2)})
+			if changes != nil {
+				t.Fatalf("no subscription, yet the hook saw Changes %+v", changes)
+			}
+			ch, cancel := e.Subscribe(WithBuffer(64))
+			apply(Batch{Add(2, 3), Add(1, 3), Add(0, 3)})
+			if len(changes) == 0 {
+				t.Fatal("the hook saw no Changes while a subscription was active")
+			}
+			cancel()
+			for range ch {
+			}
+			apply(Batch{Add(4, 5), Add(5, 6)})
+			if changes != nil {
+				t.Fatalf("subscription cancelled, yet the hook saw Changes %+v", changes)
+			}
+		})
+	}
+
+	base := gen.ErdosRenyi(2000, 6000, 7)
+	ops := workload.Churn(base, 100, workload.ChurnOptions{AddFraction: 0.55, Skew: 0.2, Seed: 8})
+	var batch, undo Batch
+	for _, op := range ops {
+		if op.Insert {
+			batch = append(batch, Add(op.E.U, op.E.V))
+		} else {
+			batch = append(batch, Remove(op.E.U, op.E.V))
+		}
+	}
+	for i := len(batch) - 1; i >= 0; i-- {
+		if up := batch[i]; up.Op == OpAdd {
+			undo = append(undo, Remove(up.U, up.V))
+		} else {
+			undo = append(undo, Add(up.U, up.V))
+		}
+	}
+	allocs := func(hook bool) float64 {
+		e, err := FromEdges(base.Edges(), WithSeed(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hook {
+			e.AddApplyHook(func(AppliedBatch) error { return nil })
+		}
+		return testing.AllocsPerRun(20, func() {
+			for _, b := range []Batch{batch, undo} {
+				if info, err := e.Apply(b); err != nil || info.Recomputed {
+					t.Fatalf("churn batch: recomputed %v, err %v", info.Recomputed, err)
+				}
+			}
+		})
+	}
+	if bare, hooked := allocs(false), allocs(true); hooked > bare {
+		t.Fatalf("a no-op hook raised a 100-update churn batch and its undo from %.0f to %.0f allocations", bare, hooked)
 	}
 }
 

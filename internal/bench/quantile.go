@@ -7,12 +7,12 @@ import (
 )
 
 // Latency summarization for the request-level experiments (kcore-bench
-// -experiment serve): the service-layer benchmarks measure per-request
-// wall-clock samples under concurrency, where a distribution — not a single
+// -experiment serve2 and replicate): the service-layer benchmarks measure
+// per-request wall-clock samples, where a distribution — not a single
 // ns/op — is the honest result.
 
-// LatencySummary condenses a latency sample into the percentiles the serve
-// experiment records.
+// LatencySummary condenses a latency sample into the percentiles the
+// request-level experiments record.
 type LatencySummary struct {
 	Count int
 	P50   time.Duration

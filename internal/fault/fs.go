@@ -46,11 +46,6 @@ func CreateTemp(p *Plane, site, dir, pattern string) (*File, error) {
 	return &File{f: f, p: p, site: site}, nil
 }
 
-// Wrap adopts an already-open file under the given probe site.
-func Wrap(p *Plane, site string, f *os.File) *File {
-	return &File{f: f, p: p, site: site}
-}
-
 // Name reports the underlying file's name.
 func (f *File) Name() string { return f.f.Name() }
 

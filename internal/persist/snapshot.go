@@ -218,16 +218,6 @@ func readDim(r *bytes.Reader, what string) (uint64, error) {
 	return v, nil
 }
 
-// WriteSnapshot serializes an IndexState to w.
-func WriteSnapshot(w io.Writer, st *kcore.IndexState) error {
-	data, err := EncodeSnapshot(st)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
-}
-
 // ReadSnapshot decodes, CRC-verifies, and semantically verifies a snapshot,
 // returning a reconstructed engine. opts configure non-replay engine knobs
 // (rebuild thresholds); the snapshot's stored seed always wins. All

@@ -327,7 +327,7 @@ func TestWatchEncodesOncePerEvent(t *testing.T) {
 
 	// Wait for the ring to quiesce: the feed goroutine appends after Apply
 	// returns, so poll the encode counter until it stops moving.
-	ring := s.hub.current()
+	ring := s.def.hub.current()
 	if ring == nil {
 		t.Fatal("no active ring")
 	}

@@ -58,9 +58,13 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // The graph-scoped calls (Batch, Cores, Watch, ...) exist in two forms:
 // scoped to a named tenant through Tenant(name), or directly on Client,
 // where they hit the legacy unscoped /v1 routes — exact aliases for the
-// "default" tenant. The direct forms are kept for pre-tenant callers; new
-// multi-tenant code should scope explicitly.
+// "default" tenant. The direct forms are TenantClient's methods, promoted
+// from the default-tenant view a Client embeds (so Client.Name reports
+// "default"); they are kept for pre-tenant callers, and new multi-tenant
+// code should scope explicitly.
 type Client struct {
+	defaultView
+
 	base string
 	hc   *http.Client
 
@@ -97,8 +101,14 @@ func NewClient(baseURL string, hc *http.Client) (*Client, error) {
 		hc = http.DefaultClient
 	}
 	pol := RetryPolicy{}.withDefaults()
-	return &Client{base: strings.TrimRight(u.String(), "/"), hc: hc, Retry: &pol}, nil
+	c := &Client{base: strings.TrimRight(u.String(), "/"), hc: hc, Retry: &pol}
+	c.defaultView = TenantClient{c: c, name: "default", prefix: "/v1"}
+	return c, nil
 }
+
+// defaultView is the Client's embedded view of the default tenant, behind
+// the unscoped /v1 aliases. The alias keeps the embedded field unexported.
+type defaultView = TenantClient
 
 // TenantClient is a Client view scoped to one tenant: its calls hit the
 // /v1/t/{tenant}/... routes and share the parent client's connection,
@@ -115,12 +125,6 @@ type TenantClient struct {
 // (reads of a never-written tenant fail with code "unknown_tenant").
 func (c *Client) Tenant(name string) *TenantClient {
 	return &TenantClient{c: c, name: name, prefix: "/v1/t/" + url.PathEscape(name)}
-}
-
-// legacy is the default-tenant view behind the unscoped /v1 aliases; the
-// Client's top-level graph methods delegate through it.
-func (c *Client) legacy() *TenantClient {
-	return &TenantClient{c: c, name: "default", prefix: "/v1"}
 }
 
 // Name reports the tenant this view is scoped to.
@@ -143,12 +147,6 @@ func (tc *TenantClient) Batch(ctx context.Context, updates []wire.Update) (*wire
 		return nil, err
 	}
 	return &resp, nil
-}
-
-// Batch applies a batch on the default tenant — the pre-tenant call kept
-// for existing callers; new code should scope explicitly with Tenant.
-func (c *Client) Batch(ctx context.Context, updates []wire.Update) (*wire.BatchResponse, error) {
-	return c.legacy().Batch(ctx, updates)
 }
 
 // useBinary reports whether the binary protocol should be attempted.
@@ -203,11 +201,6 @@ func (tc *TenantClient) Cores(ctx context.Context) (*wire.CoresResponse, error) 
 	return &resp, nil
 }
 
-// Cores fetches the default tenant's dump — pre-tenant call, see Batch.
-func (c *Client) Cores(ctx context.Context) (*wire.CoresResponse, error) {
-	return c.legacy().Cores(ctx)
-}
-
 // SnapshotExport fetches a KCORSNAP image of the tenant's current state via
 // GET .../snapshot/export. The image loads with persist.ReadSnapshot.
 func (tc *TenantClient) SnapshotExport(ctx context.Context) ([]byte, error) {
@@ -219,11 +212,6 @@ func (tc *TenantClient) SnapshotExport(ctx context.Context) ([]byte, error) {
 	return raw, nil
 }
 
-// SnapshotExport exports the default tenant — pre-tenant call, see Batch.
-func (c *Client) SnapshotExport(ctx context.Context) ([]byte, error) {
-	return c.legacy().SnapshotExport(ctx)
-}
-
 // AddEdges applies a pure-insertion batch.
 func (tc *TenantClient) AddEdges(ctx context.Context, edges [][2]int) (*wire.BatchResponse, error) {
 	updates := make([]wire.Update, len(edges))
@@ -231,11 +219,6 @@ func (tc *TenantClient) AddEdges(ctx context.Context, edges [][2]int) (*wire.Bat
 		updates[i] = wire.Update{Op: wire.OpAdd, U: e[0], V: e[1]}
 	}
 	return tc.Batch(ctx, updates)
-}
-
-// AddEdges inserts on the default tenant — pre-tenant call, see Batch.
-func (c *Client) AddEdges(ctx context.Context, edges [][2]int) (*wire.BatchResponse, error) {
-	return c.legacy().AddEdges(ctx, edges)
 }
 
 // RemoveEdges applies a pure-removal batch.
@@ -247,11 +230,6 @@ func (tc *TenantClient) RemoveEdges(ctx context.Context, edges [][2]int) (*wire.
 	return tc.Batch(ctx, updates)
 }
 
-// RemoveEdges removes on the default tenant — pre-tenant call, see Batch.
-func (c *Client) RemoveEdges(ctx context.Context, edges [][2]int) (*wire.BatchResponse, error) {
-	return c.legacy().RemoveEdges(ctx, edges)
-}
-
 // Core fetches one vertex's core number.
 func (tc *TenantClient) Core(ctx context.Context, v int) (*wire.CoreResponse, error) {
 	var resp wire.CoreResponse
@@ -259,11 +237,6 @@ func (tc *TenantClient) Core(ctx context.Context, v int) (*wire.CoreResponse, er
 		return nil, err
 	}
 	return &resp, nil
-}
-
-// Core reads the default tenant — pre-tenant call, see Batch.
-func (c *Client) Core(ctx context.Context, v int) (*wire.CoreResponse, error) {
-	return c.legacy().Core(ctx, v)
 }
 
 // KCore fetches the vertices of the k-core.
@@ -275,11 +248,6 @@ func (tc *TenantClient) KCore(ctx context.Context, k int) (*wire.KCoreResponse, 
 	return &resp, nil
 }
 
-// KCore reads the default tenant — pre-tenant call, see Batch.
-func (c *Client) KCore(ctx context.Context, k int) (*wire.KCoreResponse, error) {
-	return c.legacy().KCore(ctx, k)
-}
-
 // Stats fetches the tenant's stats snapshot.
 func (tc *TenantClient) Stats(ctx context.Context) (*wire.StatsResponse, error) {
 	var resp wire.StatsResponse
@@ -287,11 +255,6 @@ func (tc *TenantClient) Stats(ctx context.Context) (*wire.StatsResponse, error) 
 		return nil, err
 	}
 	return &resp, nil
-}
-
-// Stats reads the default tenant — pre-tenant call, see Batch.
-func (c *Client) Stats(ctx context.Context) (*wire.StatsResponse, error) {
-	return c.legacy().Stats(ctx)
 }
 
 // Snapshot asks the server to write a durability snapshot of the tenant and
@@ -303,11 +266,6 @@ func (tc *TenantClient) Snapshot(ctx context.Context) (*wire.SnapshotResponse, e
 		return nil, err
 	}
 	return &resp, nil
-}
-
-// Snapshot snapshots the default tenant — pre-tenant call, see Batch.
-func (c *Client) Snapshot(ctx context.Context) (*wire.SnapshotResponse, error) {
-	return c.legacy().Snapshot(ctx)
 }
 
 // Health fetches the liveness probe.
@@ -511,11 +469,6 @@ func (tc *TenantClient) Watch(ctx context.Context, opts WatchOptions) (<-chan Ev
 		out, err = tc.watch(ctx, opts, false)
 	}
 	return out, err
-}
-
-// Watch streams the default tenant — pre-tenant call, see Batch.
-func (c *Client) Watch(ctx context.Context, opts WatchOptions) (<-chan Event, error) {
-	return c.legacy().Watch(ctx, opts)
 }
 
 func (tc *TenantClient) watch(ctx context.Context, opts WatchOptions, binary bool) (<-chan Event, error) {

@@ -7,7 +7,6 @@ import (
 
 	"kcore"
 	"kcore/internal/server/wire"
-	"kcore/internal/tenant"
 )
 
 // The ingest coalescer funnels concurrent POST /v1/batch requests through
@@ -63,10 +62,6 @@ type coalescer struct {
 	// success) — the server's availability state machine watches for
 	// durability-failure streaks through it. Set before the first submit.
 	observe func(error)
-	// pools, when non-nil, supplies the combined-batch scratch shared across
-	// every tenant the hosting manager serves. Nil (white-box tests)
-	// allocates per flush.
-	pools *tenant.Pools
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -157,22 +152,12 @@ func (c *coalescer) flush(reqs []*pending) {
 	}
 	c.stats.grouped.Add(uint64(len(reqs)))
 
-	var combined kcore.Batch
-	if c.pools != nil {
-		combined = c.pools.Batch(totalLen(reqs))
-	} else {
-		combined = make(kcore.Batch, 0, totalLen(reqs))
-	}
+	combined := make(kcore.Batch, 0, totalLen(reqs))
 	for _, r := range reqs {
 		combined = append(combined, r.batch...)
 	}
 	info, err := c.engine.Apply(combined)
 	c.observed(err)
-	if c.pools != nil {
-		// Apply copies what it keeps (BatchInfo attribution, subscriber
-		// events); the combined slice is free to recycle immediately.
-		c.pools.PutBatch(combined)
-	}
 	if err != nil {
 		// A *kcore.HookError means the combined batch APPLIED in memory but
 		// the durability hook (WAL append) failed afterwards: re-applying

@@ -83,7 +83,7 @@ func TestHealthzTable(t *testing.T) {
 		pl := fault.New(7)
 		st := openFaultStore(t, pl)
 		s, c := newTestServer(t, st.Engine(), Options{Persist: st})
-		s.health.degrade("test-injected durability failure")
+		s.def.health.degrade("test-injected durability failure")
 		h := health(t, c)
 		if h.Status != "degraded" || h.Mode != "read_only" || h.Cause == "" {
 			t.Fatalf("healthz = %+v, want degraded/read_only with cause", h)

@@ -188,12 +188,6 @@ type Server struct {
 	def *tenantServing
 	mux *http.ServeMux
 
-	// co, hub, and health alias def's plane: the single-tenant server's
-	// fields, kept for white-box tests and internal callers.
-	co     *coalescer
-	hub    *watchHub
-	health *health
-
 	httpMu   sync.Mutex
 	httpSrv  *http.Server
 	stop     chan struct{} // closed by Shutdown: unblocks watch streams
@@ -220,7 +214,6 @@ func New(engine *kcore.Engine, opts Options) *Server {
 		panic(fmt.Sprintf("server: adopting default tenant: %v", err))
 	}
 	s.def = def.Attachment().(*tenantServing)
-	s.co, s.hub, s.health = s.def.co, s.def.hub, s.def.health
 	s.registerRoutes()
 	return s
 }
@@ -230,7 +223,6 @@ func New(engine *kcore.Engine, opts Options) *Server {
 func (s *Server) attach(t *tenant.Tenant) (tenant.Attachment, error) {
 	ts := &tenantServing{t: t}
 	ts.co = newCoalescer(t.Engine(), s.opts.MaxPending)
-	ts.co.pools = s.mgr.Pools()
 	ts.hub = newWatchHub(s.opts.WatchRing)
 	if t.Name() == tenant.DefaultName {
 		ts.pub = s.opts.Publisher

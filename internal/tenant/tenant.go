@@ -108,10 +108,9 @@ type Options struct {
 
 // Manager is the tenant registry. All methods are safe for concurrent use.
 type Manager struct {
-	opts  Options
-	pools Pools
-	stop  chan struct{}
-	idle  chan struct{} // closed when the idle loop exits; nil if none
+	opts Options
+	stop chan struct{}
+	idle chan struct{} // closed when the idle loop exits; nil if none
 
 	mu      sync.Mutex
 	tenants map[string]*Tenant
@@ -143,9 +142,6 @@ func NewManager(opts Options) *Manager {
 	}
 	return m
 }
-
-// Pools returns the scratch pools shared across this manager's tenants.
-func (m *Manager) Pools() *Pools { return &m.pools }
 
 // Tenant is one resident (or loading, or evicting) tenant. The engine,
 // store, and attachment are immutable once the load completes.

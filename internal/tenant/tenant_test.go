@@ -366,28 +366,3 @@ func TestAcquireAfterClose(t *testing.T) {
 	}
 	m.Close() // idempotent
 }
-
-func TestPoolsRoundTrip(t *testing.T) {
-	var p Pools
-	b := p.Batch(10)
-	if len(b) != 0 || cap(b) < 10 {
-		t.Fatalf("Batch: len=%d cap=%d", len(b), cap(b))
-	}
-	b = append(b, kcore.Add(1, 2))
-	p.PutBatch(b)
-	b2 := p.Batch(1)
-	if len(b2) != 0 {
-		t.Fatalf("recycled batch not reset: len=%d", len(b2))
-	}
-	buf := p.Buffer(100)
-	if len(buf) != 0 || cap(buf) < 100 {
-		t.Fatalf("Buffer: len=%d cap=%d", len(buf), cap(buf))
-	}
-	p.PutBuffer(append(buf, 1, 2, 3))
-	if got := p.Buffer(1); len(got) != 0 {
-		t.Fatalf("recycled buffer not reset: len=%d", len(got))
-	}
-	// Oversized slices are dropped, not pooled.
-	p.PutBatch(make(kcore.Batch, maxPooledBatch+1))
-	p.PutBuffer(make([]byte, maxPooledBuffer+1))
-}

@@ -183,11 +183,13 @@ type Engine struct {
 	exec ExecStats
 
 	// Apply observers (guarded by mu; see hook.go): hooks see every
-	// applied batch in registration order, probe is the fault plane's
-	// pre-execution callback, hookBuf is the reused surviving-update buffer,
-	// changes the current batch's AppliedBatch.Changes (a fresh slice per
-	// batch, dropped once the hooks ran).
+	// applied batch in registration order, subs counts the hooks that are
+	// Subscribe subscriptions, probe is the fault plane's pre-execution
+	// callback, hookBuf is the reused surviving-update buffer, changes the
+	// current batch's AppliedBatch.Changes (built only while subs > 0, a
+	// fresh slice per batch, dropped once the hooks ran).
 	hooks   []*ApplyHook
+	subs    int
 	probe   func(updates int)
 	hookBuf []Update
 	changes []CoreChange

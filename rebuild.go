@@ -58,7 +58,9 @@ func (e *Engine) applyRebuild(batch Batch, skip []bool, coalesced int) (BatchInf
 		info.Total.CoreChanged = append(info.Total.CoreChanged, c.Vertex)
 	}
 	info.Total.Visited = e.g.NumVertices()
-	e.changes = diff
+	if e.subs > 0 {
+		e.changes = diff
+	}
 	return info, nil
 }
 

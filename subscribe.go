@@ -80,7 +80,7 @@ func (e *Engine) Subscribe(opts ...SubscribeOption) (<-chan CoreChange, func()) 
 		o(&cfg)
 	}
 	ch := make(chan CoreChange, cfg.buffer)
-	remove := e.AddApplyHook(func(rec AppliedBatch) error {
+	remove := e.addHook(func(rec AppliedBatch) error {
 		for _, ev := range rec.Changes {
 			if ev.NewCore < cfg.minCore && ev.OldCore < cfg.minCore {
 				continue
@@ -94,7 +94,7 @@ func (e *Engine) Subscribe(opts ...SubscribeOption) (<-chan CoreChange, func()) 
 			}
 		}
 		return nil
-	})
+	}, true)
 	// Once remove returns no Apply is running the hook, so the close
 	// cannot race a send.
 	var once sync.Once
