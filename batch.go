@@ -186,11 +186,10 @@ func (e *Engine) executeGuarded(batch Batch, skip []bool, coalesced int) (info B
 // maintenance runs, so an update interrupted after its mutation is counted
 // here: seq advances by one, and every later batch chains after it. The
 // hooks never see the quarantined batch, so their last view is the last
-// published epoch: when the repair moved a core number relative to it and
-// a subscription is active, they receive a repair record carrying those
-// changes at the repaired seq (panics injected via the apply probe fire
-// pre-mutation, so their diff is empty). If the repair itself panics, the
-// engine is beyond recovery and the panic propagates.
+// published epoch: change hooks receive the repair's diff against it (see
+// publishFullDiff; panics injected via the apply probe fire pre-mutation,
+// so their diff is empty). If the repair itself panics, the engine is
+// beyond recovery and the panic propagates.
 func (e *Engine) containPanic(r any) (BatchInfo, error) {
 	last := e.loadEpoch()
 	if e.g.NumEdges() != e.seqEdges {
@@ -199,14 +198,22 @@ func (e *Engine) containPanic(r any) (BatchInfo, error) {
 	}
 	e.m.Reseed()
 	e.exec.Panics++
+	e.publishFullDiff(last)
+	return BatchInfo{Seq: e.seq}, &PanicError{Value: r, Stack: debug.Stack()}
+}
+
+// publishFullDiff publishes the maintained state as one full epoch and,
+// while a change hook is registered, hands the change hooks a record with
+// no Updates whose Changes are the state's diff against last, the epoch
+// they saw before. Their errors are dropped: the diff reports state that
+// has already been installed. The caller holds the write lock.
+func (e *Engine) publishFullDiff(last *epoch) {
 	e.publishEpochFull()
-	if e.subs > 0 {
+	if e.changeHooks > 0 {
 		if diff := e.diffSince(last); len(diff) > 0 {
-			// Hook errors are dropped: this Apply fails with the PanicError.
 			_ = e.runHooks(AppliedBatch{Seq: e.seq, Changes: diff})
 		}
 	}
-	return BatchInfo{Seq: e.seq}, &PanicError{Value: r, Stack: debug.Stack()}
 }
 
 // executeBatch routes a validated batch to an execution strategy.
@@ -246,7 +253,7 @@ func (e *Engine) applySequential(batch Batch, skip []bool, coalesced int) (Batch
 	if dedup {
 		e.dedupCur++
 	}
-	record := e.subs > 0
+	record := e.changeHooks > 0
 	// The maintainer returns Changed slices that alias its pooled scratch
 	// (valid only until the next update), while BatchInfo escapes to the
 	// caller indefinitely. Copy-on-return: all per-update CoreChanged

@@ -284,13 +284,9 @@ func fanoutBench(cfg bench.Config, watchers int) (bench.Result, error) {
 	if err != nil {
 		return bench.Result{}, err
 	}
-	if st.EncodedSSE != st.EncodedBin {
-		return bench.Result{}, fmt.Errorf("fanout-%d: encode counters diverged (%d sse, %d bin)",
-			watchers, st.EncodedSSE, st.EncodedBin)
-	}
-	if st.EncodedSSE != st.Changes {
+	if st.Encoded != st.Changes {
 		return bench.Result{}, fmt.Errorf("fanout-%d: %d events encoded %d times — the ring must encode once per event, independent of %d watchers",
-			watchers, st.Changes, st.EncodedSSE, watchers)
+			watchers, st.Changes, st.Encoded, watchers)
 	}
 	perDelivery := float64(st.Elapsed.Nanoseconds()) / float64(max(st.Delivered, 1))
 	name := fmt.Sprintf("serve2/fanout-%d", watchers)
@@ -301,7 +297,7 @@ func fanoutBench(cfg bench.Config, watchers int) (bench.Result, error) {
 		Params: bench.StampParams(map[string]any{
 			"watchers": watchers, "changes": st.Changes,
 			"delivered": st.Delivered, "dropped": st.Dropped,
-			"encoded_sse": st.EncodedSSE, "encoded_bin": st.EncodedBin,
+			"encoded":            st.Encoded,
 			"wall_ns":            st.Elapsed.Nanoseconds(),
 			"deliveries_per_sec": float64(st.Delivered) / st.Elapsed.Seconds(),
 		}),

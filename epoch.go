@@ -32,8 +32,10 @@ import "slices"
 //     slice. Readers therefore cannot observe torn or shifting state, and
 //     a View (which wraps one epoch) stays valid indefinitely.
 //   - All publications happen while holding the engine write lock, so the
-//     stores are totally ordered and epoch sequence numbers are monotonic:
-//     a reader that loads seq S and loads again later sees seq' >= S.
+//     stores are totally ordered and, between Restores, epoch sequence
+//     numbers are monotonic: a reader that loads seq S and loads again
+//     later sees seq' >= S. Restore may install an older state, whose
+//     epoch carries a lower seq.
 
 // maxEpochPatch bounds the patch: one more accumulated change folds the
 // epoch into a fresh base. The bound trades the writer's fold frequency
@@ -205,8 +207,9 @@ func appendPatch(patch []corePatch, p corePatch) []corePatch {
 
 // publishEpochFull rebuilds the read state from the maintainer into a
 // fresh base with an empty patch, trusting no previous epoch.
-// Construction and panic repair (after a wholesale reseed there is no
-// reliable changed list relative to the last published state) land here;
+// Construction, Restore and panic repair (after a wholesale reseed there
+// is no reliable changed list relative to the last published state) land
+// here;
 // ordinary patch overflow folds from the previous epoch inside
 // publishEpoch instead. The caller holds the write lock.
 func (e *Engine) publishEpochFull() {

@@ -7,10 +7,10 @@ import (
 
 // Apply hooks are the engine's commit stream: a persistence layer (see
 // internal/persist), a replication publisher (see internal/replicate) and
-// every change subscription (see Subscribe) each register a function that
-// observes every successfully applied batch — its surviving updates, the
-// core changes they caused and the resulting sequence number —
-// synchronously, under the engine's write lock, in apply order, after the
+// every change hook (see AddChangeHook and Subscribe) each register a
+// function that observes every successfully applied batch — its surviving
+// updates, the core changes they caused and the resulting sequence number
+// — synchronously, under the engine's write lock, in apply order, after the
 // batch's epoch is published. Because hooks run before Apply returns, a
 // hook that appends to a write-ahead log with fsync gives callers a hard
 // guarantee: when Apply returns nil, the batch is both applied in memory
@@ -22,10 +22,10 @@ import (
 // reproduces the batch bit for bit, because order-based maintenance is
 // deterministic.
 //
-// A record with no Updates is a panic repair (see PanicError): its Changes
-// are the repair's diff against the last published state. It is not a
-// batch and must not be logged or replicated. Repair records are sent only
-// while a Subscribe subscription is active, since Changes is all they carry.
+// A record with no Updates is not a batch: it carries the diff of a panic
+// repair (see PanicError) or of Restore against the last published state,
+// in Changes, at the repaired or restored Seq. Only change hooks (see
+// AddChangeHook) receive such records, and only when the diff is not empty.
 type AppliedBatch struct {
 	// Seq is the engine update sequence number after the batch (equals
 	// BatchInfo.Seq of the Apply that produced it).
@@ -40,11 +40,12 @@ type AppliedBatch struct {
 	// Changes holds the core changes the batch caused, as Subscribe
 	// delivers them: one CoreChange per affected vertex per update in
 	// settlement order, or, for a batch applied by recomputation (see
-	// BatchInfo.Recomputed) and for a repair record, one per net-changed
-	// vertex in ascending vertex order. The engine builds it only while at
-	// least one Subscribe subscription is active; otherwise it is nil, so
-	// hooks that never read it cost no allocation. It has the same lifetime
-	// as Updates. Records read back from a log carry no Changes.
+	// BatchInfo.Recomputed) and for a record with no Updates, one per
+	// net-changed vertex in ascending vertex order. The engine builds it
+	// only while at least one change hook is registered; otherwise it is
+	// nil, so hooks that never read it cost no allocation. Every hook sees
+	// the same record. It has the same lifetime as Updates. Records read
+	// back from a log carry no Changes.
 	Changes []CoreChange
 }
 
@@ -60,11 +61,10 @@ type ApplyHook func(AppliedBatch) error
 // AddApplyHook appends fn (which must not be nil) to the engine's ordered
 // hook list and returns a function that detaches it. Every hook is called
 // after every successfully applied batch with at least one surviving
-// update, and, while a Subscribe subscription is active, after every panic
-// repair that changed a core number (see AppliedBatch), in registration
-// order, and every hook runs even when an earlier one failed: the engine's
-// in-memory state advanced regardless. AppliedBatch.Changes is nil unless
-// a Subscribe subscription is active.
+// update, in registration order, and every hook runs even when an earlier
+// one failed: the engine's in-memory state advanced regardless.
+// AppliedBatch.Changes is nil unless a change hook (see AddChangeHook) is
+// registered, and fn never receives a record with no Updates.
 // Hooks run synchronously while the engine's write lock is held, after the
 // batch's epoch is published, so invocations are totally ordered and match
 // the sequence-number order exactly; a hook must not call back into the
@@ -75,8 +75,7 @@ type ApplyHook func(AppliedBatch) error
 // it) return them joined in one *HookError. The batch itself remains
 // applied — BatchInfo is valid, earlier hooks and subscriptions saw it — so
 // callers must treat a *HookError as "state advanced, durability failed"
-// and not retry the batch. Errors returned for a repair record are
-// dropped: that Apply already fails with its *PanicError.
+// and not retry the batch.
 //
 // remove takes the write lock, so once it returns no Apply is running fn;
 // calling it again is a no-op.
@@ -84,25 +83,40 @@ func (e *Engine) AddApplyHook(fn ApplyHook) (remove func()) {
 	return e.addHook(fn, false)
 }
 
-// addHook registers fn; sub marks a Subscribe subscription, whose hook is
-// the one reader of AppliedBatch.Changes. The count of live subscriptions
-// changes under the write lock together with the hook list, so no batch
-// runs a subscription's hook without building its Changes. Subscribe's
-// cancel calls remove once, so the count drops once per subscription.
-func (e *Engine) addHook(fn ApplyHook, sub bool) (remove func()) {
-	h := &fn
+// AddChangeHook is AddApplyHook for a hook that reads core changes: while
+// at least one change hook is registered, every record carries its
+// AppliedBatch.Changes, and change hooks alone also receive the records
+// with no Updates that a panic repair or Restore hands out (see
+// AppliedBatch). Errors returned for those records are dropped. Subscribe
+// is a change hook that forwards each change into a channel.
+func (e *Engine) AddChangeHook(fn ApplyHook) (remove func()) {
+	return e.addHook(fn, true)
+}
+
+// hook is one entry of the hook list; changes marks a change hook.
+type hook struct {
+	fn      ApplyHook
+	changes bool
+}
+
+// addHook registers fn. The count of change hooks changes under the write
+// lock together with the list, so no batch runs a change hook without
+// building its Changes. remove acts once, so the count drops once per hook.
+func (e *Engine) addHook(fn ApplyHook, changes bool) (remove func()) {
+	h := &hook{fn: fn, changes: changes}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.hooks = append(e.hooks, h)
-	if sub {
-		e.subs++
+	if changes {
+		e.changeHooks++
 	}
 	return func() {
 		e.mu.Lock()
 		defer e.mu.Unlock()
-		e.hooks = slices.DeleteFunc(e.hooks, func(x *ApplyHook) bool { return x == h })
-		if sub {
-			e.subs--
+		n := len(e.hooks)
+		e.hooks = slices.DeleteFunc(e.hooks, func(x *hook) bool { return x == h })
+		if changes && len(e.hooks) < n {
+			e.changeHooks--
 		}
 	}
 }
@@ -146,11 +160,15 @@ func (e *Engine) runApplyHooks(batch Batch, skip []bool, info *BatchInfo) error 
 }
 
 // runHooks hands rec to every registered hook in order and joins their
-// errors into one *HookError. Caller holds the write lock.
+// errors into one *HookError. A record with no Updates goes to change
+// hooks only. Caller holds the write lock.
 func (e *Engine) runHooks(rec AppliedBatch) error {
 	var errs []error
 	for _, h := range e.hooks {
-		if err := (*h)(rec); err != nil {
+		if len(rec.Updates) == 0 && !h.changes {
+			continue
+		}
+		if err := h.fn(rec); err != nil {
 			errs = append(errs, err)
 		}
 	}

@@ -2,6 +2,7 @@ package kcore
 
 import (
 	"fmt"
+	"slices"
 
 	"kcore/internal/graph"
 	"kcore/internal/korder"
@@ -14,9 +15,9 @@ import (
 // deterministic replay, it is exactly what a durable snapshot must capture
 // so that snapshot + write-ahead-log replay reconstructs the engine
 // bit-identically: same cores, same k-order, same Seq. Capture one with
-// Engine.Index; rebuild an engine from one with FromIndex. It is the
-// engine's one capture/restore form: internal/persist's snapshot file is
-// its encoding.
+// Engine.Index; build an engine from one with FromIndex, or install one
+// into a live engine with Engine.Restore. It is the engine's one
+// capture/restore form: internal/persist's snapshot file is its encoding.
 type IndexState struct {
 	// Seq is the engine update sequence number the state was captured at.
 	Seq uint64
@@ -54,39 +55,51 @@ func (e *Engine) Index() *IndexState {
 	}
 }
 
-// FromIndex reconstructs an engine from a captured IndexState. The state is
-// fully verified in O(m + n) before installation (see korder.Restore): a
-// corrupted or internally inconsistent state yields an error, never a
-// silently-wrong engine. The engine adopts the state's Seq and Seed, which
-// replay determinism depends on; other options (WithRebuildThreshold, ...)
-// may be supplied as opts.
+// FromIndex builds an engine from a captured IndexState: a fresh engine
+// (see NewEngine) that Restore then fills. The engine adopts the state's
+// Seq and Seed, which replay determinism depends on; other options
+// (WithRebuildThreshold, ...) may be supplied as opts.
 func FromIndex(st *IndexState, opts ...Option) (*Engine, error) {
-	cfg := newConfig(opts)
-	cfg.seed = st.Seed
+	e := NewEngine(opts...)
+	if err := e.Restore(st); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// Restore replaces the engine's maintained state with st in place. The
+// state is fully verified in O(m + n) first (see korder.Restore): a
+// corrupted or inconsistent state yields an error and leaves the engine
+// untouched. The engine adopts the state's Seq, which may be lower than
+// its own, and Seed, and keeps its options, hooks, subscriptions and apply
+// probe. Restore publishes one full epoch, then hands change hooks (see
+// AddChangeHook) a record with no Updates whose Changes turn every
+// vertex's old core into its restored one (0 for vertices st lacks).
+func (e *Engine) Restore(st *IndexState) error {
 	if st.Vertices < 0 {
-		return nil, fmt.Errorf("kcore: index state: negative vertex count %d", st.Vertices)
+		return fmt.Errorf("kcore: index state: negative vertex count %d", st.Vertices)
 	}
 	g := graph.New(st.Vertices)
 	for _, ed := range st.Edges {
 		if ed[0] < 0 || ed[0] >= st.Vertices || ed[1] < 0 || ed[1] >= st.Vertices {
-			return nil, fmt.Errorf("kcore: index state: edge (%d,%d) outside vertex range %d",
+			return fmt.Errorf("kcore: index state: edge (%d,%d) outside vertex range %d",
 				ed[0], ed[1], st.Vertices)
 		}
 		if err := g.AddEdge(ed[0], ed[1]); err != nil {
-			return nil, fmt.Errorf("kcore: index state: edge (%d,%d): %w", ed[0], ed[1], err)
+			return fmt.Errorf("kcore: index state: edge (%d,%d): %w", ed[0], ed[1], err)
 		}
 	}
 	// korder.Restore takes ownership of the core and order slices; copy so
 	// the caller's IndexState stays untouched.
-	cores := make([]int, len(st.Cores))
-	copy(cores, st.Cores)
-	ord := make([]int, len(st.Order))
-	copy(ord, st.Order)
-	m, err := korder.Restore(g, cores, ord, maintainerOptions(cfg.seed))
+	m, err := korder.Restore(g, slices.Clone(st.Cores), slices.Clone(st.Order), maintainerOptions(st.Seed))
 	if err != nil {
-		return nil, fmt.Errorf("kcore: %w", err)
+		return fmt.Errorf("kcore: %w", err)
 	}
-	e := &Engine{g: g, m: m, cfg: cfg, seq: st.Seq, seqEdges: g.NumEdges()}
-	e.publishEpochFull()
-	return e, nil
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	last := e.loadEpoch()
+	e.g, e.m, e.cfg.seed = g, m, st.Seed
+	e.seq, e.seqEdges = st.Seq, g.NumEdges()
+	e.publishFullDiff(last)
+	return nil
 }

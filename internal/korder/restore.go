@@ -23,7 +23,7 @@ func (m *Maintainer) Reseed() {
 
 // Restore builds a Maintainer directly from a claimed maintained state:
 // graph, core numbers, and k-order. It is the verifier behind the engine's
-// one restore path, kcore.FromIndex, which every snapshot load and
+// one restore path, kcore.Engine.Restore, which every snapshot load and
 // follower bootstrap goes through. deg+ and mcd are not part of the claim:
 // deg+ falls out of the peeling check below and mcd is recomputed from the
 // verified cores, both in O(m). The claimed state is fully verified in

@@ -270,12 +270,10 @@ func (s *Store) Dir() string { return s.dir }
 // restart. Until the heal lands, every append is refused (errWALGap /
 // sealed) rather than written as an unreplayable gap record, so one
 // transient write error can never make the directory unrecoverable.
-// A panic-repair record (no Updates, see kcore.AppliedBatch) is not a batch
-// and is not logged: the quarantined prefix meets the next append as a gap.
+// A plain apply hook never receives a panic-repair record (see
+// kcore.AppliedBatch), so the quarantined prefix meets the next append as
+// a gap.
 func (s *Store) onApply(rec kcore.AppliedBatch) error {
-	if len(rec.Updates) == 0 {
-		return nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {

@@ -343,6 +343,125 @@ func TestFollowerGapReBootstrap(t *testing.T) {
 	}
 }
 
+// TestFollowerReBootstrapKeepsEngine: a forced-gap re-bootstrap restores
+// the shipped state into the follower's one engine. The apply probe and
+// the subscription registered on it before the gap keep firing, and the
+// subscription's events turn the old cores into the new ones.
+func TestFollowerReBootstrapKeepsEngine(t *testing.T) {
+	e := kcore.NewEngine(kcore.WithSeed(9))
+	apply := func(b kcore.Batch) []byte {
+		t.Helper()
+		if _, err := e.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := persist.EncodeSnapshot(indexOf(t, e))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	snapEarly := apply(kcore.Batch{kcore.Add(0, 1), kcore.Add(1, 2), kcore.Add(0, 2)}) // seq 3
+	snapFull := apply(kcore.Batch{kcore.Add(2, 3), kcore.Add(3, 4), kcore.Add(2, 4)})  // seq 6
+	apply(kcore.Batch{kcore.Add(4, 5)})                                                // seq 7
+	gapFrame, err := persist.AppendWALFrame(nil, kcore.AppliedBatch{
+		Seq: 6, Updates: []kcore.Update{kcore.Add(3, 4), kcore.Add(2, 4)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nextFrame, err := persist.AppendWALFrame(nil, kcore.AppliedBatch{
+		Seq: 7, Updates: []kcore.Update{kcore.Add(4, 5)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	release := make(chan struct{})
+	var mu sync.Mutex
+	var connects int
+	primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/replicate" {
+			http.NotFound(w, r)
+			return
+		}
+		mu.Lock()
+		connects++
+		n := connects
+		mu.Unlock()
+		w.Header().Set("Content-Type", "application/octet-stream")
+		if n == 1 {
+			// Bootstrap at seq 3; the hole comes once the test is ready.
+			_, _ = w.Write(persist.AppendWALHeader(replicate.AppendBootstrap(nil, snapEarly)))
+			w.(http.Flusher).Flush()
+			select {
+			case <-release:
+			case <-r.Context().Done():
+				return
+			}
+			_, _ = w.Write(gapFrame)
+		} else {
+			out := persist.AppendWALHeader(replicate.AppendBootstrap(nil, snapFull))
+			_, _ = w.Write(append(out, nextFrame...))
+		}
+		w.(http.Flusher).Flush()
+		<-r.Context().Done()
+	}))
+	defer primary.Close()
+
+	f, err := replicate.StartFollower(context.Background(), primary.URL, replicate.FollowerOptions{
+		ReconnectMin: 5 * time.Millisecond,
+		PollInterval: time.Hour, // no healthz on the fake primary
+	})
+	if err != nil {
+		t.Fatalf("StartFollower: %v", err)
+	}
+	defer f.Close()
+	eng := f.Engine()
+	old := eng.Cores()
+	var probed atomic.Int64
+	eng.SetApplyProbe(func(int) { probed.Add(1) })
+	events, cancel := eng.Subscribe(kcore.WithBuffer(64))
+	defer cancel()
+	close(release)
+
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		st := f.Stats()
+		if st.Gaps >= 1 && st.Bootstraps >= 2 && st.AppliedSeq == 7 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("follower never re-bootstrapped past the gap: %+v", st)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if f.Engine() != eng {
+		t.Fatal("the re-bootstrap replaced the follower's engine")
+	}
+	if n := probed.Load(); n != 1 {
+		t.Fatalf("apply probe fired %d times, want once for the frame after the re-bootstrap", n)
+	}
+	sameState(t, "post-re-bootstrap", indexOf(t, eng), indexOf(t, e))
+	// The epoch is published before the hooks run, so the last events may
+	// trail the seq the stats report.
+	want := e.Cores()
+	cores := append(slices.Clone(old), make([]int, len(want)-len(old))...)
+	for !slices.Equal(cores, want) {
+		select {
+		case ev := <-events:
+			if cores[ev.Vertex] != ev.OldCore {
+				t.Fatalf("event %+v, but the vertex's core was %d", ev, cores[ev.Vertex])
+			}
+			cores[ev.Vertex] = ev.NewCore
+		case <-time.After(5 * time.Second):
+			t.Fatalf("subscription events turned %v into %v, want %v", old, cores, want)
+		}
+	}
+	if len(events) > 0 {
+		t.Fatalf("%d events beyond the new cores", len(events))
+	}
+}
+
 // TestFollowerRejectsCorruptStream: a fake primary whose frame bytes are
 // corrupted mid-stream must poison the connection (gap counted), not crash
 // or apply garbage.

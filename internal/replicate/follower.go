@@ -12,7 +12,6 @@ import (
 	"net/url"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"kcore"
@@ -23,9 +22,9 @@ import (
 
 // FollowerOptions tunes the follower side. The zero value picks defaults.
 type FollowerOptions struct {
-	// Engine options applied when rebuilding the engine from a shipped
-	// snapshot (rebuild thresholds; the seed comes from the snapshot itself
-	// — determinism requires the primary's).
+	// Engine options of the follower's engine (rebuild thresholds; the
+	// seed comes from each shipped snapshot — determinism requires the
+	// primary's).
 	Engine []kcore.Option
 	// Client is the HTTP client for the stream and the seq poll. The
 	// default enables TCP keepalives (dead primaries are detected within
@@ -67,13 +66,16 @@ func (o FollowerOptions) withDefaults() FollowerOptions {
 // bootstraps from the primary's /v1/replicate stream, applies live frames
 // through persist.ApplyRecord, reconnects with resume on stream failure,
 // and re-bootstraps from a fresh snapshot when the stream cannot chain onto
-// its state. The current engine is read through Engine — it is REPLACED on
-// re-bootstrap, so callers must not cache it across requests.
+// its state. The engine is built once, by StartFollower, and lives as long
+// as the follower: every bootstrap installs the shipped state into it with
+// kcore.Engine.Restore, so its apply hooks, subscriptions and apply probe
+// keep working across re-bootstraps, and its change hooks receive each
+// re-bootstrap's diff.
 type Follower struct {
 	primary string
 	opts    FollowerOptions
 
-	engine atomic.Pointer[kcore.Engine]
+	engine *kcore.Engine
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -95,7 +97,7 @@ type Follower struct {
 }
 
 // stream is one established replication connection, bootstrap already
-// consumed and the engine installed.
+// consumed and its state restored.
 type stream struct {
 	body io.ReadCloser
 	wr   *persist.WALReader
@@ -112,7 +114,7 @@ func StartFollower(ctx context.Context, primaryURL string, opts FollowerOptions)
 		return nil, fmt.Errorf("replicate: primary URL %q must be absolute (e.g. http://host:8080)", primaryURL)
 	}
 	u.Path, u.RawQuery, u.Fragment = "", "", ""
-	f := &Follower{primary: u.String(), opts: opts.withDefaults()}
+	f := &Follower{primary: u.String(), opts: opts.withDefaults(), engine: kcore.NewEngine(opts.Engine...)}
 	f.ctx, f.cancel = context.WithCancel(context.Background())
 
 	bo := f.backoff()
@@ -142,9 +144,9 @@ func (f *Follower) backoff() fault.Backoff {
 // Primary is the primary's base URL.
 func (f *Follower) Primary() string { return f.primary }
 
-// Engine is the follower's current engine. It changes identity on
-// re-bootstrap; fetch it per use.
-func (f *Follower) Engine() *kcore.Engine { return f.engine.Load() }
+// Engine is the follower's engine, the same one for the follower's
+// lifetime.
+func (f *Follower) Engine() *kcore.Engine { return f.engine }
 
 // DropConnection severs the current stream, forcing a reconnect (resume).
 // Exposed for tests and operational kicks; a no-op while disconnected.
@@ -213,17 +215,16 @@ func (f *Follower) Stats() FollowerStats {
 	return st
 }
 
-// connect dials the replication endpoint, consumes the bootstrap, and
-// installs the engine. On success the returned stream delivers live frames.
+// connect dials the replication endpoint and consumes the bootstrap,
+// restoring a shipped snapshot into the engine. On success the returned
+// stream delivers live frames.
 func (f *Follower) connect() (*stream, error) {
 	target := f.primary + "/v1/replicate"
 	f.mu.Lock()
-	force := f.forceBoot
+	resume := f.bootstraps > 0 && !f.forceBoot
 	f.mu.Unlock()
-	eng := f.engine.Load()
-	resume := eng != nil && !force
 	if resume {
-		target += "?from=" + strconv.FormatUint(eng.Seq(), 10)
+		target += "?from=" + strconv.FormatUint(f.engine.Seq(), 10)
 	}
 	req, err := http.NewRequestWithContext(f.ctx, http.MethodGet, target, nil)
 	if err != nil {
@@ -251,18 +252,16 @@ func (f *Follower) connect() (*stream, error) {
 			resp.Body.Close()
 			return nil, fmt.Errorf("replicate: shipped snapshot: %w", err)
 		}
-		fresh, err := kcore.FromIndex(st, f.opts.Engine...)
-		if err != nil {
+		if err = f.engine.Restore(st); err != nil {
 			resp.Body.Close()
 			return nil, fmt.Errorf("replicate: restore shipped snapshot: %w", err)
 		}
-		f.engine.Store(fresh)
 		f.mu.Lock()
 		f.bootstraps++
 		f.forceBoot = false
 		f.observeSeqLocked(st.Seq)
 		f.mu.Unlock()
-	case eng == nil || force:
+	case !resume:
 		// A resume bootstrap answers only a resume request; for a fresh (or
 		// poisoned) follower the primary must ship state.
 		resp.Body.Close()
@@ -333,7 +332,7 @@ func (f *Follower) consume(st *stream) error {
 		rec, err := st.wr.Next()
 		applied := false
 		if err == nil {
-			applied, err = persist.ApplyRecord(f.engine.Load(), rec)
+			applied, err = persist.ApplyRecord(f.engine, rec)
 		}
 		if err != nil {
 			if errors.Is(err, persist.ErrCorruptWAL) || errors.Is(err, ErrBadStream) {

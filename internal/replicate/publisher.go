@@ -96,13 +96,10 @@ func NewPublisher(engine *kcore.Engine, opts PublisherOptions) *Publisher {
 // append it to the history. It runs under the engine write lock — keep it
 // allocation-light and never call back into the engine. It never fails:
 // replication mirrors the engine's in-memory state, which advanced even
-// when an earlier hook (the WAL append) failed. A panic-repair record (no
-// Updates, see kcore.AppliedBatch) is not a batch and is not shipped: the
+// when an earlier hook (the WAL append) failed. A plain apply hook never
+// receives a panic-repair record (see kcore.AppliedBatch), so the
 // quarantined prefix reaches followers as a gap at the next frame.
 func (p *Publisher) onApply(rec kcore.AppliedBatch) error {
-	if len(rec.Updates) == 0 {
-		return nil
-	}
 	data, err := persist.AppendWALFrame(nil, rec)
 	if err != nil {
 		// Unreachable: the engine validated the batch (no negative vertices,

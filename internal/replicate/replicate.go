@@ -14,9 +14,12 @@
 // its CRC protection, its golden fixtures, and its sequence-chaining
 // invariant end to end. The follower applies frames through
 // persist.ApplyRecord, the same skip/chain/apply rule WAL recovery uses, so
-// its local watchers see the changes. A follower engine carries no store
-// and no publisher (chained replication is not supported), so nothing
-// re-logs or re-publishes what it applies.
+// its local watchers see the changes. A follower keeps one engine for its
+// lifetime: a later snapshot bootstrap installs into it with
+// kcore.Engine.Restore, so hooks and watchers registered on it stay
+// attached and receive the bootstrap's core changes. A follower engine
+// carries no store and no publisher (chained replication is not
+// supported), so nothing re-logs or re-publishes what it applies.
 //
 // Reads on a follower are eventually consistent. Read-your-primary-writes
 // is NOT guaranteed; the staleness is observable as seq_lag (primary seq
@@ -32,7 +35,9 @@
 // seq, it falls back to a fresh snapshot bootstrap. The WAL chaining
 // invariant makes resumption safe: the follower skips frames at or below
 // its seq and refuses any frame that does not chain exactly onto it,
-// forcing a clean snapshot re-bootstrap instead of silent divergence.
+// forcing a clean snapshot re-bootstrap instead of silent divergence. The
+// re-bootstrap may move the follower's seq back, when the primary lost
+// batches it had not synced before it restarted.
 //
 // Sequence numbers identify positions within one primary lineage. A primary
 // that is rebuilt from scratch with different data can reuse seq values;

@@ -325,21 +325,10 @@ func TestWatchEncodesOncePerEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Wait for the ring to quiesce: the feed goroutine appends after Apply
-	// returns, so poll the encode counter until it stops moving.
-	ring := s.def.hub.current()
-	if ring == nil {
-		t.Fatal("no active ring")
-	}
-	var events uint64
-	for i := 0; i < 100; i++ {
-		n := ring.encodedSSE.Load()
-		if n > 0 && n == events {
-			break
-		}
-		events = n
-		time.Sleep(20 * time.Millisecond)
-	}
+	// The ring is the engine's change hook: every event was encoded before
+	// the batch's response was sent.
+	ring := s.def.ring
+	events := ring.encoded.Load()
 	if events == 0 {
 		t.Fatal("no events were encoded")
 	}
@@ -361,12 +350,9 @@ func TestWatchEncodesOncePerEvent(t *testing.T) {
 			}
 		}
 	}
-	// ...yet each event was encoded exactly once per framing.
-	if n := ring.encodedSSE.Load(); n != events {
-		t.Fatalf("SSE encodes = %d, want %d (one per event)", n, events)
-	}
-	if n := ring.encodedBin.Load(); n != events {
-		t.Fatalf("binary encodes = %d, want %d (one per event)", n, events)
+	// ...yet each event was encoded exactly once, into both framings.
+	if n := ring.encoded.Load(); n != events {
+		t.Fatalf("encodes = %d, want %d (one per event)", n, events)
 	}
 }
 

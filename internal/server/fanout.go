@@ -11,19 +11,17 @@ import (
 
 // FanoutStats reports one FanoutLoad run.
 type FanoutStats struct {
-	// Watchers is the subscriber count; Changes the number of core-change
-	// events the engine emitted.
-	Watchers int
-	Changes  uint64
+	// Changes is the number of core-change events the engine reported in
+	// its BatchInfo.
+	Changes uint64
 	// Delivered is the total number of events handed to subscribers across
-	// all cursors (Watchers x Changes when nothing was dropped); Dropped is
+	// all cursors (watchers x Changes when nothing was dropped); Dropped is
 	// the summed lagged count.
 	Delivered uint64
 	Dropped   uint64
-	// EncodedSSE/EncodedBin are the ring's encode counters — by construction
-	// one per event per framing, independent of Watchers.
-	EncodedSSE uint64
-	EncodedBin uint64
+	// Encoded is the ring's encode counter: one per event, covering both
+	// framings, independent of the watcher count.
+	Encoded uint64
 	// Bytes is the summed length of the pre-encoded SSE frames subscribers
 	// read (the work a real handler would write to its socket).
 	Bytes uint64
@@ -47,9 +45,7 @@ func FanoutLoad(watchers, changes, ringSize int) (FanoutStats, error) {
 		return FanoutStats{}, fmt.Errorf("server: FanoutLoad wants positive watchers, changes and ringSize")
 	}
 	eng := kcore.NewEngine()
-	hub := newWatchHub(ringSize)
-	defer hub.close()
-	ring := hub.ringFor(eng)
+	ring := newBroadcastRing(eng, ringSize)
 
 	var delivered, dropped, bytes atomic.Uint64
 	var wg sync.WaitGroup
@@ -69,7 +65,7 @@ func FanoutLoad(watchers, changes, ringSize int) (FanoutStats, error) {
 				if len(events) > 0 {
 					var n uint64
 					for _, ev := range events {
-						n += uint64(len(ev.sse))
+						n += uint64(ev.split)
 					}
 					bytes.Add(n)
 					delivered.Add(uint64(len(events)))
@@ -84,42 +80,35 @@ func FanoutLoad(watchers, changes, ringSize int) (FanoutStats, error) {
 
 	start := time.Now()
 	// A growing star: spoke i's core flips 0 -> 1, one change per add (plus
-	// one extra for the hub vertex on the first edge).
+	// one extra for the hub vertex on the first edge). The ring is the
+	// engine's change hook, so every event is in it when Apply returns.
 	const batch = 100
+	var emitted uint64
 	for next := 1; next <= changes; next += batch {
 		b := kcore.Batch{}
 		for v := next; v <= changes && v < next+batch; v++ {
 			b = append(b, kcore.Add(0, v))
 		}
-		if _, err := eng.Apply(b); err != nil {
-			hub.close()
+		info, err := eng.Apply(b)
+		if err != nil {
+			ring.close()
 			wg.Wait()
 			return FanoutStats{}, fmt.Errorf("server: fanout apply: %w", err)
 		}
-	}
-	// The feed goroutine appends asynchronously; wait for the encode counter
-	// to quiesce before closing the ring under the subscribers.
-	var last uint64
-	for i := 0; i < 1000; i++ {
-		n := ring.encodedSSE.Load()
-		if n >= uint64(changes) && n == last {
-			break
+		for _, u := range info.Updates {
+			emitted += uint64(len(u.CoreChanged))
 		}
-		last = n
-		time.Sleep(2 * time.Millisecond)
 	}
-	hub.close()
+	ring.close()
 	wg.Wait()
 	elapsed := time.Since(start)
 
 	return FanoutStats{
-		Watchers:   watchers,
-		Changes:    ring.encodedSSE.Load(),
-		Delivered:  delivered.Load(),
-		Dropped:    dropped.Load(),
-		EncodedSSE: ring.encodedSSE.Load(),
-		EncodedBin: ring.encodedBin.Load(),
-		Bytes:      bytes.Load(),
-		Elapsed:    elapsed,
+		Changes:   emitted,
+		Delivered: delivered.Load(),
+		Dropped:   dropped.Load(),
+		Encoded:   ring.encoded.Load(),
+		Bytes:     bytes.Load(),
+		Elapsed:   elapsed,
 	}, nil
 }

@@ -342,7 +342,7 @@ func (s *Server) handleCore(ts *tenantServing, w http.ResponseWriter, r *http.Re
 		return
 	}
 	// CoreSeq, not View: the point query must not pay an O(n) snapshot.
-	core, seq := ts.eng().CoreSeq(v)
+	core, seq := ts.t.Engine().CoreSeq(v)
 	writeJSON(w, http.StatusOK, wire.CoreResponse{Vertex: v, Core: core, Seq: seq})
 }
 
@@ -357,7 +357,7 @@ func (s *Server) handleKCore(ts *tenantServing, w http.ResponseWriter, r *http.R
 		writeError(w, badRequest("k must be a non-negative integer, got %q", kstr))
 		return
 	}
-	view := ts.eng().View()
+	view := ts.t.Engine().View()
 	vs := view.KCore(k)
 	if vs == nil {
 		vs = []int{} // an empty core serializes as [], not null
@@ -374,7 +374,7 @@ func (s *Server) handleCores(ts *tenantServing, w http.ResponseWriter, r *http.R
 			wire.ContentTypeCores, wire.ContentTypeJSON, r.Header.Get("Accept")))
 		return
 	}
-	view := ts.eng().View()
+	view := ts.t.Engine().View()
 	cores := view.Cores()
 	if typ == wire.ContentTypeJSON {
 		if cores == nil {
@@ -399,7 +399,7 @@ func (s *Server) handleSnapshotExport(ts *tenantServing, w http.ResponseWriter, 
 			wire.ContentTypeSnapshot, r.Header.Get("Accept")))
 		return
 	}
-	st := ts.eng().Index()
+	st := ts.t.Engine().Index()
 	data, err := persist.EncodeSnapshot(st)
 	if err != nil {
 		writeError(w, &wire.Error{Code: wire.CodeInternal, Status: http.StatusInternalServerError,
@@ -416,7 +416,7 @@ func (s *Server) handleSnapshotExport(ts *tenantServing, w http.ResponseWriter, 
 func (s *Server) handleStats(ts *tenantServing, w http.ResponseWriter, r *http.Request) {
 	// Counts, not View: four scalars don't justify an O(n) snapshot —
 	// /v1/stats is the resync signal for lagged watchers, so it gets hit.
-	eng := ts.eng()
+	eng := ts.t.Engine()
 	vertices, edges, degeneracy, seq := eng.Counts()
 	ex := eng.ExecStats()
 	resp := wire.StatsResponse{
@@ -426,7 +426,7 @@ func (s *Server) handleStats(ts *tenantServing, w http.ResponseWriter, r *http.R
 		Degeneracy: degeneracy,
 		Seq:        seq,
 		Algorithm:  "order-based", // the engine's one maintainer; the field stays for wire clients
-		Watchers:   int(ts.watchers.Load()),
+		Watchers:   int(ts.ring.watchers.Load()),
 		Exec: wire.ExecStats{
 			Sequential: ex.Sequential,
 			Recomputed: ex.Recomputed,
@@ -552,7 +552,7 @@ func (s *Server) handleSnapshot(ts *tenantServing, w http.ResponseWriter, r *htt
 // answering precisely when the server is unwell. Status and Mode carry
 // the availability verdict; load balancers route writes on those.
 func (s *Server) handleHealthz(ts *tenantServing, w http.ResponseWriter, r *http.Request) {
-	resp := wire.HealthResponse{Status: "ok", Mode: "read_write", Seq: ts.eng().Seq()}
+	resp := wire.HealthResponse{Status: "ok", Mode: "read_write", Seq: ts.t.Engine().Seq()}
 	switch {
 	case ts.fol != nil:
 		resp.Mode = "follower"

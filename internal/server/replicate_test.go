@@ -5,11 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"kcore"
+	"kcore/internal/persist"
 	"kcore/internal/replicate"
 	"kcore/internal/server/wire"
 )
@@ -158,6 +162,102 @@ func TestPrimaryFollowerEndToEnd(t *testing.T) {
 	}
 	if f := pr.Primary.Followers[0]; f.SentSeq != 5 || f.SeqLag != 0 {
 		t.Fatalf("primary's follower conn = %+v, want sent_seq 5, seq_lag 0", f)
+	}
+}
+
+// TestWatchFollowsFollowerReBootstrap: a watch stream on a follower stays
+// open across a forced-gap re-bootstrap and receives the re-bootstrap's
+// core changes, since the follower restores into the engine it serves.
+func TestWatchFollowsFollowerReBootstrap(t *testing.T) {
+	ref := kcore.NewEngine(kcore.WithSeed(9))
+	snapshot := func(b kcore.Batch) []byte {
+		t.Helper()
+		if _, err := ref.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := persist.EncodeSnapshot(ref.Index())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return persist.AppendWALHeader(replicate.AppendBootstrap(nil, snap))
+	}
+	early := snapshot(kcore.Batch{kcore.Add(0, 1), kcore.Add(1, 2), kcore.Add(0, 2)}) // seq 3
+	full := snapshot(kcore.Batch{kcore.Add(2, 3), kcore.Add(3, 4), kcore.Add(2, 4)})  // seq 6
+	// A frame claiming seqs 5..6 cannot chain onto a follower at seq 3.
+	gap, err := persist.AppendWALFrame(nil, kcore.AppliedBatch{
+		Seq: 6, Updates: []kcore.Update{kcore.Add(3, 4), kcore.Add(2, 4)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	var connects atomic.Int64
+	primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/replicate" {
+			http.NotFound(w, r)
+			return
+		}
+		if connects.Add(1) == 1 {
+			_, _ = w.Write(early)
+			w.(http.Flusher).Flush()
+			select {
+			case <-release:
+				_, _ = w.Write(gap)
+			case <-r.Context().Done():
+				return
+			}
+		} else {
+			_, _ = w.Write(full)
+		}
+		w.(http.Flusher).Flush()
+		<-r.Context().Done()
+	}))
+	defer primary.Close()
+	fol, err := replicate.StartFollower(context.Background(), primary.URL, replicate.FollowerOptions{
+		ReconnectMin: 5 * time.Millisecond,
+		PollInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatalf("StartFollower: %v", err)
+	}
+	defer fol.Close()
+	const keepalive = 20 * time.Millisecond
+	_, fc := newTestServer(t, fol.Engine(), Options{Follower: fol, Keepalive: keepalive})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	events, err := fc.Watch(ctx, WatchOptions{})
+	if err != nil {
+		t.Fatalf("Watch: %v", err)
+	}
+	if ev := <-events; ev.Type != wire.EventHello || ev.Hello.Seq != 3 {
+		t.Fatalf("first event = %+v, want hello at seq 3", ev)
+	}
+	close(release)
+
+	// Vertices 3 and 4 arrive with the re-bootstrap, at core 2.
+	var got []wire.ChangeEvent
+	for len(got) < 2 {
+		select {
+		case ev, ok := <-events:
+			if !ok {
+				t.Fatalf("watch stream ended after %+v", got)
+			}
+			if ev.Type == wire.EventChange {
+				got = append(got, *ev.Change)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no re-bootstrap changes on the watch stream: got %+v, follower %+v", got, fol.Stats())
+		}
+	}
+	want := []wire.ChangeEvent{{Vertex: 3, OldCore: 0, NewCore: 2, Seq: 6}, {Vertex: 4, OldCore: 0, NewCore: 2, Seq: 6}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("watch got %+v, want %+v", got, want)
+	}
+	// Keepalive ticks leave the stream open.
+	select {
+	case ev, ok := <-events:
+		t.Fatalf("after the re-bootstrap diff: event %+v, open %v", ev, ok)
+	case <-time.After(5 * keepalive):
 	}
 }
 

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"encoding/json"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -10,135 +8,180 @@ import (
 	"kcore/internal/server/wire"
 )
 
-// The watch broadcast ring replaces per-subscriber re-encoding on /v1/watch:
-// one hub goroutine drains a single engine subscription, encodes every
-// CoreChange exactly once into BOTH stream framings (the SSE frame and the
-// binary event frame, cached side by side in one ring slot), and each watch
-// handler carries only a cursor into the ring plus its own min_core filter.
-// 10k watchers therefore cost one serialization per event, not 10k.
-//
-// Lagged-drop semantics are preserved: a subscriber whose cursor falls more
-// than its lag window behind the ring head skips the overwritten events and
-// reports them through the cumulative "lagged" count, and the engine-side
-// feed subscription's own drops (the hub falling behind the engine) are
-// folded into the same count. The engine never blocks on any watcher.
+// The watch broadcast ring is a tenant's /v1/watch fan-out and, while a
+// watch stream is open, its engine's change hook (see
+// kcore.Engine.AddChangeHook): the first stream adds the hook and the last
+// removes it, so an unwatched tenant's batches build no change records.
+// Under the engine's write lock the hook encodes each batch's changes once
+// per framing (SSE and binary event frames) into one buffer, publishes them
+// into the ring's slots and wakes waiting readers once. Each watch handler
+// carries only a cursor and its min_core filter, so 10k watchers cost one
+// encoding per event, not 10k. The engine never blocks on a watcher: a
+// cursor that falls more than its lag window behind the head skips the
+// overwritten events and reports them as "lagged".
 
-// ringEvent is one broadcast slot. The byte slices are immutable once
-// written — an overwriting append replaces the slot's slice headers, never
-// the bytes — so a copied-out ringEvent stays valid without holding the
-// ring lock.
+// ringEvent is one broadcast slot. The bytes are immutable once written —
+// an overwriting append replaces the slot's slice header, never the bytes —
+// so a copied-out ringEvent stays valid without holding the ring lock.
 type ringEvent struct {
-	oldCore, newCore int // for per-subscriber min_core filtering
-	sse              []byte
-	bin              []byte
+	oldCore, newCore int    // for per-subscriber min_core filtering
+	frames           []byte // the SSE frame, then the binary frame
+	split            int    // length of the SSE frame
 }
 
-// broadcastRing is a fixed-capacity single-writer multi-reader event ring.
+// broadcastRing is a fixed-capacity single-writer multi-reader event ring
+// fed by one engine's change hook.
 type broadcastRing struct {
+	eng  *kcore.Engine
 	size uint64
 
+	// attach serializes adding and removing the change hook. Lock order:
+	// attach, then the engine's write lock, then mu; the hook runs under
+	// the engine's write lock and takes only mu.
+	attach   sync.Mutex
+	remove   func() // removes the change hook; nil while no stream is open
+	watchers atomic.Int64
+
 	mu     sync.Mutex
-	buf    []ringEvent
+	buf    []ringEvent   // made by the first stream, dropped by the last
 	head   uint64        // next slot to write; valid slots are [head-min(head,size), head)
-	notify chan struct{} // closed and replaced on every append (and on close)
-	closed bool
-	cancel func() // engine subscription cancel; set by the hub
+	wake   chan struct{} // made by a waiting reader, closed by the next append or close
+	closed bool          // written under attach and mu
 
-	// feedDropped counts events the ENGINE dropped because the hub's own
-	// subscription buffer overflowed — losses shared by every subscriber.
-	feedDropped atomic.Uint64
-	// encodedSSE/encodedBin count encode operations, one per event per
-	// framing by construction; tests assert they stay independent of the
+	// encoded counts encoded events, each once into both framings; tests
+	// and the fan-out benchmark check that it stays independent of the
 	// subscriber count.
-	encodedSSE atomic.Uint64
-	encodedBin atomic.Uint64
+	encoded atomic.Uint64
+	// ends holds each encoded event's SSE and binary end offsets; only the
+	// hook touches it, under the engine's write lock.
+	ends []int
 }
 
-func newBroadcastRing(size int) *broadcastRing {
-	return &broadcastRing{
-		size:   uint64(size),
-		buf:    make([]ringEvent, size),
-		notify: make(chan struct{}),
-	}
+func newBroadcastRing(eng *kcore.Engine, size int) *broadcastRing {
+	return &broadcastRing{eng: eng, size: uint64(size)}
 }
 
-// append encodes one change event (once per framing) and publishes it.
-func (r *broadcastRing) append(ev kcore.CoreChange) {
-	ce := wire.ChangeEvent{Vertex: ev.Vertex, OldCore: ev.OldCore, NewCore: ev.NewCore, Seq: ev.Seq}
-	data, err := json.Marshal(ce)
-	if err != nil {
-		return // cannot happen for a struct of ints
+// onChanges is the change hook: it encodes the record's changes and
+// publishes them. Only the newest size changes of a record can ever be
+// read, so older ones are counted past without encoding.
+func (r *broadcastRing) onChanges(rec kcore.AppliedBatch) error {
+	changes := rec.Changes
+	skipped := max(len(changes)-int(r.size), 0)
+	changes = changes[skipped:]
+	if len(changes) == 0 {
+		return nil
 	}
-	r.encodedSSE.Add(1)
-	sse := fmt.Appendf(nil, "event: %s\ndata: %s\n\n", wire.EventChange, data)
-	r.encodedBin.Add(1)
-	bin := wire.AppendChangeFrame(nil, ce)
+	// ~80 bytes of SSE and ~10 of binary frame per event typically.
+	data := make([]byte, 0, 96*len(changes))
+	ends := r.ends[:0]
+	for _, c := range changes {
+		ce := wire.ChangeEvent{Vertex: c.Vertex, OldCore: c.OldCore, NewCore: c.NewCore, Seq: c.Seq}
+		data = wire.AppendChangeSSE(data, ce)
+		ends = append(ends, len(data))
+		data = wire.AppendChangeFrame(data, ce)
+		ends = append(ends, len(data))
+	}
+	r.ends = ends
+	r.encoded.Add(uint64(len(changes)))
 	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
+	defer r.mu.Unlock()
+	r.head += uint64(skipped)
+	start := 0
+	for i, c := range changes {
+		mid, end := ends[2*i], ends[2*i+1]
+		r.buf[r.head%r.size] = ringEvent{oldCore: c.OldCore, newCore: c.NewCore,
+			frames: data[start:end:end], split: mid - start}
+		r.head++
+		start = end
 	}
-	r.buf[r.head%r.size] = ringEvent{oldCore: ev.OldCore, newCore: ev.NewCore, sse: sse, bin: bin}
-	r.head++
-	close(r.notify)
-	r.notify = make(chan struct{})
-	r.mu.Unlock()
+	if r.wake != nil {
+		close(r.wake)
+		r.wake = nil
+	}
+	return nil
 }
 
-// close ends the ring: the feed subscription is cancelled and every blocked
-// subscriber wakes up to observe closed. Idempotent.
+// close ends the ring: the change hook is removed and every blocked
+// subscriber wakes up to drain what is left and observe closed. Idempotent.
 func (r *broadcastRing) close() {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
+	r.attach.Lock()
+	defer r.attach.Unlock()
+	if r.remove != nil {
+		r.remove()
+		r.remove = nil
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.closed = true
-	close(r.notify)
-	cancel := r.cancel
-	r.mu.Unlock()
-	if cancel != nil {
-		cancel()
+	if r.wake != nil {
+		close(r.wake)
+		r.wake = nil
 	}
 }
 
 // ringCursor is one subscriber's read position.
 type ringCursor struct {
-	r        *broadcastRing
-	next     uint64 // next absolute event index to read
-	window   uint64 // lag window: events older than head-window are lost
-	minCore  int
-	skipped  uint64 // events overwritten before this cursor read them
-	feedBase uint64 // feedDropped at subscribe time
+	r       *broadcastRing
+	next    uint64 // next absolute event index to read
+	window  uint64 // lag window: events older than head-window are lost
+	minCore int
+	skipped uint64 // events overwritten before this cursor read them
 }
 
-// subscribe attaches a cursor at the current head. window is the
-// subscriber's requested buffer, clamped to the ring capacity; minCore
-// mirrors kcore.WithMinCore (deliver when max(OldCore, NewCore) >= k).
+// subscribe attaches a cursor at the current head, adding the change hook
+// if no other cursor is attached, and returns nil once the ring is closed.
+// window is the subscriber's requested buffer, clamped to the ring
+// capacity; minCore mirrors kcore.WithMinCore (deliver when
+// max(OldCore, NewCore) >= k). The hook stays until every cursor is
+// detached or the ring is closed.
 func (r *broadcastRing) subscribe(window int, minCore int) *ringCursor {
-	w := uint64(window)
-	if w < 1 {
-		w = 1
-	}
-	if w > r.size {
-		w = r.size
+	w := min(uint64(max(window, 1)), r.size)
+	r.attach.Lock()
+	defer r.attach.Unlock()
+	if r.closed {
+		return nil
 	}
 	r.mu.Lock()
-	c := &ringCursor{r: r, next: r.head, window: w, minCore: minCore,
-		feedBase: r.feedDropped.Load()}
+	if r.buf == nil {
+		r.buf = make([]ringEvent, r.size)
+	}
+	c := &ringCursor{r: r, next: r.head, window: w, minCore: minCore}
 	r.mu.Unlock()
+	if r.remove == nil {
+		r.remove = r.eng.AddChangeHook(r.onChanges)
+	}
+	r.watchers.Add(1)
 	return c
+}
+
+// detach ends the cursor; the last cursor to leave removes the change hook
+// and drops the ring's slots.
+func (c *ringCursor) detach() {
+	r := c.r
+	r.attach.Lock()
+	defer r.attach.Unlock()
+	if r.watchers.Add(-1) > 0 {
+		return
+	}
+	if r.remove != nil {
+		r.remove()
+		r.remove = nil
+	}
+	r.mu.Lock()
+	r.buf = nil
+	r.mu.Unlock()
 }
 
 // poll reads the next batch of events into dst[:0] (bounded by cap(dst)),
 // applying the cursor's min_core filter. When no event is pending it
 // returns a wait channel that closes on the next append; when the ring is
-// closed it reports closed. dropped is the cumulative drop count (skipped
-// overwrites + the feed's engine-side drops since subscribe).
+// closed and drained it reports closed. dropped is the cursor's cumulative
+// count of events overwritten before it read them.
 func (c *ringCursor) poll(dst []ringEvent) (events []ringEvent, dropped uint64, wait <-chan struct{}, closed bool) {
 	r := c.r
 	events = dst[:0]
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if oldest := r.head - min(r.head, c.window); c.next < oldest {
 		c.skipped += oldest - c.next
 		c.next = oldest
@@ -153,77 +196,12 @@ func (c *ringCursor) poll(dst []ringEvent) (events []ringEvent, dropped uint64, 
 	}
 	if len(events) == 0 && c.next == r.head {
 		if r.closed {
-			r.mu.Unlock()
 			return nil, 0, nil, true
 		}
-		wait = r.notify
-	}
-	r.mu.Unlock()
-	dropped = c.skipped + (r.feedDropped.Load() - c.feedBase)
-	return events, dropped, wait, false
-}
-
-// watchHub owns the broadcast ring of the engine currently being served.
-// On a follower a re-bootstrap swaps the engine; the first watch request
-// that observes the new engine retires the old ring (ending its streams)
-// and starts a fresh feed.
-type watchHub struct {
-	size int
-
-	mu      sync.Mutex
-	eng     *kcore.Engine
-	ring    *broadcastRing
-	stopped bool
-}
-
-func newWatchHub(size int) *watchHub { return &watchHub{size: size} }
-
-// ringFor returns the broadcast ring feeding from eng, starting (or
-// restarting, after an engine swap) the feed as needed. It returns nil
-// after close.
-func (h *watchHub) ringFor(eng *kcore.Engine) *broadcastRing {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.stopped {
-		return nil
-	}
-	if h.ring != nil && h.eng == eng {
-		return h.ring
-	}
-	if h.ring != nil {
-		h.ring.close()
-	}
-	r := newBroadcastRing(h.size)
-	// The feed buffer matches the ring: the hub only lags the engine when a
-	// burst outruns JSON encoding by a full ring, and those losses are
-	// reported through feedDropped.
-	ch, cancel := eng.Subscribe(kcore.WithBuffer(h.size), kcore.WithDropCounter(&r.feedDropped))
-	r.cancel = cancel
-	go func() {
-		for ev := range ch {
-			r.append(ev)
+		if r.wake == nil {
+			r.wake = make(chan struct{})
 		}
-	}()
-	h.eng, h.ring = eng, r
-	return r
-}
-
-// current returns the active ring (nil when none started); tests use it to
-// read the encode counters.
-func (h *watchHub) current() *broadcastRing {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.ring
-}
-
-// close retires the hub and its ring. Idempotent.
-func (h *watchHub) close() {
-	h.mu.Lock()
-	h.stopped = true
-	r := h.ring
-	h.ring = nil
-	h.mu.Unlock()
-	if r != nil {
-		r.close()
+		wait = r.wake
 	}
+	return events, c.skipped, wait, false
 }

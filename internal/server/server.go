@@ -3,8 +3,9 @@
 // per-tenant ingest coalescer that flushes concurrent client batches through
 // one engine Apply), a query path (core/kcore/stats served from immutable
 // View snapshots, so readers never block writers), and a live path
-// (core-change events over Server-Sent Events on top of Engine.Subscribe,
-// with drop-on-full semantics surfaced as "lagged" events).
+// (core-change events over Server-Sent Events, fed by each watched
+// engine's change hook, with drop-on-full semantics surfaced as "lagged"
+// events).
 //
 // One server hosts many independent graphs: the tenant-scoped routes
 // /v1/t/{tenant}/... resolve through a tenant.Manager (create by touch,
@@ -90,12 +91,12 @@ type Options struct {
 	// Shutdown).
 	Publisher *replicate.Publisher
 	// Follower, when non-nil, makes the server a replication follower: the
-	// default tenant's read endpoints serve from Follower.Engine()
-	// (re-fetched per request — a re-bootstrap replaces the engine), writes
-	// are rejected as with ReadOnly naming the primary, and /v1/stats
-	// carries the follower replication section. The engine passed to New is
-	// only the follower's boot engine; the caller owns the follower's
-	// lifecycle.
+	// engine passed to New must be Follower.Engine(), which the follower
+	// keeps for its lifetime and re-bootstraps in place, so the default
+	// tenant's reads and watch streams follow it across re-bootstraps.
+	// Writes are rejected as with ReadOnly naming the primary, and
+	// /v1/stats carries the follower replication section. The caller owns
+	// the follower's lifecycle.
 	Follower *replicate.Follower
 	// Tenants configures the lifecycle manager behind the tenant-scoped
 	// /v1/t/{tenant}/... routes: data directory, residency bound, idle
@@ -138,29 +139,18 @@ func (o Options) withDefaults() Options {
 }
 
 // tenantServing is one tenant's serving plane: the ingest coalescer, the
-// watch broadcast hub, and (for durable, writable tenants) the availability
+// watch broadcast ring, and (for durable, writable tenants) the availability
 // state machine. Built by Server.attach when the tenant becomes resident;
 // closed by the tenant manager during eviction or shutdown.
 type tenantServing struct {
 	t      *tenant.Tenant
 	co     *coalescer
-	hub    *watchHub
+	ring   *broadcastRing
 	health *health // nil without a store, or on read-only servers
 	// pub/fol are set only on the default tenant: replication spans the
 	// process's primary graph, not individual tenants.
 	pub *replicate.Publisher
 	fol *replicate.Follower
-
-	watchers atomic.Int64
-}
-
-// eng is the engine handlers must read from: the follower's current one
-// (re-fetched per call — a re-bootstrap swaps it) or the tenant's own.
-func (ts *tenantServing) eng() *kcore.Engine {
-	if ts.fol != nil {
-		return ts.fol.Engine()
-	}
-	return ts.t.Engine()
 }
 
 // Close implements tenant.Attachment: stop admitting writes (draining the
@@ -171,7 +161,7 @@ func (ts *tenantServing) Close() {
 	if ts.health != nil {
 		ts.health.close()
 	}
-	ts.hub.close()
+	ts.ring.close()
 }
 
 // Server serves kcore engines over HTTP. Create it with New, expose it
@@ -198,8 +188,12 @@ type Server struct {
 }
 
 // New builds a server around an existing engine, which serves as the pinned
-// "default" tenant.
+// "default" tenant. With Options.Follower set, engine must be the
+// follower's engine.
 func New(engine *kcore.Engine, opts Options) *Server {
+	if opts.Follower != nil && opts.Follower.Engine() != engine {
+		panic("server: New's engine is not Options.Follower.Engine()")
+	}
 	s := &Server{
 		opts:    opts.withDefaults(),
 		stop:    make(chan struct{}),
@@ -223,7 +217,7 @@ func New(engine *kcore.Engine, opts Options) *Server {
 func (s *Server) attach(t *tenant.Tenant) (tenant.Attachment, error) {
 	ts := &tenantServing{t: t}
 	ts.co = newCoalescer(t.Engine(), s.opts.MaxPending)
-	ts.hub = newWatchHub(s.opts.WatchRing)
+	ts.ring = newBroadcastRing(t.Engine(), s.opts.WatchRing)
 	if t.Name() == tenant.DefaultName {
 		ts.pub = s.opts.Publisher
 		ts.fol = s.opts.Follower

@@ -12,11 +12,10 @@ import (
 
 // handleWatch streams CoreChange events, as Server-Sent Events by default
 // or as binary event frames when the request's Accept header selects
-// application/x-kcore-events. Events come from the shared broadcast ring
+// application/x-kcore-events. Events come from the tenant's broadcast ring
 // (see ring.go): each change is encoded once per framing regardless of the
-// watcher count, and this handler only walks its cursor. The engine's
-// non-blocking drop-on-full delivery is preserved end to end: a slow
-// consumer loses events (never stalling writers) and learns about it
+// watcher count, and this handler only walks its cursor. Delivery never
+// blocks the engine: a slow consumer loses events and learns about it
 // through "lagged" events carrying the cumulative drop count. See the wire
 // package comment for the schema.
 func (s *Server) handleWatch(ts *tenantServing, w http.ResponseWriter, r *http.Request) {
@@ -53,23 +52,15 @@ func (s *Server) handleWatch(ts *tenantServing, w http.ResponseWriter, r *http.R
 		buffer = n
 	}
 
-	// The engine is captured once: on a follower a re-bootstrap swaps the
-	// engine underneath the server, orphaning this stream's ring. The
-	// keepalive tick detects the swap and ends the stream so the client
-	// reconnects onto the new engine (the next watch request also retires
-	// the old ring, which ends its streams immediately).
-	eng := ts.eng()
-	ring := ts.hub.ringFor(eng)
-	if ring == nil {
+	cursor := ts.ring.subscribe(buffer, minCore)
+	if cursor == nil {
 		writeError(w, toWireError(errShuttingDown))
 		return
 	}
-	cursor := ring.subscribe(buffer, minCore)
 	s.watchers.Add(1)
-	ts.watchers.Add(1)
 	defer func() {
+		cursor.detach()
 		s.watchers.Add(-1)
-		ts.watchers.Add(-1)
 	}()
 
 	h := w.Header()
@@ -90,8 +81,8 @@ func (s *Server) handleWatch(ts *tenantServing, w http.ResponseWriter, r *http.R
 	// greater sequence number is covered; changes at or before the hello seq
 	// may additionally be delivered (see wire.HelloEvent). The hello echoes
 	// the cursor's lag window, which the ring capacity clamps.
-	out := newEventWriter(w, binary)
-	if out.hello(wire.HelloEvent{Seq: eng.Seq(), MinCore: minCore, Buffer: int(cursor.window)}) != nil {
+	out := &eventWriter{w: w, binary: binary}
+	if out.hello(wire.HelloEvent{Seq: ts.t.Engine().Seq(), MinCore: minCore, Buffer: int(cursor.window)}) != nil {
 		return
 	}
 	flusher.Flush()
@@ -105,15 +96,17 @@ func (s *Server) handleWatch(ts *tenantServing, w http.ResponseWriter, r *http.R
 		if closed {
 			return
 		}
-		if len(events) > 0 {
+		// One flush per polled chunk (up to cap(scratch) events), so a
+		// bursty update doesn't pay one syscall per event. Dropped events
+		// surface even when the stream has gone quiet (everything after the
+		// overflow was dropped, so no change event is coming to piggyback on).
+		if len(events) > 0 || dropped != lagged {
 			arm()
 			for _, ev := range events {
 				if out.change(ev) != nil {
 					return
 				}
 			}
-			// One flush per polled chunk (up to cap(scratch) events), so a
-			// bursty update doesn't pay one syscall per event.
 			if dropped != lagged {
 				lagged = dropped
 				if out.lagged(wire.LaggedEvent{Dropped: dropped}) != nil {
@@ -121,27 +114,13 @@ func (s *Server) handleWatch(ts *tenantServing, w http.ResponseWriter, r *http.R
 				}
 			}
 			flusher.Flush()
-			continue
 		}
-		if dropped != lagged {
-			// Dropped events surface even when the stream has gone quiet
-			// (everything after the overflow was dropped, so no change event
-			// is coming to piggyback on).
-			arm()
-			lagged = dropped
-			if out.lagged(wire.LaggedEvent{Dropped: dropped}) != nil {
-				return
-			}
-			flusher.Flush()
+		if wait == nil {
+			continue // more events may be pending
 		}
 		select {
 		case <-wait:
 		case <-keepalive.C:
-			if ts.eng() != eng {
-				// Follower re-bootstrap replaced the engine; this stream's
-				// ring feeds from the dead one.
-				return
-			}
 			arm()
 			if out.keepalive() != nil {
 				return
@@ -164,10 +143,6 @@ type eventWriter struct {
 	buf    []byte // scratch for the per-subscriber frames
 }
 
-func newEventWriter(w http.ResponseWriter, binary bool) *eventWriter {
-	return &eventWriter{w: w, binary: binary}
-}
-
 func (e *eventWriter) hello(h wire.HelloEvent) error {
 	if e.binary {
 		e.buf = wire.AppendHelloFrame(e.buf[:0], h)
@@ -178,9 +153,9 @@ func (e *eventWriter) hello(h wire.HelloEvent) error {
 }
 
 func (e *eventWriter) change(ev ringEvent) error {
-	frame := ev.sse
+	frame := ev.frames[:ev.split]
 	if e.binary {
-		frame = ev.bin
+		frame = ev.frames[ev.split:]
 	}
 	_, err := e.w.Write(frame)
 	return err

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -51,6 +52,53 @@ func TestWatchDeliversChanges(t *testing.T) {
 		ch, ok := got[v]
 		if !ok || ch.OldCore != 0 || ch.NewCore != 1 || ch.Seq != 1 {
 			t.Fatalf("change for vertex %d = %+v, want 0->1 at seq 1", v, got[v])
+		}
+	}
+}
+
+// TestWatchDetachesChangeHook: the watch ring is the engine's change hook
+// only while a watch stream is open, so once a tenant's last stream closes
+// its batches build no change records again.
+func TestWatchDetachesChangeHook(t *testing.T) {
+	e := kcore.NewEngine()
+	var mu sync.Mutex
+	var changes []kcore.CoreChange
+	e.AddApplyHook(func(rec kcore.AppliedBatch) error {
+		mu.Lock()
+		defer mu.Unlock()
+		changes = rec.Changes
+		return nil
+	})
+	seen := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return changes != nil
+	}
+	s, c := newTestServer(t, e, Options{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for i := 0; i < 2; i++ {
+		wctx, wcancel := context.WithCancel(ctx)
+		events, err := c.Watch(wctx, WatchOptions{})
+		if err != nil {
+			t.Fatalf("Watch: %v", err)
+		}
+		if ev := <-events; ev.Type != wire.EventHello {
+			t.Fatalf("first event = %+v, want hello", ev)
+		}
+		if _, err := c.AddEdges(ctx, [][2]int{{2 * i, 2*i + 1}}); err != nil {
+			t.Fatal(err)
+		}
+		if !seen() {
+			t.Fatalf("watch %d open, yet the batch built no Changes", i)
+		}
+		wcancel()
+		waitFor(t, func() bool { return s.Watchers() == 0 })
+		if _, err := c.AddEdges(ctx, [][2]int{{2*i + 1, 2*i + 2}}); err != nil {
+			t.Fatal(err)
+		}
+		if seen() {
+			t.Fatalf("watch %d closed, yet the batch built Changes", i)
 		}
 	}
 }

@@ -200,20 +200,27 @@
 //	event: lagged   data: LaggedEvent  — the subscriber fell behind and
 //	                                     events were dropped.
 //
-// Events fan out through a shared broadcast ring: each change is encoded
-// once per framing (not once per watcher), and every watcher walks the ring
-// through its own cursor. Delivery keeps kcore.Subscribe's drop-on-full
-// semantics: the engine never blocks on a slow watcher. Events that fall out
-// of a watcher's lag window — the "buffer" query parameter (default 256),
+// Events fan out through a shared broadcast ring that each committing
+// batch fills: each change is encoded once per framing (not once per
+// watcher), and every watcher walks the ring through its own cursor. The
+// engine never blocks on a slow watcher. Events that fall out of a
+// watcher's lag window — the "buffer" query parameter (default 256),
 // clamped to the ring capacity (kcore-serve -watch-ring, default 4096); the
-// hello reports the clamped value — are dropped, and the next time the
-// stream catches up a "lagged" event reports the cumulative drop count.
-// The count may slightly over-report for min_core-filtered subscribers:
-// drops are counted before the filter, so some dropped events would have
-// been filtered out anyway.
+// hello reports the clamped value — are the only ones dropped, and the
+// next time the stream catches up a "lagged" event reports the cumulative
+// drop count. The count may slightly over-report for min_core-filtered
+// subscribers: drops are counted before the filter, so some dropped events
+// would have been filtered out anyway.
 // Consumers that must not miss changes should treat "lagged" as a signal to
 // resynchronize via GET /v1/cores (or /v1/stats + /v1/kcore).
+//
+// A panic repair and a follower's re-bootstrap (which keeps watch streams
+// open) arrive as change events too, one per vertex whose core moved, at
+// the new state's seq. A re-bootstrap onto a primary that lost unsynced
+// batches moves seq back.
 package wire
+
+import "strconv"
 
 // Update is one edge update in a batch request. Op is "add" or "remove".
 type Update struct {
@@ -549,6 +556,16 @@ type ChangeEvent struct {
 	OldCore int    `json:"old_core"`
 	NewCore int    `json:"new_core"`
 	Seq     uint64 `json:"seq"`
+}
+
+// AppendChangeSSE appends c as one SSE "change" event: the bytes
+// encoding/json produces for c, framed as "event: change\ndata: <json>\n\n".
+func AppendChangeSSE(buf []byte, c ChangeEvent) []byte {
+	buf = strconv.AppendInt(append(buf, "event: "+EventChange+"\ndata: {\"vertex\":"...), int64(c.Vertex), 10)
+	buf = strconv.AppendInt(append(buf, `,"old_core":`...), int64(c.OldCore), 10)
+	buf = strconv.AppendInt(append(buf, `,"new_core":`...), int64(c.NewCore), 10)
+	buf = strconv.AppendUint(append(buf, `,"seq":`...), c.Seq, 10)
+	return append(buf, "}\n\n"...)
 }
 
 // LaggedEvent is the data payload of a "lagged" SSE event: the watcher fell

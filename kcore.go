@@ -53,10 +53,10 @@
 // batch under the write lock (a write-ahead log appends and fsyncs there,
 // so Apply returning nil means both applied and durable; a replication
 // publisher and Subscribe register on the same list), Index captures the
-// complete maintained state for snapshotting, and FromIndex restores it
-// with full verification. Recovery re-applies logged batches through
-// plain Apply. The snapshot + WAL store built on this seam lives in
-// internal/persist and is wired into cmd/kcore-serve via -data-dir.
+// complete maintained state for snapshotting, and FromIndex and Restore
+// install it with full verification. Recovery re-applies logged batches
+// through plain Apply. The snapshot + WAL store built on this seam lives
+// in internal/persist and is wired into cmd/kcore-serve via -data-dir.
 package kcore
 
 import (
@@ -183,16 +183,16 @@ type Engine struct {
 	exec ExecStats
 
 	// Apply observers (guarded by mu; see hook.go): hooks see every
-	// applied batch in registration order, subs counts the hooks that are
-	// Subscribe subscriptions, probe is the fault plane's pre-execution
-	// callback, hookBuf is the reused surviving-update buffer, changes the
-	// current batch's AppliedBatch.Changes (built only while subs > 0, a
+	// applied batch in registration order, changeHooks counts the change
+	// hooks among them, probe is the fault plane's pre-execution callback,
+	// hookBuf is the reused surviving-update buffer, changes the current
+	// batch's AppliedBatch.Changes (built only while changeHooks > 0, a
 	// fresh slice per batch, dropped once the hooks ran).
-	hooks   []*ApplyHook
-	subs    int
-	probe   func(updates int)
-	hookBuf []Update
-	changes []CoreChange
+	hooks       []*hook
+	changeHooks int
+	probe       func(updates int)
+	hookBuf     []Update
+	changes     []CoreChange
 }
 
 // NewEngine returns an empty engine. Vertices are dense non-negative
@@ -269,9 +269,10 @@ func (e *Engine) ExecStats() ExecStats {
 	return e.loadEpoch().exec
 }
 
-// Seq reports the number of updates applied over the engine's lifetime.
-// Every applied update increments it by one; BatchInfo, CoreChange and View
-// carry the sequence number of the state they describe. Lock-free.
+// Seq reports the number of updates applied to the engine's state: every
+// applied update increments it by one, and Restore sets it to the restored
+// state's Seq, which may be lower. BatchInfo, CoreChange and View carry the
+// sequence number of the state they describe. Lock-free.
 func (e *Engine) Seq() uint64 {
 	return e.loadEpoch().seq
 }

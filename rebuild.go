@@ -58,7 +58,7 @@ func (e *Engine) applyRebuild(batch Batch, skip []bool, coalesced int) (BatchInf
 		info.Total.CoreChanged = append(info.Total.CoreChanged, c.Vertex)
 	}
 	info.Total.Visited = e.g.NumVertices()
-	if e.subs > 0 {
+	if e.changeHooks > 0 {
 		e.changes = diff
 	}
 	return info, nil
@@ -66,11 +66,12 @@ func (e *Engine) applyRebuild(batch Batch, skip []bool, coalesced int) (BatchInf
 
 // diffSince returns one CoreChange per vertex whose maintained core number
 // differs from its core in ep, in ascending vertex order, all tagged with
-// the current seq. Vertices created since ep had core 0. The caller holds
-// the write lock.
+// the current seq. Vertices created since ep had core 0, and vertices ep
+// had that the graph no longer has (after Restore) now have core 0. The
+// caller holds the write lock.
 func (e *Engine) diffSince(ep *epoch) []CoreChange {
 	var diff []CoreChange
-	for v := 0; v < e.g.NumVertices(); v++ {
+	for v := 0; v < max(ep.vertices, e.g.NumVertices()); v++ {
 		if old, c := ep.core(v), e.m.Core(v); c != old {
 			diff = append(diff, CoreChange{Vertex: v, OldCore: old, NewCore: c, Seq: e.seq})
 		}

@@ -7,10 +7,11 @@ import (
 
 // Change subscriptions: push-style notification of core-number changes, so
 // streaming consumers (alerting, cohort tracking) stop polling Cores().
-// A subscription is an apply hook (see AddApplyHook) forwarding each batch's
-// AppliedBatch.Changes into a channel, so events arrive after the batch's
-// epoch is published (an event for seq S finds Seq() >= S) and after every
-// hook registered earlier. Delivery is non-blocking: a subscriber that falls
+// A subscription is a change hook (see AddChangeHook) forwarding each
+// record's AppliedBatch.Changes into a channel, so events arrive after the
+// batch's epoch is published (an event for seq S finds Seq() >= S) and
+// after every hook registered earlier, and a panic repair's or Restore's
+// diff arrives as events too. Delivery is non-blocking: a subscriber that falls
 // behind its buffer loses events rather than stalling the writer. Subscribe
 // and its cancel take the engine's write lock, so calling either from inside
 // an apply hook or the apply probe (see SetApplyProbe) deadlocks.
@@ -69,7 +70,10 @@ func WithDropCounter(d *atomic.Uint64) SubscribeOption {
 // Subscribe registers a core-change listener and returns its event channel
 // plus a cancel function. Every applied update delivers one CoreChange per
 // affected vertex, in settlement order, tagged with the update's sequence
-// number.
+// number. A panic repair or a Restore delivers one CoreChange per vertex
+// whose core it moved, tagged with the repaired or restored sequence
+// number; after a Restore to an older state that number is lower than the
+// events before it.
 //
 // cancel unregisters the subscription and closes the channel; it is safe to
 // call more than once. Callers must cancel when done — an abandoned
@@ -80,7 +84,7 @@ func (e *Engine) Subscribe(opts ...SubscribeOption) (<-chan CoreChange, func()) 
 		o(&cfg)
 	}
 	ch := make(chan CoreChange, cfg.buffer)
-	remove := e.addHook(func(rec AppliedBatch) error {
+	remove := e.AddChangeHook(func(rec AppliedBatch) error {
 		for _, ev := range rec.Changes {
 			if ev.NewCore < cfg.minCore && ev.OldCore < cfg.minCore {
 				continue
@@ -94,7 +98,7 @@ func (e *Engine) Subscribe(opts ...SubscribeOption) (<-chan CoreChange, func()) 
 			}
 		}
 		return nil
-	}, true)
+	})
 	// Once remove returns no Apply is running the hook, so the close
 	// cannot race a send.
 	var once sync.Once
