@@ -147,8 +147,8 @@ func (e *Engine) applyLocked(batch Batch) (BatchInfo, error) {
 	// readers never wait behind a WAL fsync and a subscriber holding an
 	// event for seq S already reads Seq() >= S. Total.CoreChanged is the
 	// complete changed-vertex list on every execution strategy, including
-	// a mid-batch error's applied prefix; the panic path published its own
-	// full rebuild and ran its repair record inside containPanic.
+	// a mid-batch error's applied prefix; the panic path published the
+	// repaired state and ran its repair record inside containPanic.
 	if _, panicked := err.(*PanicError); !panicked {
 		e.publishEpoch(info.Total.CoreChanged)
 	}
@@ -191,28 +191,33 @@ func (e *Engine) executeGuarded(batch Batch, skip []bool, coalesced int) (info B
 // so their diff is empty). If the repair itself panics, the engine is
 // beyond recovery and the panic propagates.
 func (e *Engine) containPanic(r any) (BatchInfo, error) {
-	last := e.loadEpoch()
 	if e.g.NumEdges() != e.seqEdges {
 		e.seq++
 		e.seqEdges = e.g.NumEdges()
 	}
 	e.m.Reseed()
 	e.exec.Panics++
-	e.publishFullDiff(last)
+	e.publishFullDiff()
 	return BatchInfo{Seq: e.seq}, &PanicError{Value: r, Stack: debug.Stack()}
 }
 
-// publishFullDiff publishes the maintained state as one full epoch and,
-// while a change hook is registered, hands the change hooks a record with
-// no Updates whose Changes are the state's diff against last, the epoch
-// they saw before. Their errors are dropped: the diff reports state that
-// has already been installed. The caller holds the write lock.
-func (e *Engine) publishFullDiff(last *epoch) {
-	e.publishEpochFull()
-	if e.changeHooks > 0 {
-		if diff := e.diffSince(last); len(diff) > 0 {
-			_ = e.runHooks(AppliedBatch{Seq: e.seq, Changes: diff})
-		}
+// publishFullDiff publishes a maintained state that no changed list
+// describes (after a wholesale reseed or a swapped state) and, while a
+// change hook is registered, hands the change hooks a record with no
+// Updates whose Changes are the state's diff against the published epoch,
+// the one they saw before. The diff reads every vertex, so publishing its
+// vertices onto that epoch is exact. Hook errors are dropped: the diff
+// reports state that has already been installed. The caller holds the
+// write lock.
+func (e *Engine) publishFullDiff() {
+	diff := e.diffSince(e.loadEpoch())
+	changed := make([]int, len(diff))
+	for i, c := range diff {
+		changed[i] = c.Vertex
+	}
+	e.publishEpoch(changed)
+	if e.changeHooks > 0 && len(diff) > 0 {
+		_ = e.runHooks(AppliedBatch{Seq: e.seq, Changes: diff})
 	}
 }
 

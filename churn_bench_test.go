@@ -1,8 +1,11 @@
 package kcore
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
+	"kcore/internal/datasets"
 	"kcore/internal/gen"
 	"kcore/internal/workload"
 )
@@ -59,4 +62,61 @@ func BenchmarkChurnBatches(b *testing.B) {
 		}
 	}
 	b.ReportMetric(10000, "updates/op")
+}
+
+// BenchmarkPokecChurn is the batch-churn loop in-process: skewed churn on
+// pokec-sim through Apply with the default options, one op per batch, at 1,
+// 100 (the served batch size) and 512 updates per batch. The first 8,192
+// updates are applied once, outside the timer; the op loop then cycles the
+// forward batches and their inverses, which undo them exactly, so the graph
+// never drifts. B/op is what one batch allocates, its epoch included.
+func BenchmarkPokecChurn(b *testing.B) {
+	const lead = 16 * 512
+	d, err := datasets.ByName("pokec-sim")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := d.Build()
+	ops := workload.Churn(g, lead+100*512, workload.ChurnOptions{Skew: 0.5, Seed: 1})
+	batch := func(ops []workload.Op, invert bool) Batch {
+		out := make(Batch, len(ops))
+		for i, op := range ops {
+			if op.Insert != invert {
+				out[i] = Add(op.E.U, op.E.V)
+			} else {
+				out[i] = Remove(op.E.U, op.E.V)
+			}
+		}
+		return out
+	}
+	for _, size := range []int{1, 100, 512} {
+		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
+			e, err := FromEdges(g.Edges())
+			if err != nil {
+				b.Fatal(err)
+			}
+			for lo := 0; lo < lead; lo += size {
+				if _, err := e.Apply(batch(ops[lo:min(lo+size, lead)], false)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			fwd := ops[lead:]
+			var cycle []Batch
+			for lo := 0; lo < len(fwd); lo += size {
+				cycle = append(cycle, batch(fwd[lo:min(lo+size, len(fwd))], false))
+			}
+			for lo := (len(fwd) - 1) / size * size; lo >= 0; lo -= size {
+				inv := batch(fwd[lo:min(lo+size, len(fwd))], true)
+				slices.Reverse(inv)
+				cycle = append(cycle, inv)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Apply(cycle[i%len(cycle)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

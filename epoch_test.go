@@ -3,6 +3,7 @@ package kcore
 import (
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -358,4 +359,186 @@ func TestReadLinearizabilityDifferential(t *testing.T) {
 			t.Fatalf("core[%d] = %d, ref %d", v, got[v], want[v])
 		}
 	}
+}
+
+// TestEpochSharesUntouchedChunks pins the copy-on-write chunk table: an
+// update that changes or creates one vertex clones exactly that vertex's
+// chunk and shares every other chunk with the previous epoch, which, like
+// a View held across the update, still reads the old cores.
+func TestEpochSharesUntouchedChunks(t *testing.T) {
+	const n = 1000
+	var edges [][2]int
+	for v := 0; v+1 < n; v++ {
+		edges = append(edges, [2]int{v, v + 1}) // a path: every core is 1
+	}
+	edges = append(edges, [2]int{600, 602}) // triangle 600-601-602: cores 2
+	e, err := FromEdges(edges, WithSeed(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name          string
+		u, v          int
+		vertex        int // the one vertex the update changes or creates
+		before, after int
+		changed       []int
+	}{
+		{"change", 603, 601, 603, 1, 2, []int{603}}, // 603 gains a second 2-core neighbor
+		{"create", 999, n, n, 0, 1, []int{n}},
+	} {
+		old, view := e.loadEpoch(), e.View()
+		info, err := e.AddEdge(tc.u, tc.v)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !slices.Equal(info.CoreChanged, tc.changed) {
+			t.Fatalf("%s: CoreChanged = %v, want %v", tc.name, info.CoreChanged, tc.changed)
+		}
+		ep := e.loadEpoch()
+		if len(ep.chunks) != len(old.chunks) {
+			t.Fatalf("%s: %d chunks, previous epoch had %d", tc.name, len(ep.chunks), len(old.chunks))
+		}
+		for i, c := range ep.chunks {
+			if shared := c == old.chunks[i]; shared == (i == tc.vertex>>chunkBits) {
+				t.Fatalf("%s: chunk %d shared = %v; only chunk %d may be cloned",
+					tc.name, i, shared, tc.vertex>>chunkBits)
+			}
+		}
+		if got := old.core(tc.vertex); got != tc.before {
+			t.Fatalf("%s: previous epoch reads core[%d] = %d, want %d", tc.name, tc.vertex, got, tc.before)
+		}
+		if got := view.Core(tc.vertex); got != tc.before {
+			t.Fatalf("%s: held View reads core[%d] = %d, want %d", tc.name, tc.vertex, got, tc.before)
+		}
+		if got := e.Core(tc.vertex); got != tc.after {
+			t.Fatalf("%s: core[%d] = %d, want %d", tc.name, tc.vertex, got, tc.after)
+		}
+		if err := e.Validate(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+	}
+}
+
+// TestEpochShrinkThenGrow: a Restore to fewer vertices whose cores equal
+// the old ones clones nothing, so the shared chunk 0 still holds the
+// dropped vertices' cores past the new vertex count. Growing again must
+// overwrite them: the recreated vertices read 0, not the stale cores.
+func TestEpochShrinkThenGrow(t *testing.T) {
+	triangle := [][2]int{{0, 1}, {1, 2}, {0, 2}}
+	k4 := [][2]int{{3, 4}, {3, 5}, {3, 6}, {4, 5}, {4, 6}, {5, 6}} // cores 3
+	e, err := FromEdges(append(slices.Clone(triangle), k4...), WithSeed(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := FromEdges(triangle, WithSeed(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, view := e.loadEpoch(), e.View()
+	if err := e.Restore(small.Index()); err != nil {
+		t.Fatal(err)
+	}
+	if ep := e.loadEpoch(); len(ep.chunks) != 1 || ep.chunks[0] != before.chunks[0] {
+		t.Fatalf("Restore to equal cores cloned chunk 0 (%d chunks)", len(ep.chunks))
+	}
+	if _, err := e.AddEdge(2, 700); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	cores := e.Cores()
+	for v := 3; v < 700; v++ {
+		if e.Core(v) != 0 || cores[v] != 0 {
+			t.Fatalf("core[%d] = %d (Cores: %d) after regrowth, want 0", v, e.Core(v), cores[v])
+		}
+	}
+	if e.Core(2) != 2 || e.Core(700) != 1 {
+		t.Fatalf("core[2] = %d, core[700] = %d, want 2 and 1", e.Core(2), e.Core(700))
+	}
+	if got := view.Cores(); !slices.Equal(got, []int{2, 2, 2, 3, 3, 3, 3}) {
+		t.Fatalf("View held across Restore reads %v", got)
+	}
+}
+
+// FuzzEpochPublish drives the epoch's copy-on-write publication through
+// every path that publishes: batches over vertex ids below 600 (five
+// chunks), vertex removal and insertion, and Restore to any state the
+// engine held before (shrinking and regrowing the chunk table). After
+// each step the published epoch must match the maintainer (Validate), and
+// every View taken earlier must still read the cores captured with it.
+// seed drives the vertex choice; each ops byte is one step: op%5 picks
+// the operation, op>>3 a batch size, a neighbor count or a state index.
+func FuzzEpochPublish(f *testing.F) {
+	f.Add(uint64(1), []byte{0xf8, 0x09, 0x0c, 0x0a, 0x04, 0x08, 0xfb})
+	f.Add(uint64(2), []byte{0x00, 0x10, 0x08, 0x0c, 0x00, 0x02, 0x03})
+	f.Add(uint64(3), []byte{0x80, 0x03, 0x83, 0x01, 0x0c, 0x00, 0x14, 0x08})
+	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
+		const n = 600
+		rng := rand.New(rand.NewPCG(seed, 5))
+		e := NewEngine(WithSeed(seed))
+		type held struct {
+			v     *View
+			cores []int
+		}
+		var views []held
+		states := []*IndexState{e.Index()}
+		for step, op := range ops {
+			if step == 48 {
+				break
+			}
+			arg := int(op >> 3)
+			switch op % 5 {
+			case 0, 1:
+				batch, toggled := Batch{}, map[[2]int]bool{}
+				for range 1 + arg*8 {
+					u, v := rng.IntN(n), rng.IntN(n)
+					if u == v {
+						continue
+					}
+					key := [2]int{min(u, v), max(u, v)}
+					present, ok := toggled[key]
+					if !ok {
+						present = e.HasEdge(u, v)
+					}
+					if present {
+						batch = append(batch, Remove(u, v))
+					} else {
+						batch = append(batch, Add(u, v))
+					}
+					toggled[key] = !present
+				}
+				if _, err := e.Apply(batch); err != nil {
+					t.Fatalf("step %d: Apply: %v", step, err)
+				}
+			case 2:
+				if nv := e.NumVertices(); nv > 0 {
+					if _, err := e.RemoveVertex(rng.IntN(nv)); err != nil {
+						t.Fatalf("step %d: RemoveVertex: %v", step, err)
+					}
+				}
+			case 3:
+				nv := e.NumVertices()
+				nbrs := rng.Perm(nv)[:min(nv, arg%4+1)]
+				if _, _, err := e.AddVertexWithEdges(nbrs); err != nil {
+					t.Fatalf("step %d: AddVertexWithEdges: %v", step, err)
+				}
+			case 4:
+				if err := e.Restore(states[arg%len(states)]); err != nil {
+					t.Fatalf("step %d: Restore: %v", step, err)
+				}
+			}
+			if err := e.Validate(); err != nil {
+				t.Fatalf("step %d (op %#x): %v", step, op, err)
+			}
+			st := e.Index()
+			states = append(states, st)
+			views = append(views, held{e.View(), st.Cores})
+			for i, h := range views {
+				if got := h.v.Cores(); !slices.Equal(got, h.cores) {
+					t.Fatalf("step %d: View %d (seq %d) reads %v, captured %v", step, i, h.v.Seq(), got, h.cores)
+				}
+			}
+		}
+	})
 }

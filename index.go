@@ -72,9 +72,10 @@ func FromIndex(st *IndexState, opts ...Option) (*Engine, error) {
 // corrupted or inconsistent state yields an error and leaves the engine
 // untouched. The engine adopts the state's Seq, which may be lower than
 // its own, and Seed, and keeps its options, hooks, subscriptions and apply
-// probe. Restore publishes one full epoch, then hands change hooks (see
-// AddChangeHook) a record with no Updates whose Changes turn every
-// vertex's old core into its restored one (0 for vertices st lacks).
+// probe. Restore publishes the restored state as one epoch, then hands
+// change hooks (see AddChangeHook) a record with no Updates whose Changes
+// turn every vertex's old core into its restored one (0 for vertices st
+// lacks).
 func (e *Engine) Restore(st *IndexState) error {
 	if st.Vertices < 0 {
 		return fmt.Errorf("kcore: index state: negative vertex count %d", st.Vertices)
@@ -97,9 +98,8 @@ func (e *Engine) Restore(st *IndexState) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	last := e.loadEpoch()
 	e.g, e.m, e.cfg.seed = g, m, st.Seed
 	e.seq, e.seqEdges = st.Seq, g.NumEdges()
-	e.publishFullDiff(last)
+	e.publishFullDiff()
 	return nil
 }

@@ -462,6 +462,83 @@ func TestFollowerReBootstrapKeepsEngine(t *testing.T) {
 	}
 }
 
+// TestFollowerSeqLagFollowsReBootstrap: a primary that lost unsynced
+// batches ships a seq-6 snapshot and a frame that cannot chain onto it,
+// then, on the follower's re-bootstrap, a seq-3 snapshot, and its healthz
+// answers 3. The follower applied everything the primary still has, so
+// seq_lag must fall to 0 rather than wait for the primary to pass seq 6.
+func TestFollowerSeqLagFollowsReBootstrap(t *testing.T) {
+	e := kcore.NewEngine(kcore.WithSeed(9))
+	snapshot := func(b kcore.Batch) []byte {
+		t.Helper()
+		if _, err := e.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := persist.EncodeSnapshot(indexOf(t, e))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	snapEarly := snapshot(kcore.Batch{kcore.Add(0, 1), kcore.Add(1, 2), kcore.Add(0, 2)}) // seq 3
+	snapLost := snapshot(kcore.Batch{kcore.Add(2, 3), kcore.Add(3, 4), kcore.Add(2, 4)})  // seq 6
+	// Seqs 8..9 cannot chain onto a follower at seq 6.
+	gapFrame, err := persist.AppendWALFrame(nil, kcore.AppliedBatch{
+		Seq: 9, Updates: []kcore.Update{kcore.Add(4, 5), kcore.Add(5, 6)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	var connects int
+	primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/healthz":
+			_, _ = w.Write([]byte(`{"status":"ok","mode":"read_write","seq":3}`))
+			return
+		case "/v1/replicate":
+		default:
+			http.NotFound(w, r)
+			return
+		}
+		mu.Lock()
+		connects++
+		n := connects
+		mu.Unlock()
+		w.Header().Set("Content-Type", "application/octet-stream")
+		if n == 1 {
+			_, _ = w.Write(append(persist.AppendWALHeader(replicate.AppendBootstrap(nil, snapLost)), gapFrame...))
+		} else {
+			_, _ = w.Write(persist.AppendWALHeader(replicate.AppendBootstrap(nil, snapEarly)))
+		}
+		w.(http.Flusher).Flush()
+		<-r.Context().Done()
+	}))
+	defer primary.Close()
+
+	f, err := replicate.StartFollower(context.Background(), primary.URL, replicate.FollowerOptions{
+		ReconnectMin: 5 * time.Millisecond,
+		PollInterval: 20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("StartFollower: %v", err)
+	}
+	defer f.Close()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st := f.Stats()
+		if st.Gaps >= 1 && st.Bootstraps >= 2 && st.AppliedSeq == 3 && st.SeqLag == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("seq_lag never fell to 0 after the re-bootstrap onto seq 3: %+v", st)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestFollowerRejectsCorruptStream: a fake primary whose frame bytes are
 // corrupted mid-stream must poison the connection (gap counted), not crash
 // or apply garbage.

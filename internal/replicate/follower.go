@@ -177,8 +177,8 @@ type FollowerStats struct {
 	AppliedSeq uint64
 	PrimarySeq uint64
 	// SeqLag is how far the local engine trails the primary's last known
-	// seq (via stream frames and the healthz poll). 0 = caught up as far as
-	// the follower can know.
+	// seq: the last snapshot bootstrap or healthz poll, raised by stream
+	// frames since. 0 = caught up as far as the follower can know.
 	SeqLag         uint64
 	LastFrame      time.Time
 	FramesApplied  uint64
@@ -259,7 +259,9 @@ func (f *Follower) connect() (*stream, error) {
 		f.mu.Lock()
 		f.bootstraps++
 		f.forceBoot = false
-		f.observeSeqLocked(st.Seq)
+		// The snapshot is the primary's state now, which may trail a seq
+		// seen before if the primary lost unsynced batches.
+		f.primarySeq = st.Seq
 		f.mu.Unlock()
 	case !resume:
 		// A resume bootstrap answers only a resume request; for a fresh (or
@@ -349,7 +351,7 @@ func (f *Follower) consume(st *stream) error {
 		f.framesApplied++
 		f.updatesApplied += uint64(len(rec.Updates))
 		f.lastFrame = time.Now()
-		f.observeSeqLocked(rec.Seq)
+		f.primarySeq = max(f.primarySeq, rec.Seq)
 		f.mu.Unlock()
 	}
 }
@@ -362,15 +364,10 @@ func (f *Follower) poison() {
 	f.mu.Unlock()
 }
 
-// observeSeqLocked advances the highest primary seq we know of (mu held).
-func (f *Follower) observeSeqLocked(seq uint64) {
-	if seq > f.primarySeq {
-		f.primarySeq = seq
-	}
-}
-
 // pollLoop keeps primarySeq (and with it seq_lag) honest while the stream
-// is quiet or down, via the primary's cheap healthz probe.
+// is quiet or down, via the primary's cheap healthz probe. The polled seq
+// replaces primarySeq rather than raising it, so a primary that restarted
+// behind a seq it once reported is not reported ahead forever.
 func (f *Follower) pollLoop() {
 	defer f.wg.Done()
 	t := time.NewTicker(f.opts.PollInterval)
@@ -382,7 +379,7 @@ func (f *Follower) pollLoop() {
 		case <-t.C:
 			if seq, err := f.pollPrimarySeq(); err == nil {
 				f.mu.Lock()
-				f.observeSeqLocked(seq)
+				f.primarySeq = seq
 				f.mu.Unlock()
 			}
 		}

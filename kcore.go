@@ -163,12 +163,9 @@ type Engine struct {
 	seqEdges int
 
 	// ep is the epoch-published read-state (see epoch.go): written only by
-	// mutators holding mu, loaded lock-free by the read APIs. Invariant:
-	// whenever mu is not held exclusively, ep.Load().seq == seq. epUpd is
-	// the writer's reusable override-collection scratch — never published,
-	// only its values are copied into each epoch's fresh patch.
-	ep    atomic.Pointer[epoch]
-	epUpd []corePatch
+	// publishEpoch under mu, loaded lock-free by the read APIs. Invariant:
+	// whenever mu is not held exclusively, ep.Load().seq == seq.
+	ep atomic.Pointer[epoch]
 
 	// Batch-apply scratch (guarded by mu): epoch-stamped per-vertex marks
 	// for deduplicating aggregated CoreChanged, and the reusable edge
@@ -227,7 +224,7 @@ func Load(r io.Reader, opts ...Option) (*Engine, error) {
 
 func fromGraph(g *graph.Undirected, cfg config) *Engine {
 	e := &Engine{g: g, m: korder.New(g, maintainerOptions(cfg.seed)), cfg: cfg, seqEdges: g.NumEdges()}
-	e.publishEpochFull()
+	e.publishEpoch(nil)
 	return e
 }
 
@@ -506,18 +503,13 @@ func (e *Engine) validateEpochLocked() error {
 		return fmt.Errorf("kcore: epoch seq %d != engine seq %d", ep.seq, e.seq)
 	}
 	n := e.g.NumVertices()
-	if ep.vertices != n || len(ep.cores) > n {
-		return fmt.Errorf("kcore: epoch has %d vertices (cores len %d), graph has %d",
-			ep.vertices, len(ep.cores), n)
+	if ep.vertices != n || len(ep.chunks) != (n+chunkMask)>>chunkBits {
+		return fmt.Errorf("kcore: epoch has %d vertices in %d chunks, graph has %d",
+			ep.vertices, len(ep.chunks), n)
 	}
-	if len(ep.patch) > maxEpochPatch {
-		return fmt.Errorf("kcore: epoch patch has %d entries, cap is %d",
-			len(ep.patch), maxEpochPatch)
-	}
-	for i := 1; i < len(ep.patch); i++ {
-		if ep.patch[i-1].v >= ep.patch[i].v {
-			return fmt.Errorf("kcore: epoch patch unsorted at %d (%d >= %d)",
-				i, ep.patch[i-1].v, ep.patch[i].v)
+	for i, c := range ep.chunks {
+		if c == nil {
+			return fmt.Errorf("kcore: epoch chunk %d of %d is nil", i, len(ep.chunks))
 		}
 	}
 	if ep.edges != e.g.NumEdges() {
