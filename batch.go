@@ -205,19 +205,16 @@ func (e *Engine) containPanic(r any) (BatchInfo, error) {
 // describes (after a wholesale reseed or a swapped state) and, while a
 // change hook is registered, hands the change hooks a record with no
 // Updates whose Changes are the state's diff against the published epoch,
-// the one they saw before. The diff reads every vertex, so publishing its
-// vertices onto that epoch is exact. Hook errors are dropped: the diff
+// the one they saw before. changedSince reads every vertex, so publishing
+// its vertices onto that epoch is exact. Hook errors are dropped: the diff
 // reports state that has already been installed. The caller holds the
 // write lock.
 func (e *Engine) publishFullDiff() {
-	diff := e.diffSince(e.loadEpoch())
-	changed := make([]int, len(diff))
-	for i, c := range diff {
-		changed[i] = c.Vertex
-	}
+	prev := e.loadEpoch()
+	changed := e.changedSince(prev)
 	e.publishEpoch(changed)
-	if e.changeHooks > 0 && len(diff) > 0 {
-		_ = e.runHooks(AppliedBatch{Seq: e.seq, Changes: diff})
+	if e.changeHooks > 0 && len(changed) > 0 {
+		_ = e.runHooks(AppliedBatch{Seq: e.seq, Changes: e.coreChanges(prev, changed)})
 	}
 }
 

@@ -203,7 +203,7 @@ func BenchmarkTravInsertRoadH2(b *testing.B)   { benchmarkTravInsert(b, "road", 
 // stream (order-based engine).
 func BenchmarkEngineAddRemove(b *testing.B) {
 	b.ReportAllocs()
-	e := NewEngine(WithSeed(2))
+	e := NewEngine()
 	rng := rand.New(rand.NewPCG(1, 1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -250,7 +250,7 @@ func BenchmarkApplyBatch10k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		e := NewEngine(WithSeed(1))
+		e := NewEngine()
 		b.StartTimer()
 		if _, err := e.Apply(batch); err != nil {
 			b.Fatal(err)
@@ -269,7 +269,7 @@ func BenchmarkApplyBatch10kMaintain(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		e := NewEngine(WithSeed(1), WithRebuildThreshold(-1, 0))
+		e := NewEngine(WithRebuildThreshold(-1, 0))
 		b.StartTimer()
 		if _, err := e.Apply(batch); err != nil {
 			b.Fatal(err)
@@ -284,7 +284,7 @@ func BenchmarkPerEdgeAdd10k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		e := NewEngine(WithSeed(1))
+		e := NewEngine()
 		b.StartTimer()
 		for _, ed := range edges {
 			if _, err := e.AddEdge(ed[0], ed[1]); err != nil {

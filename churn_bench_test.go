@@ -50,7 +50,7 @@ func BenchmarkChurnBatches(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		e, err := FromEdges(fx.edges, WithSeed(42), WithRebuildThreshold(-1, 0))
+		e, err := FromEdges(fx.edges, WithRebuildThreshold(-1, 0))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -186,7 +186,7 @@ func engineHotpath(edges int, seed uint64) []bench.Result {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			e := kcore.NewEngine(kcore.WithSeed(seed))
+			e := kcore.NewEngine()
 			b.StartTimer()
 			if _, err := e.Apply(batch); err != nil {
 				b.Fatal(err)
@@ -197,7 +197,7 @@ func engineHotpath(edges int, seed uint64) []bench.Result {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			e := kcore.NewEngine(kcore.WithSeed(seed))
+			e := kcore.NewEngine()
 			b.StartTimer()
 			for _, ed := range all {
 				if _, err := e.AddEdge(ed[0], ed[1]); err != nil {

@@ -66,7 +66,7 @@ func applyBatchRows(cfg bench.Config) []bench.Result {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				e := kcore.NewEngine(kcore.WithSeed(cfg.Seed))
+				e := kcore.NewEngine()
 				b.StartTimer()
 				if _, err := e.Apply(batch); err != nil {
 					b.Fatal(err)
@@ -78,7 +78,7 @@ func applyBatchRows(cfg bench.Config) []bench.Result {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				e := kcore.NewEngine(kcore.WithSeed(cfg.Seed), kcore.WithRebuildThreshold(-1, 0))
+				e := kcore.NewEngine(kcore.WithRebuildThreshold(-1, 0))
 				b.StartTimer()
 				if _, err := e.Apply(batch); err != nil {
 					b.Fatal(err)
@@ -121,8 +121,7 @@ func churnRows(cfg bench.Config) []bench.Result {
 		const rounds = 3
 		var best time.Duration
 		for r := 0; r < rounds; r++ {
-			e, err := kcore.FromEdges(baseEdges,
-				kcore.WithSeed(cfg.Seed), kcore.WithRebuildThreshold(-1, 0))
+			e, err := kcore.FromEdges(baseEdges, kcore.WithRebuildThreshold(-1, 0))
 			if err != nil {
 				panic(err)
 			}
@@ -174,13 +173,11 @@ func crossoverRows(cfg bench.Config) []bench.Result {
 			const rounds = 3
 			var best time.Duration
 			for r := 0; r < rounds; r++ {
-				opts := []kcore.Option{kcore.WithSeed(cfg.Seed)}
+				floor := 1
 				if mode == "maintain" {
-					opts = append(opts, kcore.WithRebuildThreshold(-1, 0))
-				} else {
-					opts = append(opts, kcore.WithRebuildThreshold(1, 0))
+					floor = -1
 				}
-				e, err := kcore.FromEdges(baseEdges, opts...)
+				e, err := kcore.FromEdges(baseEdges, kcore.WithRebuildThreshold(floor, 0))
 				if err != nil {
 					panic(err)
 				}

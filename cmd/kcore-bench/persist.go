@@ -27,7 +27,7 @@ import (
 // persistWorkload builds the seed graph and a valid churn batch stream.
 func persistWorkload(edges int, seed uint64) (*kcore.Engine, []kcore.Batch, error) {
 	g := gen.BarabasiAlbert(max(edges/3, 100), 4, seed)
-	eng, err := kcore.FromEdges(g.Edges(), kcore.WithSeed(seed))
+	eng, err := kcore.FromEdges(g.Edges())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -71,7 +71,7 @@ func persistExperiment(cfg bench.Config) []bench.Result {
 		"graph": "barabasi-albert", "seed": cfg.Seed,
 		"unit": "ns per whole churn stream",
 	}
-	applyStream := func(b *testing.B, open func(tmp string, opts []kcore.Option) (*kcore.Engine, func(), error)) {
+	applyStream := func(b *testing.B, open func(tmp string) (*kcore.Engine, func(), error)) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
@@ -82,7 +82,7 @@ func persistExperiment(cfg bench.Config) []bench.Result {
 			if err != nil {
 				b.Fatal(err)
 			}
-			target, cleanup, err := open(tmp, []kcore.Option{kcore.WithSeed(cfg.Seed)})
+			target, cleanup, err := open(tmp)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -98,14 +98,14 @@ func persistExperiment(cfg bench.Config) []bench.Result {
 			b.StartTimer()
 		}
 	}
-	baselineOpen := func(tmp string, opts []kcore.Option) (*kcore.Engine, func(), error) {
+	baselineOpen := func(string) (*kcore.Engine, func(), error) {
 		eng, _, err := persistWorkload(cfg.Edges, cfg.Seed)
 		return eng, func() {}, err
 	}
-	storeOpen := func(policy persist.SyncPolicy) func(string, []kcore.Option) (*kcore.Engine, func(), error) {
-		return func(tmp string, opts []kcore.Option) (*kcore.Engine, func(), error) {
+	storeOpen := func(policy persist.SyncPolicy) func(string) (*kcore.Engine, func(), error) {
+		return func(tmp string) (*kcore.Engine, func(), error) {
 			st, err := persist.Open(tmp, persist.Options{
-				Sync: policy, CompactBytes: -1, Engine: opts,
+				Sync: policy, CompactBytes: -1,
 				Init: func() (*kcore.Engine, error) {
 					eng, _, err := persistWorkload(cfg.Edges, cfg.Seed)
 					return eng, err
@@ -120,7 +120,7 @@ func persistExperiment(cfg bench.Config) []bench.Result {
 
 	fmt.Println("=== persist === (WAL overhead per apply-batch, then recovery)")
 	bench.PrintResultHeader(os.Stdout)
-	run := func(name string, p map[string]any, open func(string, []kcore.Option) (*kcore.Engine, func(), error)) bench.Result {
+	run := func(name string, p map[string]any, open func(string) (*kcore.Engine, func(), error)) bench.Result {
 		r := bench.RunMeasured(os.Stdout, name, p, func(b *testing.B) { applyStream(b, open) })
 		results = append(results, r)
 		return r
@@ -164,10 +164,7 @@ func persistExperiment(cfg bench.Config) []bench.Result {
 		results = append(results, bench.RunMeasured(os.Stdout, name, p, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				st, err := persist.Open(dir, persist.Options{
-					Sync: persist.SyncOff, CompactBytes: -1,
-					Engine: []kcore.Option{kcore.WithSeed(cfg.Seed)},
-				})
+				st, err := persist.Open(dir, persist.Options{Sync: persist.SyncOff, CompactBytes: -1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -192,7 +189,6 @@ func buildRecoveryDir(edges int, seed uint64) (string, persist.Stats, error) {
 	}
 	st, err := persist.Open(dir, persist.Options{
 		Sync: persist.SyncOff, CompactBytes: -1,
-		Engine: []kcore.Option{kcore.WithSeed(seed)},
 		Init: func() (*kcore.Engine, error) {
 			eng, _, err := persistWorkload(edges, seed)
 			return eng, err

@@ -81,7 +81,7 @@ func readpathExperiment(cfg bench.Config, minSpeedup float64) []bench.Result {
 	}
 
 	run := func(locked bool) (nsPerRead, readsPerSec, appliesPerSec float64) {
-		e, err := kcore.FromEdges(baseEdges, kcore.WithSeed(cfg.Seed))
+		e, err := kcore.FromEdges(baseEdges)
 		if err != nil {
 			fatal(err)
 		}

@@ -90,7 +90,7 @@ func (rp *servingProc) stop() {
 
 func runReplicateLoad(p replicateParams, numFollowers int) ([]bench.Result, error) {
 	base := gen.ErdosRenyi(p.baseN, p.baseM, p.seed)
-	engine, err := kcore.FromEdges(base.Edges(), kcore.WithSeed(p.seed))
+	engine, err := kcore.FromEdges(base.Edges())
 	if err != nil {
 		return nil, err
 	}

@@ -241,7 +241,7 @@ func serveWriterScript(base, batches, batchSize int, seed uint64) [][]wire.Updat
 func httpQueryKCoreBench(cfg bench.Config) (bench.Result, error) {
 	const queries = 300
 	n, m := max(cfg.Edges/2, 500), max(3*cfg.Edges/2, 1500)
-	engine, err := kcore.FromEdges(gen.ErdosRenyi(n, m, cfg.Seed).Edges(), kcore.WithSeed(cfg.Seed))
+	engine, err := kcore.FromEdges(gen.ErdosRenyi(n, m, cfg.Seed).Edges())
 	if err != nil {
 		return bench.Result{}, err
 	}

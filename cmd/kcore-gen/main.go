@@ -86,7 +86,7 @@ func main() {
 		if *out == "" {
 			fatal(fmt.Errorf("-snapshot requires -out (atomic temp-file + rename needs a real path)"))
 		}
-		e, err := kcore.FromEdges(g.Edges(), kcore.WithSeed(*seed))
+		e, err := kcore.FromEdges(g.Edges())
 		if err != nil {
 			fatal(err)
 		}

@@ -89,9 +89,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr stri
 	var (
 		addr         = fs.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
 		load         = fs.String("load", "", "file to preload: an edge list (whitespace-separated \"u v\" lines) or a KCORSNAP snapshot image")
-		seed         = fs.Uint64("seed", 1, "engine randomization seed")
-		rebuildFloor = fs.Int("rebuild-floor", -2, "maintain-vs-recompute floor (-2 = engine default, -1 = never recompute)")
-		rebuildFrac  = fs.Float64("rebuild-frac", 0.15, "maintain-vs-recompute graph fraction (with -rebuild-floor)")
 		maxBatch     = fs.Int("max-batch", 10000, "largest accepted updates per batch request (HTTP 413 beyond)")
 		maxPending   = fs.Int("max-pending", 100000, "ingest backpressure budget in buffered updates (HTTP 429 beyond)")
 		watchBuffer  = fs.Int("watch-buffer", 256, "default per-watch subscription buffer")
@@ -151,10 +148,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr stri
 		*tenantIdle = 0
 	}
 
-	opts := []kcore.Option{kcore.WithSeed(*seed)}
-	if *rebuildFloor != -2 {
-		opts = append(opts, kcore.WithRebuildThreshold(*rebuildFloor, *rebuildFrac))
-	}
 	// Parsed up front (not inside the -data-dir branch): named tenants use
 	// the same durability policy for their per-tenant stores.
 	policy, err := persist.ParseSyncPolicy(*fsync)
@@ -169,10 +162,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr stri
 		// StartFollower blocks (retrying) until the bootstrap succeeds, so
 		// the listener only accepts once the engine holds real state —
 		// mirroring the -data-dir recovery-before-accept behavior.
-		fopts := replicate.FollowerOptions{
-			Engine:       opts,
-			PollInterval: *followPoll,
-		}
+		fopts := replicate.FollowerOptions{PollInterval: *followPoll}
 		if plane != nil {
 			// Chaos in follower mode faults the replication stream's dialer.
 			fopts.Client = &http.Client{Transport: &http.Transport{
@@ -193,8 +183,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr stri
 			Sync:         policy,
 			SyncEvery:    *syncEvery,
 			CompactBytes: *compactEvery,
-			Engine:       opts,
-			Init:         func() (*kcore.Engine, error) { return buildEngine(*load, opts) },
+			Init:         func() (*kcore.Engine, error) { return buildEngine(*load) },
 			Fault:        plane,
 		})
 		if err != nil {
@@ -210,7 +199,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr stri
 		}
 	} else {
 		var err error
-		engine, err = buildEngine(*load, opts)
+		engine, err = buildEngine(*load)
 		if err != nil {
 			return err
 		}
@@ -254,7 +243,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr stri
 	topts := tenant.Options{
 		MaxTenants: *maxTenants,
 		IdleAfter:  *tenantIdle,
-		Engine:     opts,
 		Persist: persist.Options{
 			Sync:         policy,
 			SyncEvery:    *syncEvery,
@@ -325,10 +313,12 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr stri
 // buildEngine constructs the engine, preloading the -load file when given.
 // A KCORSNAP image (saved from GET /v1/snapshot/export, a -data-dir, or
 // kcore-gen -snapshot) is restored with full verification and keeps its
-// seq; anything else is parsed as a whitespace-separated edge list.
-func buildEngine(path string, opts []kcore.Option) (*kcore.Engine, error) {
+// seq; anything else is parsed as a whitespace-separated edge list. The
+// engine is a default engine (no options), as every recovered, tenant and
+// follower engine is, so a WAL replay or a follower reproduces its k-order.
+func buildEngine(path string) (*kcore.Engine, error) {
 	if path == "" {
-		return kcore.NewEngine(opts...), nil
+		return kcore.NewEngine(), nil
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -339,9 +329,9 @@ func buildEngine(path string, opts []kcore.Option) (*kcore.Engine, error) {
 	prefix, _ := br.Peek(8)
 	var e *kcore.Engine
 	if persist.IsSnapshot(prefix) {
-		e, err = persist.ReadSnapshot(br, opts...)
+		e, err = persist.ReadSnapshot(br)
 	} else {
-		e, err = kcore.Load(br, opts...)
+		e, err = kcore.Load(br)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("load %s: %w", path, err)

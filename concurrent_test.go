@@ -12,7 +12,7 @@ import (
 // reader goroutines hammer every query classification (point queries,
 // bulk queries, views) and a subscriber drains change events.
 func TestConcurrentReadersDuringWrites(t *testing.T) {
-	e := NewEngine(WithSeed(5))
+	e := NewEngine()
 	if _, err := e.AddEdges([][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}}); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestConcurrentReadersDuringWrites(t *testing.T) {
 // TestConcurrentViews takes snapshots while the graph churns and checks
 // each one for internal consistency (degeneracy matches its own cores).
 func TestConcurrentViews(t *testing.T) {
-	e := NewEngine(WithSeed(2))
+	e := NewEngine()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)

@@ -55,9 +55,9 @@ func TestEpochMatchesLocked(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{"sequential", []Option{WithSeed(3), WithRebuildThreshold(-1, 0)}},
-		{"default", []Option{WithSeed(3)}},
-		{"rebuild", []Option{WithSeed(3), WithRebuildThreshold(1, 0.0001)}},
+		{"sequential", []Option{WithRebuildThreshold(-1, 0)}},
+		{"default", nil},
+		{"rebuild", []Option{WithRebuildThreshold(1, 0.0001)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := NewEngine(tc.opts...)
@@ -101,7 +101,7 @@ func TestEpochMatchesLocked(t *testing.T) {
 // TestEpochVertexOps covers the epoch's incremental growth paths: vertex
 // insertion (fresh ids beyond the previous epoch's range) and removal.
 func TestEpochVertexOps(t *testing.T) {
-	e := NewEngine(WithSeed(9))
+	e := NewEngine()
 	if _, err := e.AddEdges([][2]int{{0, 1}, {1, 2}, {0, 2}}); err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +128,12 @@ func TestEpochVertexOps(t *testing.T) {
 	}
 }
 
-// TestEpochAfterPanicRepair pins the full republication after panic
-// containment: the repair's diff is relative to panic-time cores, not the
-// last epoch, so the epoch must be rebuilt wholesale.
+// TestEpochAfterPanicRepair pins the republication after panic
+// containment: no changed list describes the reseeded state, so the repair
+// publishes every vertex whose core differs from the last published epoch
+// (see publishFullDiff), and that epoch must match the maintainer.
 func TestEpochAfterPanicRepair(t *testing.T) {
-	e := NewEngine(WithSeed(7))
+	e := NewEngine()
 	gen := newChurnGen(13, 60)
 	if _, err := e.Apply(gen.batch(120)); err != nil {
 		t.Fatal(err)
@@ -163,7 +164,7 @@ func TestEpochAfterPanicRepair(t *testing.T) {
 // epoch: an engine rebuilt via FromIndex must answer reads immediately and
 // pass the epoch tripwire.
 func TestEpochRoundTrip(t *testing.T) {
-	e := NewEngine(WithSeed(5))
+	e := NewEngine()
 	gen := newChurnGen(17, 80)
 	if _, err := e.Apply(gen.batch(200)); err != nil {
 		t.Fatal(err)
@@ -185,7 +186,7 @@ func TestEpochRoundTrip(t *testing.T) {
 // is held by someone else. Under the old RWMutex read path each of these
 // calls would deadlock this test.
 func TestEpochReadsLockFree(t *testing.T) {
-	e := NewEngine(WithSeed(2))
+	e := NewEngine()
 	if _, err := e.AddEdges([][2]int{{0, 1}, {1, 2}, {0, 2}}); err != nil {
 		t.Fatal(err)
 	}
@@ -237,8 +238,8 @@ func TestReadLinearizabilityDifferential(t *testing.T) {
 		batches  = 120
 		readers  = 4
 	)
-	e := NewEngine(WithSeed(21))
-	ref := NewEngine(WithSeed(21))
+	e := NewEngine()
+	ref := NewEngine()
 
 	// Ground truth per observable seq, recorded by the writer before the
 	// batch is applied to the engine under test: readers can then never
@@ -372,7 +373,7 @@ func TestEpochSharesUntouchedChunks(t *testing.T) {
 		edges = append(edges, [2]int{v, v + 1}) // a path: every core is 1
 	}
 	edges = append(edges, [2]int{600, 602}) // triangle 600-601-602: cores 2
-	e, err := FromEdges(edges, WithSeed(4))
+	e, err := FromEdges(edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,11 +427,11 @@ func TestEpochSharesUntouchedChunks(t *testing.T) {
 func TestEpochShrinkThenGrow(t *testing.T) {
 	triangle := [][2]int{{0, 1}, {1, 2}, {0, 2}}
 	k4 := [][2]int{{3, 4}, {3, 5}, {3, 6}, {4, 5}, {4, 6}, {5, 6}} // cores 3
-	e, err := FromEdges(append(slices.Clone(triangle), k4...), WithSeed(6))
+	e, err := FromEdges(append(slices.Clone(triangle), k4...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := FromEdges(triangle, WithSeed(6))
+	small, err := FromEdges(triangle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +477,7 @@ func FuzzEpochPublish(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
 		const n = 600
 		rng := rand.New(rand.NewPCG(seed, 5))
-		e := NewEngine(WithSeed(seed))
+		e := NewEngine()
 		type held struct {
 			v     *View
 			cores []int

@@ -23,7 +23,7 @@ const (
 )
 
 func main() {
-	e := kcore.NewEngine(kcore.WithSeed(11))
+	e := kcore.NewEngine()
 	rng := rand.New(rand.NewPCG(11, 5))
 	n := groups * groupSize
 

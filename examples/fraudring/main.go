@@ -28,7 +28,7 @@ const (
 )
 
 func main() {
-	e := kcore.NewEngine(kcore.WithSeed(3))
+	e := kcore.NewEngine()
 	rng := rand.New(rand.NewPCG(3, 17))
 	alerted := map[int]bool{}
 

@@ -27,7 +27,7 @@ const (
 )
 
 func main() {
-	e := kcore.NewEngine(kcore.WithSeed(7))
+	e := kcore.NewEngine()
 	rng := rand.New(rand.NewPCG(7, 99))
 
 	// Follow the early adopter's engagement push-style: every core-number

@@ -197,8 +197,8 @@ func TestChangesOnlyForSubscribers(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{"sequential", []Option{WithSeed(1)}},
-		{"rebuild", []Option{WithRebuildThreshold(2, 0.0), WithSeed(1)}},
+		{"sequential", nil},
+		{"rebuild", []Option{WithRebuildThreshold(2, 0.0)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := NewEngine(tc.opts...)
@@ -254,7 +254,7 @@ func TestChangesOnlyForSubscribers(t *testing.T) {
 		}
 	}
 	allocs := func(hook bool) float64 {
-		e, err := FromEdges(base.Edges(), WithSeed(1))
+		e, err := FromEdges(base.Edges())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,8 +315,8 @@ func TestHookSeesParallelAndRebuildBatches(t *testing.T) {
 		opts []Option
 		n    int
 	}{
-		{"default", []Option{WithSeed(3)}, 200},
-		{"rebuild", []Option{WithRebuildThreshold(4, 0.0), WithSeed(3)}, 40},
+		{"default", nil, 200},
+		{"rebuild", []Option{WithRebuildThreshold(4, 0.0)}, 40},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := NewEngine(tc.opts...)

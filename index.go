@@ -11,13 +11,14 @@ import (
 // IndexState is the complete maintained state of an engine at one update
 // sequence number: the edge set, the core numbers, and — the part a fresh
 // decomposition cannot reproduce — the maintained k-order, which depends on
-// the engine's whole update history. Together with the seed that drives
-// deterministic replay, it is exactly what a durable snapshot must capture
-// so that snapshot + write-ahead-log replay reconstructs the engine
-// bit-identically: same cores, same k-order, same Seq. Capture one with
-// Engine.Index; build an engine from one with FromIndex, or install one
-// into a live engine with Engine.Restore. It is the engine's one
-// capture/restore form: internal/persist's snapshot file is its encoding.
+// the engine's whole update history. The engine's maintenance is
+// deterministic, so this is exactly what a durable snapshot must capture:
+// snapshot + write-ahead-log replay on a default engine (see NewEngine)
+// reconstructs a default engine bit-identically — same cores, same k-order,
+// same Seq. Capture one with Engine.Index; build an engine from one with
+// FromIndex, or install one into a live engine with Engine.Restore. It is
+// the engine's one capture/restore form: internal/persist's snapshot file
+// is its encoding.
 type IndexState struct {
 	// Seq is the engine update sequence number the state was captured at.
 	Seq uint64
@@ -30,10 +31,6 @@ type IndexState struct {
 	Cores []int
 	// Order is the maintained k-order, front to back.
 	Order []int
-	// Seed is the engine seed (WithSeed); it must survive a restore for
-	// subsequent updates, including wholesale recomputations, to replay
-	// deterministically.
-	Seed uint64
 }
 
 // Index captures the engine's complete maintained state for a persistence
@@ -51,14 +48,14 @@ func (e *Engine) Index() *IndexState {
 		Edges:    e.g.Edges(),
 		Cores:    e.m.Cores(),
 		Order:    e.m.Order(),
-		Seed:     e.cfg.seed,
 	}
 }
 
 // FromIndex builds an engine from a captured IndexState: a fresh engine
-// (see NewEngine) that Restore then fills. The engine adopts the state's
-// Seq and Seed, which replay determinism depends on; other options
-// (WithRebuildThreshold, ...) may be supplied as opts.
+// (see NewEngine) that Restore then fills, so it adopts the state's Seq.
+// opts configure the new engine as they do NewEngine's; replaying a log
+// onto it reproduces the logged k-order only under the options the log
+// was written with (see WithRebuildThreshold).
 func FromIndex(st *IndexState, opts ...Option) (*Engine, error) {
 	e := NewEngine(opts...)
 	if err := e.Restore(st); err != nil {
@@ -71,11 +68,13 @@ func FromIndex(st *IndexState, opts ...Option) (*Engine, error) {
 // state is fully verified in O(m + n) first (see korder.Restore): a
 // corrupted or inconsistent state yields an error and leaves the engine
 // untouched. The engine adopts the state's Seq, which may be lower than
-// its own, and Seed, and keeps its options, hooks, subscriptions and apply
-// probe. Restore publishes the restored state as one epoch, then hands
-// change hooks (see AddChangeHook) a record with no Updates whose Changes
-// turn every vertex's old core into its restored one (0 for vertices st
-// lacks).
+// its own, and keeps its options, hooks, subscriptions and apply probe;
+// the state records no options, so later updates continue its k-order as
+// the captured engine would only when both engines have the same options
+// (see WithRebuildThreshold). Restore publishes the restored state as one
+// epoch, then hands change hooks (see AddChangeHook) a record with no
+// Updates whose Changes turn the old core of every vertex whose core
+// differs into its restored one (0 for vertices st lacks).
 func (e *Engine) Restore(st *IndexState) error {
 	if st.Vertices < 0 {
 		return fmt.Errorf("kcore: index state: negative vertex count %d", st.Vertices)
@@ -92,13 +91,13 @@ func (e *Engine) Restore(st *IndexState) error {
 	}
 	// korder.Restore takes ownership of the core and order slices; copy so
 	// the caller's IndexState stays untouched.
-	m, err := korder.Restore(g, slices.Clone(st.Cores), slices.Clone(st.Order), maintainerOptions(st.Seed))
+	m, err := korder.Restore(g, slices.Clone(st.Cores), slices.Clone(st.Order), maintainerOptions())
 	if err != nil {
 		return fmt.Errorf("kcore: %w", err)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.g, e.m, e.cfg.seed = g, m, st.Seed
+	e.g, e.m = g, m
 	e.seq, e.seqEdges = st.Seq, g.NumEdges()
 	e.publishFullDiff()
 	return nil

@@ -17,7 +17,7 @@ func TestIntegrationLifecycle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2026, 1))
 
 	// Stage 1: build a community-structured graph through the API.
-	e := kcore.NewEngine(kcore.WithSeed(9))
+	e := kcore.NewEngine()
 	const groups, size = 6, 8
 	for g := 0; g < groups; g++ {
 		base := g * size

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"kcore"
@@ -19,7 +20,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden format fixture
 func goldenState(tb testing.TB) *kcore.IndexState {
 	tb.Helper()
 	edges := [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}, {4, 5}, {3, 5}, {1, 5}}
-	e, err := kcore.FromEdges(edges, kcore.WithSeed(7))
+	e, err := kcore.FromEdges(edges)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -92,8 +93,47 @@ func TestGoldenSnapshotFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := e.Index()
-	if got.Seq != st.Seq || got.Seed != st.Seed || got.Vertices != st.Vertices {
+	if got.Seq != st.Seq || got.Vertices != st.Vertices {
 		t.Fatalf("golden decode header mismatch: %+v vs %+v", got, st)
+	}
+}
+
+// TestGoldenSeededSnapshotLoads keeps a version-1 snapshot written before
+// header bytes 16–23 became reserved (it stores seed 7 there) as a
+// decode-only fixture: it must load to the same state as the current
+// fixture, which differs from it only in those bytes and the CRC.
+func TestGoldenSeededSnapshotLoads(t *testing.T) {
+	old, err := os.ReadFile(goldenPath("snapshot_v1_seeded.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seed := binary.LittleEndian.Uint64(old[16:24]); seed != 7 {
+		t.Fatalf("seeded fixture stores %d in bytes 16-23, want 7", seed)
+	}
+	cur, err := os.ReadFile(goldenPath("snapshot_v1.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := DecodeSnapshot(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeSnapshot(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("seeded fixture decodes to %+v, current fixture to %+v", got, want)
+	}
+	restore := func(data []byte) *kcore.IndexState {
+		e, err := ReadSnapshot(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.Index()
+	}
+	if !reflect.DeepEqual(restore(old), restore(cur)) {
+		t.Fatal("seeded fixture restores a different engine state than the current fixture")
 	}
 }
 

@@ -6,16 +6,21 @@
 //
 // # Why snapshot + WAL suffices
 //
-// The order-based maintenance engine is deterministic: its complete state is
-// a function of (a) a captured index state — edge set, core numbers, and the
-// maintained k-order, with the engine seed — and (b) the ordered stream of
-// update batches applied since. The snapshot captures (a); the WAL records
-// (b), one record per applied batch holding the surviving (post-coalescing)
-// updates and the resulting sequence number (a kcore.AppliedBatch).
-// Recovery loads the snapshot, applies WAL records in order through
-// ApplyRecord (plain kcore.Engine.Apply, before the store adds its hook, so
-// nothing is re-logged), and resumes. See PAPER.md / the package kcore doc
-// for the engine background.
+// The order-based maintenance engine is deterministic and runs one
+// configuration: every engine a Store recovers is a default engine
+// (kcore.NewEngine, no options), and Options.Init should build one too. Its
+// complete state is then a function of (a) a captured index state — edge
+// set, core numbers, and the maintained k-order — and (b) the ordered
+// stream of update batches applied since. The snapshot captures (a); the
+// WAL records (b), one record per applied batch holding the surviving
+// (post-coalescing) updates and the resulting sequence number (a
+// kcore.AppliedBatch). Nothing else needs recording: an engine option that
+// changes the k-order (kcore.WithRebuildThreshold) would be a third input
+// that neither file carries, which is why the Store takes none. Recovery
+// loads the snapshot, applies WAL records in order through ApplyRecord
+// (plain kcore.Engine.Apply, before the store adds its hook, so nothing is
+// re-logged), and resumes. See PAPER.md / the package kcore doc for the
+// engine background.
 //
 // # Snapshot format (version 1, little endian)
 //
@@ -25,7 +30,8 @@
 //	structure uint8    0; 1 is also accepted (older engines stored the
 //	                   order structure; both give identical results)
 //	reserved  uint16   0
-//	seed      uint64   engine seed
+//	reserved  uint64   0; ignored on read (older engines stored a seed
+//	                   here that no engine uses)
 //	seq       uint64   update sequence number of the captured state
 //	n         uvarint  vertices
 //	m         uvarint  edges
@@ -178,7 +184,7 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 }
 
 // Options configures a Store. The zero value is usable: interval fsync
-// every 100ms, 64 MiB compaction threshold, default engine options.
+// every 100ms, 64 MiB compaction threshold.
 type Options struct {
 	// Sync is the WAL fsync policy (default SyncInterval).
 	Sync SyncPolicy
@@ -191,14 +197,14 @@ type Options struct {
 	// compaction, size- and heal-triggered (Store.Snapshot still compacts —
 	// and heals — on demand).
 	CompactBytes int64
-	// Engine supplies the engine options used when no snapshot exists yet
-	// and passed through to snapshot loading (the snapshot-stored seed wins
-	// over WithSeed; see kcore.FromIndex).
-	Engine []kcore.Option
 	// Init, when non-nil, builds the initial engine for a directory that
 	// holds no prior state (no snapshot, no WAL records) — e.g. preloading
 	// an edge list. Its engine is snapshotted immediately so the seed state
 	// is durable before Open returns. Ignored when prior state exists.
+	// Build it without options (kcore.NewEngine, kcore.FromEdges, ...):
+	// recovery replays the WAL into a default engine, which reproduces the
+	// logged k-order only if the logging engine was a default one too (see
+	// kcore.WithRebuildThreshold).
 	Init func() (*kcore.Engine, error)
 	// Fault, when non-nil, injects faults into the store's file operations
 	// (WAL writes/fsyncs/truncates/compaction, snapshot writes/renames) —

@@ -22,7 +22,7 @@ const SnapshotVersion = 1
 var snapshotMagic = [8]byte{'K', 'C', 'O', 'R', 'S', 'N', 'A', 'P'}
 
 // snapshotHeaderLen is magic + version + heuristic/structure/reserved +
-// seed + seq; the varint-coded body follows.
+// 8 reserved bytes + seq; the varint-coded body follows.
 const snapshotHeaderLen = 8 + 4 + 4 + 8 + 8
 
 // IsSnapshot reports whether prefix begins with the snapshot magic — the
@@ -70,8 +70,8 @@ func EncodeSnapshot(st *kcore.IndexState) ([]byte, error) {
 	buf := make([]byte, 0, snapshotHeaderLen+4+len(edges)*3+len(st.Cores)+len(st.Order)*2)
 	buf = append(buf, snapshotMagic[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, SnapshotVersion)
-	buf = append(buf, 0, 0, 0, 0) // heuristic, structure, reserved
-	buf = binary.LittleEndian.AppendUint64(buf, st.Seed)
+	buf = append(buf, 0, 0, 0, 0)                  // heuristic, structure, reserved
+	buf = binary.LittleEndian.AppendUint64(buf, 0) // reserved
 	buf = binary.LittleEndian.AppendUint64(buf, st.Seq)
 	buf = binary.AppendUvarint(buf, uint64(st.Vertices))
 	buf = binary.AppendUvarint(buf, uint64(len(edges)))
@@ -131,10 +131,9 @@ func DecodeSnapshot(data []byte) (*kcore.IndexState, error) {
 		return nil, fmt.Errorf("%w: unknown heuristic %d or order structure %d",
 			ErrCorruptSnapshot, data[12], data[13])
 	}
-	st := &kcore.IndexState{
-		Seed: binary.LittleEndian.Uint64(data[16:24]),
-		Seq:  binary.LittleEndian.Uint64(data[24:32]),
-	}
+	// Bytes 16–23 are reserved: older snapshots stored an engine seed
+	// there, which no engine reads.
+	st := &kcore.IndexState{Seq: binary.LittleEndian.Uint64(data[24:32])}
 	r := bytes.NewReader(body[snapshotHeaderLen:])
 	n, err := readDim(r, "vertex count")
 	if err != nil {
@@ -219,15 +218,14 @@ func readDim(r *bytes.Reader, what string) (uint64, error) {
 }
 
 // ReadSnapshot decodes, CRC-verifies, and semantically verifies a snapshot,
-// returning a reconstructed engine. opts configure non-replay engine knobs
-// (rebuild thresholds); the snapshot's stored seed always wins. All
+// returning a reconstructed default engine (see kcore.NewEngine). All
 // failures wrap ErrCorruptSnapshot.
-func ReadSnapshot(r io.Reader, opts ...kcore.Option) (*kcore.Engine, error) {
+func ReadSnapshot(r io.Reader) (*kcore.Engine, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("persist: read snapshot: %w", err)
 	}
-	e, _, err := decodeEngine(data, opts...)
+	e, _, err := decodeEngine(data)
 	return e, err
 }
 
@@ -235,12 +233,12 @@ func ReadSnapshot(r io.Reader, opts ...kcore.Option) (*kcore.Engine, error) {
 // also returning the decoded state (Store recovery needs its Seq). Shared
 // by ReadSnapshot and Store.Open so the corruption classification cannot
 // diverge between the two recovery paths.
-func decodeEngine(data []byte, opts ...kcore.Option) (*kcore.Engine, *kcore.IndexState, error) {
+func decodeEngine(data []byte) (*kcore.Engine, *kcore.IndexState, error) {
 	st, err := DecodeSnapshot(data)
 	if err != nil {
 		return nil, nil, err
 	}
-	e, err := kcore.FromIndex(st, opts...)
+	e, err := kcore.FromIndex(st)
 	if err != nil {
 		// The bytes were well-formed but the state does not verify (e.g. a
 		// forged CRC over inconsistent cores): still corruption, never a
@@ -260,17 +258,6 @@ func Save(path string, e *kcore.Engine) error {
 		return err
 	}
 	return atomicWrite(nil, path, data)
-}
-
-// Load reads the snapshot at path into a reconstructed engine (see
-// ReadSnapshot for verification and option semantics).
-func Load(path string, opts ...kcore.Option) (*kcore.Engine, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	defer f.Close()
-	return ReadSnapshot(f, opts...)
 }
 
 // atomicWrite writes data to path via temp file + fsync + rename + dir

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -19,7 +20,7 @@ import (
 func testEngine(t *testing.T) *kcore.Engine {
 	t.Helper()
 	g := gen.BarabasiAlbert(80, 3, 11)
-	e, err := kcore.FromEdges(g.Edges(), kcore.WithSeed(7))
+	e, err := kcore.FromEdges(g.Edges())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := Save(path, e); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	got, err := Load(path)
+	got, err := loadFile(path)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -128,7 +129,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // TestSnapshotHeaderFixedBytes pins header bytes 12 (heuristic) and 13
 // (order structure): the engine runs one configuration, so it writes 0 to
 // both. A snapshot with byte 13 = 1, as engines that stored the tag list
-// wrote it, loads to the same state; any other value is corrupt.
+// wrote it, loads to the same state; any other value is corrupt. Bytes
+// 16–23 are reserved: written as 0, and ignored on read, so the seed older
+// engines stored there loads the same state.
 func TestSnapshotHeaderFixedBytes(t *testing.T) {
 	e := testEngine(t)
 	data, err := EncodeSnapshot(stateOf(t, e))
@@ -138,18 +141,22 @@ func TestSnapshotHeaderFixedBytes(t *testing.T) {
 	if data[12] != 0 || data[13] != 0 {
 		t.Fatalf("header bytes 12-13 = %d %d, want 0 0", data[12], data[13])
 	}
-	withHeader := func(heuristic, structure byte) string {
+	if r := binary.LittleEndian.Uint64(data[16:24]); r != 0 {
+		t.Fatalf("header bytes 16-23 = %#x, want 0", r)
+	}
+	withHeader := func(heuristic, structure byte, reserved uint64) (*kcore.Engine, error) {
 		b := slices.Clone(data)
 		b[12], b[13] = heuristic, structure
+		binary.LittleEndian.PutUint64(b[16:24], reserved)
 		n := len(b) - 4
 		binary.LittleEndian.PutUint32(b[n:], crc32.ChecksumIEEE(b[:n]))
-		return writeTemp(t, b)
+		return ReadSnapshot(bytes.NewReader(b))
 	}
-	fresh, err := Load(withHeader(0, 0))
+	fresh, err := withHeader(0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tagList, err := Load(withHeader(0, 1))
+	tagList, err := withHeader(0, 1, 0)
 	if err != nil {
 		t.Fatalf("snapshot with structure byte 1: %v", err)
 	}
@@ -157,8 +164,15 @@ func TestSnapshotHeaderFixedBytes(t *testing.T) {
 		t.Fatal("structure byte 1 restores a different state than byte 0")
 	}
 	assertSameState(t, e, tagList)
+	seeded, err := withHeader(0, 0, 987654321)
+	if err != nil {
+		t.Fatalf("snapshot with nonzero bytes 16-23: %v", err)
+	}
+	if !reflect.DeepEqual(seeded.Index(), fresh.Index()) {
+		t.Fatal("nonzero bytes 16-23 restore a different state than 0")
+	}
 	for _, bad := range [][2]byte{{1, 0}, {0, 2}} {
-		if _, err := Load(withHeader(bad[0], bad[1])); !errors.Is(err, ErrCorruptSnapshot) {
+		if _, err := withHeader(bad[0], bad[1], 0); !errors.Is(err, ErrCorruptSnapshot) {
 			t.Fatalf("header bytes %d %d: err = %v, want ErrCorruptSnapshot", bad[0], bad[1], err)
 		}
 	}
@@ -209,19 +223,20 @@ func TestSnapshotRejectsForgedState(t *testing.T) {
 		if _, err := DecodeSnapshot(data); err != nil {
 			t.Fatalf("%s: forged snapshot should decode structurally: %v", name, err)
 		}
-		if _, err := Load(writeTemp(t, data)); !errors.Is(err, ErrCorruptSnapshot) {
+		if _, err := ReadSnapshot(bytes.NewReader(data)); !errors.Is(err, ErrCorruptSnapshot) {
 			t.Fatalf("%s: forged state loaded: err = %v, want ErrCorruptSnapshot", name, err)
 		}
 	}
 }
 
-func writeTemp(t *testing.T, data []byte) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "file.bin")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
+// loadFile reads the snapshot file at path with ReadSnapshot.
+func loadFile(path string) (*kcore.Engine, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
-	return path
+	defer f.Close()
+	return ReadSnapshot(f)
 }
 
 // TestSaveIsAtomic proves a Save over an existing snapshot leaves either
@@ -246,7 +261,7 @@ func TestSaveIsAtomic(t *testing.T) {
 	if len(entries) != 1 || entries[0].Name() != "snap.kcs" {
 		t.Fatalf("directory not clean after Save: %v", entries)
 	}
-	got, err := Load(path)
+	got, err := loadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +292,7 @@ func TestSnapshotEmptyEngine(t *testing.T) {
 	if err := Save(path, kcore.NewEngine()); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(path)
+	got, err := loadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	// 1. Base state: snapshot, Init seed, or empty engine.
 	hadSnapshot := false
 	if data, err := os.ReadFile(snapPath); err == nil {
-		e, st, err := decodeEngine(data, opts.Engine...)
+		e, st, err := decodeEngine(data)
 		if err != nil {
 			return nil, err
 		}
@@ -111,7 +111,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			}
 			s.engine = e
 		} else {
-			s.engine = kcore.NewEngine(opts.Engine...)
+			s.engine = kcore.NewEngine()
 		}
 	}
 

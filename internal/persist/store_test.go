@@ -46,12 +46,11 @@ func churnBatches(t *testing.T, e *kcore.Engine, count, size int, seed uint64) [
 
 func TestStoreOpenApplyReopen(t *testing.T) {
 	dir := t.TempDir()
-	engOpts := []kcore.Option{kcore.WithSeed(5)}
 	init := func() (*kcore.Engine, error) {
 		g := gen.BarabasiAlbert(100, 3, 13)
-		return kcore.FromEdges(g.Edges(), engOpts...)
+		return kcore.FromEdges(g.Edges())
 	}
-	st, err := Open(dir, Options{Sync: SyncOff, CompactBytes: -1, Engine: engOpts, Init: init})
+	st, err := Open(dir, Options{Sync: SyncOff, CompactBytes: -1, Init: init})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +76,7 @@ func TestStoreOpenApplyReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2, err := Open(dir, Options{Sync: SyncOff, CompactBytes: -1, Engine: engOpts})
+	st2, err := Open(dir, Options{Sync: SyncOff, CompactBytes: -1})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -130,11 +129,10 @@ func TestStoreInitIgnoredWithState(t *testing.T) {
 // forces snapshot rolls, after which reopen still recovers the exact state.
 func TestStoreCompaction(t *testing.T) {
 	dir := t.TempDir()
-	engOpts := []kcore.Option{kcore.WithSeed(3)}
 	init := func() (*kcore.Engine, error) {
-		return kcore.FromEdges(gen.BarabasiAlbert(80, 3, 17).Edges(), engOpts...)
+		return kcore.FromEdges(gen.BarabasiAlbert(80, 3, 17).Edges())
 	}
-	st, err := Open(dir, Options{Sync: SyncOff, CompactBytes: 512, Engine: engOpts, Init: init})
+	st, err := Open(dir, Options{Sync: SyncOff, CompactBytes: 512, Init: init})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +159,7 @@ func TestStoreCompaction(t *testing.T) {
 		t.Fatal("snapshot seq never advanced")
 	}
 
-	st2, err := Open(dir, Options{Sync: SyncOff, Engine: engOpts})
+	st2, err := Open(dir, Options{Sync: SyncOff})
 	if err != nil {
 		t.Fatalf("reopen after compaction: %v", err)
 	}
@@ -268,8 +266,7 @@ func TestApplyRecord(t *testing.T) {
 // covers a WAL prefix, and replay must skip exactly that prefix.
 func TestOpenSkipsCoveredRecords(t *testing.T) {
 	dirA := t.TempDir()
-	engOpts := []kcore.Option{kcore.WithSeed(21)}
-	st, err := Open(dirA, Options{Sync: SyncOff, CompactBytes: -1, Engine: engOpts})
+	st, err := Open(dirA, Options{Sync: SyncOff, CompactBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +301,7 @@ func TestOpenSkipsCoveredRecords(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dirB, WALFile), wal, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := Open(dirB, Options{Sync: SyncOff, Engine: engOpts})
+	st2, err := Open(dirB, Options{Sync: SyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,9 +77,6 @@ func sameState(t *testing.T, name string, got, want *kcore.IndexState) {
 	if got.Seq != want.Seq || got.Vertices != want.Vertices {
 		t.Fatalf("%s: seq/vertices = %d/%d, want %d/%d", name, got.Seq, got.Vertices, want.Seq, want.Vertices)
 	}
-	if got.Seed != want.Seed {
-		t.Fatalf("%s: engine seed = %d, want %d", name, got.Seed, want.Seed)
-	}
 	if !slices.Equal(got.Cores, want.Cores) {
 		t.Fatalf("%s: core numbers diverged at seq %d", name, want.Seq)
 	}
@@ -119,7 +116,7 @@ func waitSeq(t *testing.T, f *replicate.Follower, seq uint64) {
 // bit-identically — edges, core numbers, AND the maintained k-order (the
 // strongest equality the engine offers), with no gap-forced re-bootstraps.
 func TestReplicationDifferential(t *testing.T) {
-	engine := kcore.NewEngine(kcore.WithSeed(42))
+	engine := kcore.NewEngine()
 	pub := replicate.NewPublisher(engine, replicate.PublisherOptions{})
 	defer pub.Close()
 	srv := server.New(engine, server.Options{Publisher: pub})
@@ -171,6 +168,27 @@ func TestReplicationDifferential(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+	// One batch of 400 updates, none of which coalesce: it removes 100
+	// present edges and adds a 25-clique on fresh vertices. That is above
+	// the engine's 256-update floor and its 0.15·(m+n) fraction, so the
+	// primary applies it, and the followers replay its frame, by wholesale
+	// recomputation, whose k-order can differ from per-update maintenance's.
+	var big kcore.Batch
+	for _, ed := range engine.Edges()[:100] {
+		big = append(big, kcore.Remove(ed[0], ed[1]))
+	}
+	for u := 400; u < 425; u++ {
+		for v := u + 1; v < 425; v++ {
+			big = append(big, kcore.Add(u, v))
+		}
+	}
+	info, err := engine.Apply(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.Recomputed {
+		t.Fatalf("batch of %d surviving updates was not recomputed", info.Applied)
 	}
 
 	final := engine.Seq()
@@ -257,7 +275,7 @@ func TestFollowerCloseReleasesConnections(t *testing.T) {
 // snapshot — never silently diverge.
 func TestFollowerGapReBootstrap(t *testing.T) {
 	// Real engine states for the two bootstraps the fake primary serves.
-	e := kcore.NewEngine(kcore.WithSeed(9))
+	e := kcore.NewEngine()
 	if _, err := e.Apply(kcore.Batch{kcore.Add(0, 1), kcore.Add(1, 2), kcore.Add(0, 2)}); err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +366,7 @@ func TestFollowerGapReBootstrap(t *testing.T) {
 // the subscription registered on it before the gap keep firing, and the
 // subscription's events turn the old cores into the new ones.
 func TestFollowerReBootstrapKeepsEngine(t *testing.T) {
-	e := kcore.NewEngine(kcore.WithSeed(9))
+	e := kcore.NewEngine()
 	apply := func(b kcore.Batch) []byte {
 		t.Helper()
 		if _, err := e.Apply(b); err != nil {
@@ -468,7 +486,7 @@ func TestFollowerReBootstrapKeepsEngine(t *testing.T) {
 // answers 3. The follower applied everything the primary still has, so
 // seq_lag must fall to 0 rather than wait for the primary to pass seq 6.
 func TestFollowerSeqLagFollowsReBootstrap(t *testing.T) {
-	e := kcore.NewEngine(kcore.WithSeed(9))
+	e := kcore.NewEngine()
 	snapshot := func(b kcore.Batch) []byte {
 		t.Helper()
 		if _, err := e.Apply(b); err != nil {
@@ -543,7 +561,7 @@ func TestFollowerSeqLagFollowsReBootstrap(t *testing.T) {
 // corrupted mid-stream must poison the connection (gap counted), not crash
 // or apply garbage.
 func TestFollowerRejectsCorruptStream(t *testing.T) {
-	e := kcore.NewEngine(kcore.WithSeed(9))
+	e := kcore.NewEngine()
 	if _, err := e.Apply(kcore.Batch{kcore.Add(0, 1), kcore.Add(1, 2)}); err != nil {
 		t.Fatal(err)
 	}

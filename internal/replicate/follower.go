@@ -20,12 +20,11 @@ import (
 	"kcore/internal/server/wire"
 )
 
-// FollowerOptions tunes the follower side. The zero value picks defaults.
+// FollowerOptions tunes the follower's connection. Its engine is always a
+// default engine (kcore.NewEngine, no options), so replaying a default
+// primary's frames reproduces the primary's k-order. The zero value picks
+// defaults.
 type FollowerOptions struct {
-	// Engine options of the follower's engine (rebuild thresholds; the
-	// seed comes from each shipped snapshot — determinism requires the
-	// primary's).
-	Engine []kcore.Option
 	// Client is the HTTP client for the stream and the seq poll. The
 	// default enables TCP keepalives (dead primaries are detected within
 	// tens of seconds) and must NOT set Client.Timeout — the stream is
@@ -114,7 +113,7 @@ func StartFollower(ctx context.Context, primaryURL string, opts FollowerOptions)
 		return nil, fmt.Errorf("replicate: primary URL %q must be absolute (e.g. http://host:8080)", primaryURL)
 	}
 	u.Path, u.RawQuery, u.Fragment = "", "", ""
-	f := &Follower{primary: u.String(), opts: opts.withDefaults(), engine: kcore.NewEngine(opts.Engine...)}
+	f := &Follower{primary: u.String(), opts: opts.withDefaults(), engine: kcore.NewEngine()}
 	f.ctx, f.cancel = context.WithCancel(context.Background())
 
 	bo := f.backoff()

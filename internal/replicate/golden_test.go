@@ -21,7 +21,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden stream fixture
 func goldenStream(tb testing.TB) []byte {
 	tb.Helper()
 	edges := [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}}
-	e, err := kcore.FromEdges(edges, kcore.WithSeed(7))
+	e, err := kcore.FromEdges(edges)
 	if err != nil {
 		tb.Fatal(err)
 	}

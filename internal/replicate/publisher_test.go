@@ -43,7 +43,7 @@ func apply(t *testing.T, e *kcore.Engine, updates ...kcore.Update) {
 // TestPublisherSnapshotBootstrap covers the fresh-subscriber path: a
 // snapshot bootstrap at the current seq, then live frames chaining past it.
 func TestPublisherSnapshotBootstrap(t *testing.T) {
-	e, err := kcore.FromEdges([][2]int{{0, 1}, {1, 2}}, kcore.WithSeed(3))
+	e, err := kcore.FromEdges([][2]int{{0, 1}, {1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestPublisherSnapshotBootstrap(t *testing.T) {
 // history: the cursor placed at an exact frame boundary, at the head, and
 // the snapshot fallback for a mid-frame resume point.
 func TestMemoryTailResume(t *testing.T) {
-	e := kcore.NewEngine(kcore.WithSeed(3))
+	e := kcore.NewEngine()
 	p := NewPublisher(e, PublisherOptions{})
 	defer p.Close()
 	apply(t, e, kcore.Add(0, 1))                  // seq 1
@@ -157,7 +157,7 @@ func TestMemoryTailResume(t *testing.T) {
 // point the bounded history no longer covers yields a fresh snapshot, not a
 // broken chain.
 func TestEvictedHistoryFallsBackToSnapshot(t *testing.T) {
-	e := kcore.NewEngine(kcore.WithSeed(3))
+	e := kcore.NewEngine()
 	p := NewPublisher(e, PublisherOptions{HistoryBytes: 1}) // evict every frame
 	defer p.Close()
 	for i := 0; i < 5; i++ {
@@ -182,7 +182,7 @@ func TestEvictedHistoryFallsBackToSnapshot(t *testing.T) {
 func TestWALFileResume(t *testing.T) {
 	dir := t.TempDir()
 	store, err := persist.Open(dir, persist.Options{
-		Init: func() (*kcore.Engine, error) { return kcore.NewEngine(kcore.WithSeed(3)), nil },
+		Init: func() (*kcore.Engine, error) { return kcore.NewEngine(), nil },
 	})
 	if err != nil {
 		t.Fatalf("persist.Open: %v", err)
@@ -222,7 +222,7 @@ func TestWALFileResume(t *testing.T) {
 // unread frame was trimmed is dropped whole (partial frames would break the
 // chain), Next reports ErrDropped, and the drop is counted once.
 func TestBackpressureDropsSubscriber(t *testing.T) {
-	e := kcore.NewEngine(kcore.WithSeed(3))
+	e := kcore.NewEngine()
 	p := NewPublisher(e, PublisherOptions{HistoryBytes: 1}) // keeps only the newest frame
 	defer p.Close()
 	slow, _, err := p.Subscribe("slow", 0, false)
@@ -253,7 +253,7 @@ func TestBackpressureDropsSubscriber(t *testing.T) {
 
 // TestSubscribeAfterClose pins ErrClosed.
 func TestSubscribeAfterClose(t *testing.T) {
-	e := kcore.NewEngine(kcore.WithSeed(3))
+	e := kcore.NewEngine()
 	p := NewPublisher(e, PublisherOptions{})
 	p.Close()
 	if _, _, err := p.Subscribe("late", 0, false); !errors.Is(err, ErrClosed) {

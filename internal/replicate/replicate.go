@@ -1,8 +1,10 @@
 // Package replicate ships the engine's write-ahead log over the network:
 // one primary owns writes, N followers apply the streamed batches and serve
 // reads, scaling read throughput linearly with replicas while every replica
-// maintains bit-identical cores and k-order (the determinism the order-based
-// maintenance algorithm guarantees for identical update sequences).
+// maintains bit-identical cores and k-order: the order-based maintenance
+// algorithm is deterministic for identical update sequences, and a
+// follower's engine is a default engine (kcore.NewEngine, no options), as
+// kcore-serve's primary engine is, so the stream carries no engine setting.
 //
 // # Topology and consistency model
 //

@@ -81,7 +81,7 @@ func TestServeDifferential(t *testing.T) {
 		scripts[w] = writerScript(w, batches, batchSize, seed)
 	}
 
-	engine := kcore.NewEngine(kcore.WithSeed(seed))
+	engine := kcore.NewEngine()
 	_, c := newTestServer(t, engine, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -222,7 +222,7 @@ poll:
 
 	// Sequential reference: the same scripts through one engine, writer by
 	// writer, batch by batch — one Apply stream, no server, no concurrency.
-	ref := kcore.NewEngine(kcore.WithSeed(seed))
+	ref := kcore.NewEngine()
 	for _, script := range scripts {
 		for _, b := range script {
 			if _, err := ref.Apply(b); err != nil {

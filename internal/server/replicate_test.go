@@ -169,7 +169,7 @@ func TestPrimaryFollowerEndToEnd(t *testing.T) {
 // open across a forced-gap re-bootstrap and receives the re-bootstrap's
 // core changes, since the follower restores into the engine it serves.
 func TestWatchFollowsFollowerReBootstrap(t *testing.T) {
-	ref := kcore.NewEngine(kcore.WithSeed(9))
+	ref := kcore.NewEngine()
 	snapshot := func(b kcore.Batch) []byte {
 		t.Helper()
 		if _, err := ref.Apply(b); err != nil {

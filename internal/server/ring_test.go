@@ -17,7 +17,7 @@ import (
 // stays near its base however long the benchmark runs.
 func BenchmarkWatchedApply(b *testing.B) {
 	base := gen.BarabasiAlbert(20000, 4, 1)
-	eng, err := kcore.FromEdges(base.Edges(), kcore.WithSeed(1))
+	eng, err := kcore.FromEdges(base.Edges())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -91,11 +91,9 @@ type Options struct {
 	// this long. Zero disables idle eviction.
 	IdleAfter time.Duration
 
-	// Engine options applied to every tenant engine, fresh or recovered.
-	Engine []kcore.Option
-
-	// Persist is the store configuration template for tenant stores; the
-	// Engine and Init fields are overridden per tenant.
+	// Persist is the store configuration template for tenant stores; its
+	// Init field is overridden per tenant. Every tenant engine, fresh or
+	// recovered, is a default engine (kcore.NewEngine, no options).
 	Persist persist.Options
 
 	// Attach builds the owner's serving state once a tenant's engine (and
@@ -285,7 +283,6 @@ func (m *Manager) load(t *Tenant) {
 	defer close(t.loaded)
 	if m.opts.DataDir != "" {
 		popts := m.opts.Persist
-		popts.Engine = m.opts.Engine
 		popts.Init = nil
 		st, err := persist.Open(persist.TenantDir(m.opts.DataDir, t.name), popts)
 		if err != nil {
@@ -295,7 +292,7 @@ func (m *Manager) load(t *Tenant) {
 		t.store = st
 		t.engine = st.Engine()
 	} else {
-		t.engine = kcore.NewEngine(m.opts.Engine...)
+		t.engine = kcore.NewEngine()
 	}
 	if m.opts.Attach != nil {
 		att, err := m.opts.Attach(t)

@@ -72,7 +72,6 @@ import (
 )
 
 type config struct {
-	seed         uint64
 	rebuildFloor int
 	rebuildFrac  float64
 }
@@ -86,7 +85,7 @@ const (
 )
 
 func newConfig(opts []Option) config {
-	cfg := config{seed: 1, rebuildFloor: defaultRebuildFloor, rebuildFrac: defaultRebuildFrac}
+	cfg := config{rebuildFloor: defaultRebuildFloor, rebuildFrac: defaultRebuildFrac}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -95,9 +94,6 @@ func newConfig(opts []Option) config {
 
 // Option configures an Engine.
 type Option func(*config)
-
-// WithSeed makes all internal randomization deterministic (default 1).
-func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 
 // WithWorkers has no effect: Apply runs every batch on the calling
 // goroutine, by per-update maintenance or by recomputation (see Apply). It
@@ -113,6 +109,11 @@ func WithWorkers(n int) Option { return func(*config) {} }
 // faster but coarsens the result — see
 // BatchInfo.Recomputed. floor < 0 disables recomputation entirely.
 // Defaults: floor 256, fraction 0.15 (measured; see EXPERIMENTS.md).
+//
+// Both strategies give the same cores but not the same k-order, so a
+// logged update sequence replays to the same k-order only under the
+// options it was written with. Snapshots, write-ahead logs and replication
+// streams record no options, so the serving stack runs the default engine.
 func WithRebuildThreshold(floor int, fraction float64) Option {
 	return func(c *config) {
 		c.rebuildFloor = floor
@@ -223,18 +224,19 @@ func Load(r io.Reader, opts ...Option) (*Engine, error) {
 }
 
 func fromGraph(g *graph.Undirected, cfg config) *Engine {
-	e := &Engine{g: g, m: korder.New(g, maintainerOptions(cfg.seed)), cfg: cfg, seqEdges: g.NumEdges()}
+	e := &Engine{g: g, m: korder.New(g, maintainerOptions()), cfg: cfg, seqEdges: g.NumEdges()}
 	e.publishEpoch(nil)
 	return e
 }
 
 // maintainerOptions is the engine's one maintainer configuration: the
 // paper's recommended initial k-order (small deg+ first) on the tag list,
-// whose comparisons cost O(1). The treap and the other heuristics give
-// identical cores and stay in the internal packages for the paper
-// reproductions.
-func maintainerOptions(seed uint64) korder.Options {
-	return korder.Options{Heuristic: decomp.SmallDegPlusFirst, OrderKind: order.KindTagList, Seed: seed}
+// whose comparisons cost O(1). Neither draws random numbers, so the
+// maintained k-order is a function of the starting k-order and the update
+// sequence alone. The treap and the other heuristics give identical cores
+// and stay in the internal packages for the paper reproductions.
+func maintainerOptions() korder.Options {
+	return korder.Options{Heuristic: decomp.SmallDegPlusFirst, OrderKind: order.KindTagList}
 }
 
 // ExecStats counts, over the engine's lifetime, how many applied updates

@@ -88,7 +88,6 @@ func TestLoadAndSave(t *testing.T) {
 func TestOptionCombos(t *testing.T) {
 	for i, opts := range [][]Option{
 		nil,
-		{WithSeed(9)},
 		{WithRebuildThreshold(-1, 0)}, // never recompute
 		{WithRebuildThreshold(1, 0)},  // always recompute
 		{WithWorkers(4)},
@@ -166,7 +165,7 @@ func TestDecomposeStatic(t *testing.T) {
 // TestConcurrentAccess exercises the engine from multiple goroutines; run
 // with -race to verify the locking discipline.
 func TestConcurrentAccess(t *testing.T) {
-	e := NewEngine(WithSeed(3))
+	e := NewEngine()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		w := w
@@ -237,7 +236,7 @@ func TestCommunityQueries(t *testing.T) {
 }
 
 func TestGreedyColoring(t *testing.T) {
-	e := NewEngine(WithSeed(3))
+	e := NewEngine()
 	// K4 needs exactly 4 colors.
 	for i := 0; i < 4; i++ {
 		for j := i + 1; j < 4; j++ {

@@ -9,7 +9,7 @@ import (
 // An injected probe panic must reject the batch cleanly: no state change,
 // no seq advance, a *PanicError, and a usable engine afterwards.
 func TestApplyProbePanicQuarantinesCleanly(t *testing.T) {
-	e := NewEngine(WithSeed(1))
+	e := NewEngine()
 	if _, err := e.AddEdges([][2]int{{0, 1}, {1, 2}, {0, 2}}); err != nil {
 		t.Fatalf("seed batch: %v", err)
 	}
@@ -52,7 +52,7 @@ func TestApplyProbePanicQuarantinesCleanly(t *testing.T) {
 // leave the engine consistent with its graph: cores equal a from-scratch
 // decomposition of whatever the graph holds.
 func TestPanicContainmentRecomputesConsistentState(t *testing.T) {
-	e := NewEngine(WithSeed(7))
+	e := NewEngine()
 	if _, err := e.AddEdges([][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}}); err != nil {
 		t.Fatalf("seed: %v", err)
 	}
@@ -63,7 +63,7 @@ func TestPanicContainmentRecomputesConsistentState(t *testing.T) {
 	e.SetApplyProbe(nil)
 	// The maintained state must agree with an independent engine built
 	// from the same edges.
-	ref := NewEngine(WithSeed(7))
+	ref := NewEngine()
 	if _, err := ref.AddEdges([][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}}); err != nil {
 		t.Fatalf("ref seed: %v", err)
 	}
@@ -78,7 +78,7 @@ func TestPanicContainmentRecomputesConsistentState(t *testing.T) {
 // cores relative to what was already notified — and none when the panic
 // fired pre-mutation.
 func TestPanicContainmentNotifiesNoSpuriousEvents(t *testing.T) {
-	e := NewEngine(WithSeed(1))
+	e := NewEngine()
 	if _, err := e.AddEdges([][2]int{{0, 1}, {1, 2}, {0, 2}}); err != nil {
 		t.Fatalf("seed: %v", err)
 	}
@@ -102,7 +102,7 @@ func TestPanicContainmentNotifiesNoSpuriousEvents(t *testing.T) {
 // never committed, arrive as repair events. The update had mutated the
 // graph, so the repair counts it: the events carry the advanced seq.
 func TestPanicRepairReachesSubscribers(t *testing.T) {
-	e := NewEngine(WithSeed(1))
+	e := NewEngine()
 	if _, err := e.AddEdges([][2]int{{0, 1}, {1, 2}, {0, 2}}); err != nil {
 		t.Fatalf("seed: %v", err)
 	}
@@ -144,7 +144,7 @@ func TestPanicRepairReachesSubscribers(t *testing.T) {
 // so the durability and replication planes see the hole.
 func TestPanicHalfAppliedLeavesGap(t *testing.T) {
 	base := [][2]int{{0, 1}, {1, 2}, {0, 2}}
-	e, err := FromEdges(base, WithSeed(1))
+	e, err := FromEdges(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestPanicHalfAppliedLeavesGap(t *testing.T) {
 		t.Fatalf("post-repair Apply: %v", err)
 	}
 
-	replica, err := FromEdges(base, WithSeed(1))
+	replica, err := FromEdges(base)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,28 +53,35 @@ func (e *Engine) applyRebuild(batch Batch, skip []bool, coalesced int) (BatchInf
 	}
 	e.m.Reseed()
 	info.Seq = e.seq
-	diff := e.diffSince(prev)
-	for _, c := range diff {
-		info.Total.CoreChanged = append(info.Total.CoreChanged, c.Vertex)
-	}
+	info.Total.CoreChanged = e.changedSince(prev)
 	info.Total.Visited = e.g.NumVertices()
 	if e.changeHooks > 0 {
-		e.changes = diff
+		e.changes = e.coreChanges(prev, info.Total.CoreChanged)
 	}
 	return info, nil
 }
 
-// diffSince returns one CoreChange per vertex whose maintained core number
-// differs from its core in ep, in ascending vertex order, all tagged with
-// the current seq. Vertices created since ep had core 0, and vertices ep
-// had that the graph no longer has (after Restore) now have core 0. The
-// caller holds the write lock.
-func (e *Engine) diffSince(ep *epoch) []CoreChange {
-	var diff []CoreChange
+// changedSince returns, in ascending order, every vertex whose maintained
+// core number differs from its core in ep. Vertices created since ep had
+// core 0, and vertices ep had that the graph no longer has (after Restore)
+// now have core 0. The caller holds the write lock.
+func (e *Engine) changedSince(ep *epoch) []int {
+	var changed []int
 	for v := 0; v < max(ep.vertices, e.g.NumVertices()); v++ {
-		if old, c := ep.core(v), e.m.Core(v); c != old {
-			diff = append(diff, CoreChange{Vertex: v, OldCore: old, NewCore: c, Seq: e.seq})
+		if ep.core(v) != e.m.Core(v) {
+			changed = append(changed, v)
 		}
 	}
-	return diff
+	return changed
+}
+
+// coreChanges builds the change hooks' records for the vertices
+// changedSince(ep) returned: each turns its core in ep into its maintained
+// core, tagged with the current seq. The caller holds the write lock.
+func (e *Engine) coreChanges(ep *epoch, changed []int) []CoreChange {
+	changes := make([]CoreChange, len(changed))
+	for i, v := range changed {
+		changes[i] = CoreChange{Vertex: v, OldCore: ep.core(v), NewCore: e.m.Core(v), Seq: e.seq}
+	}
+	return changes
 }

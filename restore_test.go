@@ -10,11 +10,11 @@ import (
 // reports every dropped vertex's core falling to 0, at the restored seq,
 // even though that seq is lower than the engine's own.
 func TestRestoreShrinkDropsCores(t *testing.T) {
-	small, err := FromEdges([][2]int{{0, 1}, {1, 2}, {0, 2}}, WithSeed(3))
+	small, err := FromEdges([][2]int{{0, 1}, {1, 2}, {0, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(WithSeed(3))
+	e := NewEngine()
 	var batch Batch
 	for u := 0; u < 7; u++ { // K7 on 0..6: every core is 6
 		for v := u + 1; v < 7; v++ {
@@ -55,7 +55,7 @@ func TestRestoreShrinkDropsCores(t *testing.T) {
 // restore's diff as a record with no Updates, plain hooks do not, and the
 // restored engine then maintains exactly as one built by FromIndex.
 func TestRestoreKeepsObservers(t *testing.T) {
-	src := NewEngine(WithSeed(5))
+	src := NewEngine()
 	g := newChurnGen(21, 60)
 	if _, err := src.Apply(g.batch(150)); err != nil {
 		t.Fatal(err)
@@ -63,7 +63,7 @@ func TestRestoreKeepsObservers(t *testing.T) {
 	st := src.Index()
 	next := g.batch(40)
 
-	e := NewEngine(WithSeed(9))
+	e := NewEngine()
 	if _, err := e.Apply(Batch{Add(0, 1), Add(1, 2), Add(0, 2), Add(70, 71)}); err != nil {
 		t.Fatal(err)
 	}
