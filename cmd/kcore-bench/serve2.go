@@ -18,11 +18,15 @@ import (
 
 // Serve2 experiment: the binary wire protocol against JSON.
 //
-//   - serve2/ingest-json vs serve2/ingest-binary measure the per-batch wire
-//     cost of the ingest path (request decode + ack encode, the work that
-//     differs between the protocols; the engine Apply between them is shared
-//     and excluded) through testing.Benchmark, with allocation counts — the
-//     binary path must stay allocation-free in steady state.
+//   - serve2/ingest-json, serve2/ingest-json-common and serve2/ingest-binary
+//     measure the per-batch wire cost of the ingest path (request decode +
+//     ack encode, the work that differs between the protocols; the engine
+//     Apply between them is shared and excluded) through testing.Benchmark,
+//     with allocation counts. ingest-json is encoding/json, the server's
+//     path for JSON bodies outside the common form; ingest-json-common is
+//     the server's path for the common form (wire.DecodeBatchJSON and
+//     wire.AppendBatchResponseJSON into reused buffers); ingest-binary must
+//     stay allocation-free in steady state.
 //   - serve2/http-ingest-{json,binary} run the same batch script end to end
 //     through POST /v1/batch on a loopback server, one protocol per fresh
 //     server, reporting p50 per-batch latency and updates/sec.
@@ -116,6 +120,17 @@ func ingestCodecBench(cfg bench.Config, batchSize int, minSpeedup float64) []ben
 	})
 	var scratch []kcore.Update
 	var ackBuf []byte
+	commonRes := bench.RunMeasured(cfg.Out, "serve2/ingest-json-common", params, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			updates, ok := wire.DecodeBatchJSON(jsonBody, scratch)
+			if !ok {
+				b.Fatal("common-form body rejected")
+			}
+			scratch = updates
+			ackBuf = wire.AppendBatchResponseJSON(ackBuf[:0], &ack)
+		}
+	})
 	binRes := bench.RunMeasured(cfg.Out, "serve2/ingest-binary", params, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -128,15 +143,16 @@ func ingestCodecBench(cfg bench.Config, batchSize int, minSpeedup float64) []ben
 		}
 	})
 
+	commonRes.Params["speedup_vs_json"] = jsonRes.NsPerOp / commonRes.NsPerOp
 	speedup := jsonRes.NsPerOp / binRes.NsPerOp
 	binRes.Params["speedup_vs_json"] = speedup
-	fmt.Printf("%-28s %.1fx (json %.0f ns/batch, binary %.0f ns/batch)\n",
-		"serve2/ingest-speedup", speedup, jsonRes.NsPerOp, binRes.NsPerOp)
+	fmt.Printf("%-28s %.1fx (json %.0f ns/batch, json common form %.0f ns/batch, binary %.0f ns/batch)\n",
+		"serve2/ingest-speedup", speedup, jsonRes.NsPerOp, commonRes.NsPerOp, binRes.NsPerOp)
 	if minSpeedup > 0 && speedup < minSpeedup {
 		fatal(fmt.Errorf("serve2: binary ingest speedup %.2fx is below the required %.2fx",
 			speedup, minSpeedup))
 	}
-	return []bench.Result{jsonRes, binRes}
+	return []bench.Result{jsonRes, commonRes, binRes}
 }
 
 // httpIngestBench runs the same writer script through POST /v1/batch end to

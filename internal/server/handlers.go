@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -180,10 +181,11 @@ func degradedError(cause string) *wire.Error {
 	}
 }
 
-// batchScratch is the pooled per-request state of the binary ingest path:
-// the body read buffer, the decoded update scratch, and the response frame
-// buffer. Safe to recycle once the handler returns — coalescer.submit
-// blocks until its flush completes, so nothing retains the update slice.
+// batchScratch is the pooled per-request state of POST /v1/batch in both
+// encodings: the body read buffer, the update scratch that a binary frame
+// or a common-form JSON body decodes into, and the ack buffer (binary or
+// JSON). Safe to recycle once the handler returns — coalescer.submit blocks
+// until its flush completes, so nothing retains the update slice.
 type batchScratch struct {
 	body    []byte
 	updates []kcore.Update
@@ -195,7 +197,7 @@ var batchPool = sync.Pool{New: func() any {
 }}
 
 // readAllInto reads r to EOF into buf[:0], growing only past buf's existing
-// capacity — the zero-steady-state-alloc read of the binary ingest path.
+// capacity — the zero-steady-state-alloc read of the ingest path.
 func readAllInto(r io.Reader, buf []byte) ([]byte, error) {
 	buf = buf[:0]
 	for {
@@ -234,44 +236,47 @@ func (s *Server) handleBatch(ts *tenantServing, w http.ResponseWriter, r *http.R
 
 	// Per-request read deadline: a client trickling its body cannot park
 	// this handler past ReadTimeout (server-wide ReadTimeout would kill
-	// SSE streams instead; see Serve). Cleared again after the decode so
-	// the connection's later keep-alive requests are unaffected.
+	// SSE streams instead; see Serve). Cleared again once the body is read
+	// so the connection's later keep-alive requests are unaffected.
 	rc := http.NewResponseController(w)
 	_ = rc.SetReadDeadline(time.Now().Add(s.opts.ReadTimeout))
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 
+	// Both encodings read the whole body into pooled scratch first, and the
+	// binary frame and the common JSON form decode straight into a pooled
+	// update slice that goes to the coalescer as is.
+	sc := batchPool.Get().(*batchScratch)
+	defer batchPool.Put(sc)
+	var err error
+	sc.body, err = readAllInto(body, sc.body)
+	_ = rc.SetReadDeadline(time.Time{})
+	if err != nil {
+		writeError(w, bodyReadError(err))
+		return
+	}
 	var batch kcore.Batch
-	var sc *batchScratch
 	if ct == wire.ContentTypeBatch {
-		// Binary fast path: read into pooled scratch, decode with the persist
-		// varint codec straight into a pooled update slice, and hand that to
-		// the coalescer — no JSON, no per-request allocation at steady state.
-		sc = batchPool.Get().(*batchScratch)
-		defer batchPool.Put(sc)
-		var err error
-		sc.body, err = readAllInto(body, sc.body)
-		_ = rc.SetReadDeadline(time.Time{})
-		if err != nil {
-			writeError(w, bodyReadError(err))
-			return
-		}
-		updates, err := persist.DecodeBatchFrame(sc.body, sc.updates)
-		sc.updates = updates[:0]
-		if err != nil {
+		if sc.updates, err = persist.DecodeBatchFrame(sc.body, sc.updates); err != nil {
 			writeError(w, badRequest("invalid binary batch frame: %v", err))
 			return
 		}
-		sc.updates = updates
-		if werr := checkBatchSize(len(updates), s.opts.MaxBatch); werr != nil {
+		if werr := checkBatchSize(len(sc.updates), s.opts.MaxBatch); werr != nil {
 			writeError(w, werr)
 			return
 		}
-		batch = kcore.Batch(updates)
+		batch = sc.updates
+	} else if sc.updates, ok = wire.DecodeBatchJSON(sc.body, sc.updates); ok {
+		if werr := checkBatchSize(len(sc.updates), s.opts.MaxBatch); werr != nil {
+			writeError(w, werr)
+			return
+		}
+		batch = sc.updates
 	} else {
+		// Any other JSON body (escapes, unknown or duplicate keys, case-folded
+		// keys, null, malformed input) takes encoding/json, which decides
+		// acceptance and every error for it.
 		var req wire.BatchRequest
-		err := json.NewDecoder(body).Decode(&req)
-		_ = rc.SetReadDeadline(time.Time{})
-		if err != nil {
+		if err := json.NewDecoder(bytes.NewReader(sc.body)).Decode(&req); err != nil {
 			writeError(w, bodyReadError(err))
 			return
 		}
@@ -291,21 +296,14 @@ func (s *Server) handleBatch(ts *tenantServing, w http.ResponseWriter, r *http.R
 		return
 	}
 	if respType == wire.ContentTypeBatch {
-		var buf []byte
-		if sc != nil {
-			buf = sc.ack[:0]
-		}
-		buf = wire.AppendBatchAck(buf, resp)
-		if sc != nil {
-			sc.ack = buf[:0]
-		}
-		w.Header().Set("Content-Type", wire.ContentTypeBatch)
-		w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(buf)
-		return
+		sc.ack = wire.AppendBatchAck(sc.ack[:0], resp)
+	} else {
+		sc.ack = wire.AppendBatchResponseJSON(sc.ack[:0], resp)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", respType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(sc.ack)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(sc.ack)
 }
 
 // checkBatchSize enforces the shape limits both batch encodings share.

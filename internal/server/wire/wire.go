@@ -101,6 +101,24 @@
 // its Binary field is set: one 415 from a pre-binary server downgrades it to
 // JSON permanently, so Binary is always safe to enable.
 //
+// # JSON batch bodies
+//
+// A JSON POST /v1/batch body in the common form that every client in this
+// repository writes, {"updates":[{"op":"add","u":1,"v":2},…]} — exact
+// lowercase keys, each once, in any order, with any whitespace, ops without
+// escapes, integer ids — is decoded by DecodeBatchJSON straight into pooled
+// scratch, and its BatchResponse is appended into a pooled buffer
+// (AppendBatchResponseJSON, byte-identical to encoding/json): the decode and
+// the ack allocate nothing in steady state. Every other JSON body is
+// decoded by encoding/json, which decodes every common-form body to the same
+// updates (FuzzJSONBatchDecode checks this), so the path a body takes never
+// changes the accept or reject decision, the updates, or the error code and
+// message. The server
+// reads a JSON body to its end before decoding it, as it does a binary
+// frame, so bytes after the JSON value count toward the 16 MiB body limit
+// (HTTP 413 "batch_too_large"), and a body that stalls after its JSON value
+// fails at the read deadline.
+//
 // # Replication and read-only mode
 //
 // kcore-serve started with -follow=<primary-url> replicates that primary:
