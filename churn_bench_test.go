@@ -69,7 +69,8 @@ func BenchmarkChurnBatches(b *testing.B) {
 // 100 (the served batch size) and 512 updates per batch. The first 8,192
 // updates are applied once, outside the timer; the op loop then cycles the
 // forward batches and their inverses, which undo them exactly, so the graph
-// never drifts. B/op is what one batch allocates, its epoch included.
+// never drifts. B/op is what one batch allocates, its epoch included, and
+// updates/s is perfbench's throughput unit.
 func BenchmarkPokecChurn(b *testing.B) {
 	const lead = 16 * 512
 	d, err := datasets.ByName("pokec-sim")
@@ -112,11 +113,15 @@ func BenchmarkPokecChurn(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
+			updates := 0
 			for i := 0; i < b.N; i++ {
-				if _, err := e.Apply(cycle[i%len(cycle)]); err != nil {
+				c := cycle[i%len(cycle)]
+				if _, err := e.Apply(c); err != nil {
 					b.Fatal(err)
 				}
+				updates += len(c)
 			}
+			b.ReportMetric(float64(updates)/b.Elapsed().Seconds(), "updates/s")
 		})
 	}
 }

@@ -125,6 +125,8 @@ func hotpathExperiments(cfg Config) []hotpathExperiment {
 	// The churn workload toggles a sample of the fixture graph's edges; the
 	// sample is capped so it stays a subset of the 8000-edge fixture.
 	churnSample := min(cfg.Edges, 4000)
+	addRemoveG, addRemoveHubs := hybridFixture(11)
+	hasEdgeG, hasEdgeHubs := hybridFixture(17)
 	return []hotpathExperiment{
 		{
 			name:   "korder/insert/social",
@@ -172,10 +174,11 @@ func hotpathExperiments(cfg Config) []hotpathExperiment {
 			},
 		},
 		{
-			name:   "graph/hybrid/addremove",
-			params: map[string]any{"n": 4096, "threshold": graph.IndexThreshold},
+			name: "graph/hybrid/addremove",
+			params: map[string]any{"graph": "rmat", "n": 4096, "edges": hybridEdges,
+				"threshold": graph.IndexThreshold, "hubs": addRemoveHubs},
 			fn: func(b *testing.B) {
-				g := gen.BarabasiAlbert(4096, 4, 11)
+				g := addRemoveG.Clone()
 				sample := workload.SampleEdges(g, 2048, 13)
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -194,10 +197,11 @@ func hotpathExperiments(cfg Config) []hotpathExperiment {
 			},
 		},
 		{
-			name:   "graph/hybrid/hasedge",
-			params: map[string]any{"n": 4096, "threshold": graph.IndexThreshold},
+			name: "graph/hybrid/hasedge",
+			params: map[string]any{"graph": "rmat", "n": 4096, "edges": hybridEdges,
+				"threshold": graph.IndexThreshold, "hubs": hasEdgeHubs},
 			fn: func(b *testing.B) {
-				g := gen.BarabasiAlbert(4096, 4, 17)
+				g := hasEdgeG
 				sample := workload.SampleEdges(g, 2048, 19)
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -214,6 +218,25 @@ func hotpathExperiments(cfg Config) []hotpathExperiment {
 			fn:     benchArenaMigrate,
 		},
 	}
+}
+
+// hybridEdges is the edge count of the graph/hybrid/* rows' fixture.
+const hybridEdges = 16384
+
+// hybridFixture returns the graph/hybrid/* rows' graph and its number of
+// vertices past graph.IndexThreshold. It is an RMAT graph on 4,096 vertices
+// with mean degree 8, whose skew puts 13 vertices past the threshold at
+// seeds 11 and 17, so about a quarter of the sampled edges touch a
+// map-indexed hub and the rest are scanned.
+func hybridFixture(seed uint64) (*graph.Undirected, int) {
+	g := gen.RMAT(12, hybridEdges, 0.57, 0.19, 0.19, seed)
+	hubs := 0
+	for v := range g.NumVertices() {
+		if g.Degree(v) > graph.IndexThreshold {
+			hubs++
+		}
+	}
+	return g, hubs
 }
 
 // benchArenaMigrate mirrors order's BenchmarkOrderMigrate: level migration

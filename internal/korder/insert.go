@@ -1,6 +1,7 @@
 package korder
 
 import (
+	"kcore/internal/graph"
 	"kcore/internal/order"
 )
 
@@ -16,8 +17,15 @@ type relocation struct {
 // Insert performs OrderInsert (Algorithm 2 + Algorithm 3): it adds the edge
 // (u, v) to the graph and updates core numbers, the k-order, deg+, and mcd.
 // It returns the set of vertices whose core number increased and the number
-// of vertices the scan expanded (|V+|).
+// of vertices the scan expanded (|V+|). A rejected edge leaves the
+// maintained state, its vertex set included, unchanged.
 func (m *Maintainer) Insert(u, v int) (UpdateResult, error) {
+	if u < 0 || v < 0 {
+		return UpdateResult{}, graph.ErrVertexRange
+	}
+	if u == v {
+		return UpdateResult{}, graph.ErrSelfLoop
+	}
 	m.EnsureVertex(u)
 	m.EnsureVertex(v)
 	// Preparing phase: K, root, edge, deg+ and mcd edge deltas.
@@ -59,7 +67,7 @@ func (m *Maintainer) Insert(u, v int) (UpdateResult, error) {
 	relocs := m.relocsBuf[:0] // deferred evicted-candidate moves
 	visited := 0
 
-	m.heap.Push(L.Key(root), root)
+	m.heap.Push(m.key(L, root), root)
 	sr.cur(ep).flags |= fInHeap
 
 	for {
@@ -85,11 +93,11 @@ func (m *Maintainer) Insert(u, v int) (UpdateResult, error) {
 			for _, z32 := range m.g.Neighbors(w) {
 				z := int(z32)
 				sz := &m.vs[z]
-				if sz.core == K && L.Less(w, z) {
+				if sz.core == K && m.less(L, w, sw, z, sz) {
 					sz.cur(ep).aux++
 					if sz.flags&(fInHeap|fCand|fConf) == 0 {
 						sz.flags |= fInHeap
-						m.heap.Push(L.Key(z), z)
+						m.heap.Push(m.key(L, z), z)
 					}
 				}
 			}
@@ -176,6 +184,7 @@ func (m *Maintainer) removeCandidates(L order.List, vi int, K int32, relocs *[]r
 			push(z, sz)
 		}
 	}
+	svi := &m.vs[vi]
 	cursor := vi // last vertex settled into O'_K
 	for qi := 0; qi < len(queue); qi++ {
 		wp := queue[qi]
@@ -193,11 +202,11 @@ func (m *Maintainer) removeCandidates(L order.List, vi int, K int32, relocs *[]r
 				continue
 			}
 			switch {
-			case L.Less(vi, z):
+			case m.less(L, vi, svi, z, sz):
 				// z is after the scan position: it loses one potential
 				// candidate supporter.
 				sz.cur(ep).aux--
-			case sz.flag(ep, fCand) && L.Less(wp, z):
+			case sz.flag(ep, fCand) && m.less(L, wp, sw, z, sz):
 				sz.aux--
 				push(z, sz)
 			case sz.flag(ep, fCand):

@@ -3,6 +3,8 @@ package korder
 import (
 	"errors"
 	"math/rand/v2"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -147,6 +149,66 @@ func TestInsertGrowsVertices(t *testing.T) {
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInsertRejectedKeepsVertexSet pins that an edge Insert rejects leaves
+// the maintained state unchanged: a self loop or a negative id must not grow
+// the graph, the records or O_0 before the graph refuses the edge.
+func TestInsertRejectedKeepsVertexSet(t *testing.T) {
+	for _, k := range []order.Kind{order.KindTreap, order.KindTagList} {
+		g := graph.New(5)
+		mustAddRaw(t, g, 0, 1)
+		mustAddRaw(t, g, 1, 2)
+		m := New(g, Options{OrderKind: k, Seed: 3})
+		cores, ord := m.Cores(), m.Order()
+		for _, e := range []struct {
+			u, v int
+			want error
+		}{
+			{7, 7, graph.ErrSelfLoop},
+			{-1, 3, graph.ErrVertexRange},
+			{9, -2, graph.ErrVertexRange},
+			{0, 1, graph.ErrDuplicateEdge},
+		} {
+			if _, err := m.Insert(e.u, e.v); !errors.Is(err, e.want) {
+				t.Fatalf("%v: Insert(%d,%d) error = %v, want %v", k, e.u, e.v, err, e.want)
+			}
+			if n := m.Graph().NumVertices(); n != 5 {
+				t.Fatalf("%v: rejected Insert(%d,%d) grew the graph to %d vertices", k, e.u, e.v, n)
+			}
+			if !slices.Equal(m.Cores(), cores) || !slices.Equal(m.Order(), ord) {
+				t.Fatalf("%v: rejected Insert(%d,%d) changed the state: cores %v order %v, was %v %v",
+					k, e.u, e.v, m.Cores(), m.Order(), cores, ord)
+			}
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("%v: %v", k, err)
+		}
+	}
+}
+
+// TestCheckInvariantsCatchesTagCorruption pins that CheckInvariants reads
+// the tags the tag-list scans compare: a record whose tag no longer rises
+// along its level must fail the check.
+func TestCheckInvariantsCatchesTagCorruption(t *testing.T) {
+	g := graph.New(6)
+	for v := 1; v < 6; v++ {
+		mustAddRaw(t, g, 0, v)
+	}
+	m := New(g, Options{OrderKind: order.KindTagList, Seed: 3})
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	lvl := order.Slice(m.levels[1])
+	if len(lvl) < 2 {
+		t.Fatalf("O_1 = %v, want at least two vertices", lvl)
+	}
+	v, prev := lvl[len(lvl)-1], lvl[len(lvl)-2]
+	m.vs[v].tag = m.vs[prev].tag
+	err := m.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), "tag") {
+		t.Fatalf("CheckInvariants after corrupting the tag of %d = %v, want a tag error", v, err)
 	}
 }
 

@@ -9,14 +9,17 @@
 // neighborhood of the inserted or removed edge.
 //
 // Layout: the work of both algorithms is a scan over each visited vertex's
-// neighbors, so a vertex's hot state is one 24-byte record indexed by
-// vertex id, holding core, deg+, mcd and the update's scratch (candidate,
-// heap, queue and V* flags in one byte; deg* or cd in one integer). The
-// scratch of every vertex is reset at once by bumping a single 32-bit
-// epoch per update; a wrap of the epoch clears every record's stamp. The
-// per-level order lists live on one order.Arena, whose nodes are also
-// indexed by vertex id, so a neighbor test such as
-// core(z) == K && z after w in O_K reads z's record and z's arena cell.
+// neighbors, so a vertex's hot state is one 32-byte record indexed by
+// vertex id, holding core, deg+, mcd, the vertex's order tag in O_core,
+// and the update's scratch (candidate, heap, queue and V* flags in one
+// byte; deg* or cd in one integer). The scratch of every vertex is reset at
+// once by bumping a single 32-bit epoch per update; a wrap of the epoch
+// clears every record's stamp. The per-level order lists keep their links
+// on one order.Arena, whose nodes are also indexed by vertex id, and their
+// tags in the records (a TagStore over vs). A neighbor test such as
+// core(z) == K && z after w in O_K therefore reads z's record only: it
+// compares two tags, with no call into the list and no arena read. The
+// treap kind (Options.OrderKind) keeps no tags and asks its list instead.
 package korder
 
 import (
@@ -77,11 +80,13 @@ type UpdateResult struct {
 // Maintainer holds the maintained index: cores, k-order, deg+, mcd.
 //
 // Every vertex's hot state is one record in vs, indexed by vertex id: its
-// core number, deg+ and mcd, and the per-update scratch of OrderInsert and
-// OrderRemoval (see vstate). One scratch epoch, bumped once per update,
-// resets every record's scratch. A neighbor visit in the maintenance scans
-// therefore reads one record and, for an order comparison, the vertex's
-// node in the order arena (order.Arena, also indexed by vertex id).
+// core number, deg+, mcd and order tag, and the per-update scratch of
+// OrderInsert and OrderRemoval (see vstate). One scratch epoch, bumped once
+// per update, resets every record's scratch. With tag lists (the engine's
+// kind), a neighbor visit in the maintenance scans therefore reads one
+// record, its order comparison included; the list links in the order arena
+// (order.Arena, also indexed by vertex id) are touched only when a vertex
+// moves.
 type Maintainer struct {
 	g       *graph.Undirected
 	vs      []vstate     // per-vertex record, indexed by vertex id
@@ -105,14 +110,18 @@ type Maintainer struct {
 	stats Stats
 }
 
-// vstate is one vertex's record: 24 bytes, so most records sit in one
-// cache line. core, degPlus and mcd are the maintained state. aux, ep and
-// flags are per-update scratch: they count only while ep equals the
-// Maintainer's epoch, and read as zero otherwise. Each update that needs
-// scratch starts a new epoch (newEpoch), which resets every vertex's
-// scratch in O(1); a record is re-zeroed lazily when first touched in the
-// new epoch (cur).
+// vstate is one vertex's record: 32 bytes, two to a 64-byte cache line.
+// core, degPlus, mcd and tag are the maintained state. tag is the vertex's
+// order tag in its level list O_core, written only by that list (through
+// recordTags) and meaningful only for the tag-list kind: within one level,
+// tag order is list order, so the scans compare two records' tags instead
+// of calling the list. aux, ep and flags are per-update scratch: they count
+// only while ep equals the Maintainer's epoch, and read as zero otherwise.
+// Each update that needs scratch starts a new epoch (newEpoch), which
+// resets every vertex's scratch in O(1); a record is re-zeroed lazily when
+// first touched in the new epoch (cur).
 type vstate struct {
+	tag     uint64
 	core    int32
 	degPlus int32
 	mcd     int32
@@ -187,7 +196,41 @@ func (m *Maintainer) init(core, degPlus, mcd []int, maxCore int, ord []int) {
 
 func (m *Maintainer) newList() order.List {
 	m.seedCtr++
+	if m.tagged() {
+		return order.NewTagListWith(m.arena, (*recordTags)(m))
+	}
 	return order.NewListOn(m.arena, m.opts.OrderKind, m.seedCtr*0x9e3779b97f4a7c15+1)
+}
+
+// recordTags is the TagStore of the Maintainer's tag lists: each tag lives
+// in its vertex's record. It indexes m.vs on every call, because vs grows
+// by append and a captured slice would go stale.
+type recordTags Maintainer
+
+func (r *recordTags) Tag(v int) uint64         { return r.vs[v].tag }
+func (r *recordTags) SetTag(v int, tag uint64) { r.vs[v].tag = tag }
+
+// tagged reports whether the levels are tag lists, whose order the records'
+// tags carry.
+func (m *Maintainer) tagged() bool { return m.opts.OrderKind == order.KindTagList }
+
+// less reports whether w precedes z in the level list L that holds both;
+// sw and sz are their records. A tag list's order is its tags'; a treap
+// is asked.
+func (m *Maintainer) less(L order.List, w int, sw *vstate, z int, sz *vstate) bool {
+	if m.tagged() {
+		return sw.tag < sz.tag
+	}
+	return L.Less(w, z)
+}
+
+// key returns a position-monotone key of v in its level list L, for the
+// jump heap: the tag of a tag list, the rank in a treap.
+func (m *Maintainer) key(L order.List, v int) uint64 {
+	if m.tagged() {
+		return m.vs[v].tag
+	}
+	return L.Key(v)
 }
 
 // Graph returns the underlying graph (read-only for callers).
@@ -269,11 +312,11 @@ func (m *Maintainer) ensureLevel(k int) {
 
 // before reports whether u precedes v in the maintained global k-order.
 func (m *Maintainer) before(u, v int) bool {
-	cu, cv := m.vs[u].core, m.vs[v].core
-	if cu != cv {
-		return cu < cv
+	su, sv := &m.vs[u], &m.vs[v]
+	if su.core != sv.core {
+		return su.core < sv.core
 	}
-	return m.levels[cu].Less(u, v)
+	return m.less(m.levels[su.core], u, su, v, sv)
 }
 
 // CheckInvariants validates the complete maintained state against
@@ -289,9 +332,11 @@ func (m *Maintainer) CheckInvariants() error {
 	if err := decomp.Validate(m.g, core); err != nil {
 		return err
 	}
-	// Level membership.
+	// Level membership, and for tag lists the tags the scans compare:
+	// strictly increasing along every level, front to back.
 	seen := make([]bool, n)
 	for k, l := range m.levels {
+		prev := -1
 		for v, ok := l.Front(); ok; v, ok = l.Next(v) {
 			if seen[v] {
 				return fmt.Errorf("korder: vertex %d appears in multiple levels", v)
@@ -300,6 +345,11 @@ func (m *Maintainer) CheckInvariants() error {
 			if core[v] != k {
 				return fmt.Errorf("korder: vertex %d in O_%d but core %d", v, k, core[v])
 			}
+			if m.tagged() && prev >= 0 && m.vs[v].tag <= m.vs[prev].tag {
+				return fmt.Errorf("korder: tag of %d (%d) not above tag of %d (%d) in O_%d",
+					v, m.vs[v].tag, prev, m.vs[prev].tag, k)
+			}
+			prev = v
 		}
 	}
 	for v := 0; v < n; v++ {

@@ -87,17 +87,17 @@ func (m *Maintainer) Remove(u, v int) (UpdateResult, error) {
 	down := m.levels[K-1]
 	for _, w := range vstar {
 		var dp int32
+		sw := &m.vs[w]
 		for _, z32 := range m.g.Neighbors(w) {
 			z := int(z32)
 			sz := &m.vs[z]
-			if sz.core == K && L.Less(z, w) {
+			if sz.core == K && m.less(L, z, sz, w, sw) {
 				sz.degPlus--
 			}
 			if sz.core >= K || (sz.flag(ep, fInVStar) && sz.flags&fMoved == 0 && z != w) {
 				dp++
 			}
 		}
-		sw := &m.vs[w]
 		sw.degPlus = dp
 		sw.flags |= fMoved
 		L.Remove(w)

@@ -44,9 +44,10 @@ type Arena struct {
 }
 
 // keyOwner pairs a node's key with its owner in one 16-byte cell, so an
-// ownership-checked key read (TagList.Less) touches one cache line.
+// ownership-checked key read touches one cache line. A TagList whose tags
+// live in another store (NewTagListWith) leaves the key zero.
 type keyOwner struct {
-	key   uint64 // treap heap priority / taglist order tag
+	key   uint64 // treap heap priority / order tag of an arena-tagged TagList
 	owner int32  // id of the list holding the node; 0 = absent
 }
 

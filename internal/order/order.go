@@ -26,6 +26,9 @@
 // disjoint vertex sets can share one arena (NewListOn), which is how the
 // korder Maintainer backs all per-level O_k lists with a single store; a
 // level migration moves a vertex's own node from one list to the other.
+// A TagList may keep its tags outside the arena, in a TagStore of its
+// creator's (NewTagListWith): the korder Maintainer stores them in its
+// per-vertex records, which its scans read anyway.
 package order
 
 // List is an ordered set of distinct non-negative vertex ids supporting

@@ -19,10 +19,15 @@ import "math"
 // of the treap's O(log n), at the price of O(n) Rank (used only in
 // tests/diagnostics).
 //
-// Nodes live in an Arena (tags in the arena's key column, paired with the
-// owner); steady-state updates allocate nothing. Several lists may share one arena (see Arena).
+// The links live in an Arena; steady-state updates allocate nothing, and
+// several lists may share one arena (see Arena). The tags live in a
+// TagStore that the list's creator supplies (NewTagListWith): by default
+// the arena's key column, or a field of the caller's own per-vertex record,
+// so that a caller scanning those records compares two tags without a call
+// into the list. Either way each tag is stored once.
 type TagList struct {
 	a          *Arena
+	tags       TagStore
 	id         int32
 	head, tail int32
 	n          int
@@ -32,14 +37,39 @@ type TagList struct {
 
 var _ List = (*TagList)(nil)
 
+// TagStore holds a TagList's order tags, one per vertex id. The list writes
+// a vertex's tag when it inserts or relabels the vertex, and reads it only
+// while the vertex is in the list, so a store needs no presence bit and may
+// hold stale tags for absent vertices.
+type TagStore interface {
+	Tag(v int) uint64
+	SetTag(v int, tag uint64)
+}
+
+// arenaTags is the arena's key column as a TagStore, the tag home of a list
+// built by NewTagList or NewTagListOn.
+type arenaTags Arena
+
+func (a *arenaTags) Tag(v int) uint64         { return a.kv[v+1].key }
+func (a *arenaTags) SetTag(v int, tag uint64) { a.kv[v+1].key = tag }
+
 // NewTagList returns an empty TagList on its own private arena.
 func NewTagList() *TagList { return NewTagListOn(NewArena()) }
 
-// NewTagListOn returns an empty TagList whose nodes live on the shared
-// arena a. Lists sharing an arena must hold disjoint vertex sets.
-func NewTagListOn(a *Arena) *TagList {
-	return &TagList{a: a, id: a.register()}
+// NewTagListOn returns an empty TagList whose nodes and tags live on the
+// shared arena a. Lists sharing an arena must hold disjoint vertex sets.
+func NewTagListOn(a *Arena) *TagList { return NewTagListWith(a, (*arenaTags)(a)) }
+
+// NewTagListWith returns an empty TagList whose links live on the shared
+// arena a and whose tags live in tags. Lists sharing an arena must hold
+// disjoint vertex sets; lists sharing a store must too.
+func NewTagListWith(a *Arena, tags TagStore) *TagList {
+	return &TagList{a: a, tags: tags, id: a.register()}
 }
+
+// tag and setTag access the tag of node n in the list's store.
+func (t *TagList) tag(n int32) uint64         { return t.tags.Tag(vertex(n)) }
+func (t *TagList) setTag(n int32, tag uint64) { t.tags.SetTag(vertex(n), tag) }
 
 // Len reports the number of elements.
 func (t *TagList) Len() int { return t.n }
@@ -61,7 +91,7 @@ func (t *TagList) lowerTag(n int32) uint64 {
 	if t.a.prev[n] == 0 {
 		return 0
 	}
-	return t.a.kv[t.a.prev[n]].key
+	return t.tag(t.a.prev[n])
 }
 
 // upperTag returns the tag bound above n (exclusive); MaxUint64 when n is
@@ -70,7 +100,7 @@ func (t *TagList) upperTag(n int32) uint64 {
 	if t.a.next[n] == 0 {
 		return math.MaxUint64
 	}
-	return t.a.kv[t.a.next[n]].key
+	return t.tag(t.a.next[n])
 }
 
 // tagDensity is the growth factor T of the relabel thresholds: an aligned
@@ -101,11 +131,11 @@ func (t *TagList) assignTag(n int32) {
 	a, half := t.a, (hi-lo)/2
 	switch {
 	case a.next[n] == 0 && a.prev[n] != 0: // new tail
-		a.kv[n].key = lo + min(half, endGap)
+		t.setTag(n, lo+min(half, endGap))
 	case a.prev[n] == 0 && a.next[n] != 0: // new head
-		a.kv[n].key = hi - min(half, endGap)
+		t.setTag(n, hi-min(half, endGap))
 	default:
-		a.kv[n].key = lo + half
+		t.setTag(n, lo+half)
 	}
 }
 
@@ -118,9 +148,9 @@ func (t *TagList) assignTag(n int32) {
 // which leaves gaps on both sides of every element, n among them.
 func (t *TagList) relabel(n int32) {
 	a := t.a
-	anchor := a.kv[a.next[n]].key
+	anchor := t.tag(a.next[n])
 	if p := a.prev[n]; p != 0 {
-		anchor = a.kv[p].key
+		anchor = t.tag(p)
 	}
 	first, last, count := n, n, 1
 	limit := 1.0
@@ -128,11 +158,11 @@ func (t *TagList) relabel(n int32) {
 		limit *= 2 / tagDensity
 		mask := ^uint64(0) >> (64 - i) // the range is [base, base+mask]
 		base := anchor &^ mask
-		for p := a.prev[first]; p != 0 && a.kv[p].key >= base; p = a.prev[p] {
+		for p := a.prev[first]; p != 0 && t.tag(p) >= base; p = a.prev[p] {
 			first = p
 			count++
 		}
-		for q := a.next[last]; q != 0 && a.kv[q].key-base <= mask; q = a.next[q] {
+		for q := a.next[last]; q != 0 && t.tag(q)-base <= mask; q = a.next[q] {
 			last = q
 			count++
 		}
@@ -141,7 +171,7 @@ func (t *TagList) relabel(n int32) {
 			tag := base
 			for e := first; ; e = a.next[e] {
 				tag += step
-				a.kv[e].key = tag
+				t.setTag(e, tag)
 				if e == last {
 					break
 				}
@@ -246,8 +276,7 @@ func (t *TagList) Rank(v int) int {
 
 // Key returns the tag as a position-monotone key in O(1).
 func (t *TagList) Key(v int) uint64 {
-	n := t.a.mustHandle(t.id, v, "Key", "taglist")
-	return t.a.kv[n].key
+	return t.tag(t.a.mustHandle(t.id, v, "Key", "taglist"))
 }
 
 // Less reports whether a precedes b in O(1).
@@ -257,7 +286,7 @@ func (t *TagList) Less(a, b int) bool {
 	}
 	na := t.a.mustHandle(t.id, a, "Less", "taglist")
 	nb := t.a.mustHandle(t.id, b, "Less", "taglist")
-	return t.a.kv[na].key < t.a.kv[nb].key
+	return t.tag(na) < t.tag(nb)
 }
 
 // Front returns the first element.
