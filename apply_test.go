@@ -2,6 +2,9 @@ package kcore
 
 import (
 	"errors"
+	"maps"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -359,4 +362,144 @@ func TestAddRemoveEdgesConveniences(t *testing.T) {
 	if err := e.Validate(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzApplyBatch feeds Apply batches over about 16 vertex ids that mix
+// valid and invalid updates (negative ids, self loops, ids past
+// NumVertices, duplicate adds, missing removes, and add/remove pairs that
+// coalesce) and checks each against a naive edge-set model. A rejected
+// batch must return a *BatchError at the model's first bad index with the
+// model's sentinel and leave Index() unchanged; an accepted batch must
+// match the model's Applied, Coalesced, vertex count and edge set, and pass
+// Validate.
+//
+// Each batch is one length byte, then two bytes per update: the first
+// holds the kind (low two bits) and u, the second v. Kind 0 adds (u, v),
+// 1 removes it, 2 repeats an earlier update of the batch inverted (v picks
+// which), and 3 toggles (u, v) against the edges the batch's earlier
+// updates leave, which is valid unless an id is bad.
+func FuzzApplyBatch(f *testing.F) {
+	// Add, cancelling remove, re-add; a negative id at index 2; ids past
+	// NumVertices.
+	f.Add([]byte{0x02, 0x30, 0x0f, 0x06, 0x00, 0x30, 0x0f, 0x03, 0x0b, 0x03, 0x0f, 0x04, 0x00, 0x06, 0x13, 0x05, 0x01, 0x43, 0x11, 0x07, 0x11})
+	// A self loop at index 1; toggle three times; a missing remove.
+	f.Add([]byte{0x01, 0x17, 0x06, 0x1c, 0x07, 0x02, 0x07, 0x02, 0x07, 0x02, 0x07, 0x02, 0x01, 0x07, 0x03, 0x21, 0x09})
+	// A triangle whose last edge is cancelled; a duplicate add; remove
+	// and re-add of a present edge.
+	f.Add([]byte{0x03, 0x13, 0x0a, 0x2b, 0x0d, 0x13, 0x0d, 0x06, 0x02, 0x01, 0x10, 0x0a, 0x1b, 0x00, 0x02, 0x29, 0x04, 0x28, 0x04, 0x47, 0x03})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e := NewEngine()
+		model := map[[2]int]bool{} // edge -> present, after the last accepted batch
+		vertices := 0
+		for nb := 0; len(data) > 0 && nb < 32; nb++ {
+			size := 1 + int(data[0])%12
+			data = data[1:]
+			pending := maps.Clone(model)
+			var batch Batch
+			for len(batch) < size && len(data) >= 2 {
+				kind, u, v := data[0]&3, int(data[0]>>2)%18-1, int(data[1])%18-1
+				data = data[2:]
+				up := Add(u, v)
+				switch kind {
+				case 1:
+					up = Remove(u, v)
+				case 2:
+					if len(batch) == 0 {
+						continue
+					}
+					up = batch[(v+1)%len(batch)]
+					up.Op = 1 - up.Op
+				case 3:
+					if pending[[2]int{min(u, v), max(u, v)}] {
+						up = Remove(u, v)
+					}
+				}
+				pending[[2]int{min(up.U, up.V), max(up.U, up.V)}] = up.Op == OpAdd
+				batch = append(batch, up)
+			}
+			// The model: validate in order against the pending edge set,
+			// and pair each valid update with the pending, still
+			// cancellable update on its edge.
+			pending = maps.Clone(model)
+			last := map[[2]int]int{} // edge -> index of its pending update; -1 once cancelled
+			skip := make([]bool, len(batch))
+			badIdx, coalesced := -1, 0
+			var bad error
+			for i, up := range batch {
+				key := [2]int{min(up.U, up.V), max(up.U, up.V)}
+				switch {
+				case up.U < 0 || up.V < 0:
+					bad = ErrVertexRange
+				case up.U == up.V:
+					bad = ErrSelfLoop
+				case up.Op == OpAdd && pending[key]:
+					bad = ErrDuplicateEdge
+				case up.Op == OpRemove && !pending[key]:
+					bad = ErrMissingEdge
+				}
+				if bad != nil {
+					badIdx = i
+					break
+				}
+				pending[key] = up.Op == OpAdd
+				if j, ok := last[key]; ok && j >= 0 {
+					skip[i], skip[j] = true, true
+					coalesced += 2
+					last[key] = -1
+				} else {
+					last[key] = i
+				}
+			}
+			before := e.Index()
+			info, err := e.Apply(batch)
+			if bad != nil {
+				var be *BatchError
+				if !errors.As(err, &be) || be.Index != badIdx || !errors.Is(err, bad) {
+					t.Fatalf("batch %d %v: got %v, want %v at index %d", nb, batch, err, bad, badIdx)
+				}
+				if !reflect.DeepEqual(e.Index(), before) {
+					t.Fatalf("batch %d %v: a rejected batch changed the index", nb, batch)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("batch %d %v: %v", nb, batch, err)
+			}
+			if info.Applied != len(batch)-coalesced || info.Coalesced != coalesced {
+				t.Fatalf("batch %d %v: applied %d, coalesced %d; want %d and %d",
+					nb, batch, info.Applied, info.Coalesced, len(batch)-coalesced, coalesced)
+			}
+			model = pending
+			for i, up := range batch {
+				if !skip[i] {
+					vertices = max(vertices, up.U+1, up.V+1)
+				}
+			}
+			var want [][2]int
+			for k, present := range model {
+				if present {
+					want = append(want, k)
+				}
+			}
+			got := e.Edges()
+			slices.SortFunc(want, compareEdges)
+			slices.SortFunc(got, compareEdges)
+			if !slices.Equal(got, want) {
+				t.Fatalf("batch %d %v: edges %v, want %v", nb, batch, got, want)
+			}
+			if e.NumVertices() != vertices {
+				t.Fatalf("batch %d %v: %d vertices, want %d", nb, batch, e.NumVertices(), vertices)
+			}
+			if err := e.Validate(); err != nil {
+				t.Fatalf("batch %d %v: %v", nb, batch, err)
+			}
+		}
+	})
+}
+
+func compareEdges(a, b [2]int) int {
+	if a[0] != b[0] {
+		return a[0] - b[0]
+	}
+	return a[1] - b[1]
 }

@@ -1,7 +1,9 @@
 package kcore
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"slices"
 	"testing"
 
@@ -64,6 +66,76 @@ func BenchmarkChurnBatches(b *testing.B) {
 	b.ReportMetric(10000, "updates/op")
 }
 
+// pokecChurn builds pokec-sim and the churn stream batch-churn runs on it
+// (skew 0.5, seed 1): a lead of pokecLead updates, then n more.
+func pokecChurn(tb testing.TB, n int) ([][2]int, []workload.Op) {
+	d, err := datasets.ByName("pokec-sim")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g := d.Build()
+	return g.Edges(), workload.Churn(g, pokecLead+n, workload.ChurnOptions{Skew: 0.5, Seed: 1})
+}
+
+const pokecLead = 16 * 512
+
+// churnBatch turns churn ops into a Batch, inverting every op when invert
+// is set.
+func churnBatch(ops []workload.Op, invert bool) Batch {
+	out := make(Batch, len(ops))
+	for i, op := range ops {
+		if op.Insert != invert {
+			out[i] = Add(op.E.U, op.E.V)
+		} else {
+			out[i] = Remove(op.E.U, op.E.V)
+		}
+	}
+	return out
+}
+
+// TestChurnFingerprint pins the engine's results on batch-churn's stream
+// bit for bit: the lead plus 40 batches of 512 updates through Apply, with
+// every batch's Total.Visited and Total.CoreChanged, then the final k-order
+// and cores, folded into one FNV-64a hash. A change to the maintenance
+// scans, validation or the order structure that alters any of them, even
+// in a way that keeps the cores correct, changes the hash.
+func TestChurnFingerprint(t *testing.T) {
+	const size, batches = 512, 40
+	edges, ops := pokecChurn(t, batches*size)
+	e, err := FromEdges(edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var word [8]byte
+	put := func(x int) {
+		binary.LittleEndian.PutUint64(word[:], uint64(x))
+		h.Write(word[:])
+	}
+	for lo := 0; lo < len(ops); lo += size {
+		info, err := e.Apply(churnBatch(ops[lo:min(lo+size, len(ops))], false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		put(info.Total.Visited)
+		put(len(info.Total.CoreChanged))
+		for _, v := range info.Total.CoreChanged {
+			put(v)
+		}
+	}
+	st := e.Index()
+	for _, v := range st.Order {
+		put(v)
+	}
+	for _, c := range st.Cores {
+		put(c)
+	}
+	const want = 0x1c619bc7bf04004a
+	if got := h.Sum64(); got != want {
+		t.Fatalf("fingerprint %016x, want %016x", got, uint64(want))
+	}
+}
+
 // BenchmarkPokecChurn is the batch-churn loop in-process: skewed churn on
 // pokec-sim through Apply with the default options, one op per batch, at 1,
 // 100 (the served batch size) and 512 updates per batch. The first 8,192
@@ -72,42 +144,25 @@ func BenchmarkChurnBatches(b *testing.B) {
 // never drifts. B/op is what one batch allocates, its epoch included, and
 // updates/s is perfbench's throughput unit.
 func BenchmarkPokecChurn(b *testing.B) {
-	const lead = 16 * 512
-	d, err := datasets.ByName("pokec-sim")
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := d.Build()
-	ops := workload.Churn(g, lead+100*512, workload.ChurnOptions{Skew: 0.5, Seed: 1})
-	batch := func(ops []workload.Op, invert bool) Batch {
-		out := make(Batch, len(ops))
-		for i, op := range ops {
-			if op.Insert != invert {
-				out[i] = Add(op.E.U, op.E.V)
-			} else {
-				out[i] = Remove(op.E.U, op.E.V)
-			}
-		}
-		return out
-	}
+	edges, ops := pokecChurn(b, 100*512)
 	for _, size := range []int{1, 100, 512} {
 		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
-			e, err := FromEdges(g.Edges())
+			e, err := FromEdges(edges)
 			if err != nil {
 				b.Fatal(err)
 			}
-			for lo := 0; lo < lead; lo += size {
-				if _, err := e.Apply(batch(ops[lo:min(lo+size, lead)], false)); err != nil {
+			for lo := 0; lo < pokecLead; lo += size {
+				if _, err := e.Apply(churnBatch(ops[lo:min(lo+size, pokecLead)], false)); err != nil {
 					b.Fatal(err)
 				}
 			}
-			fwd := ops[lead:]
+			fwd := ops[pokecLead:]
 			var cycle []Batch
 			for lo := 0; lo < len(fwd); lo += size {
-				cycle = append(cycle, batch(fwd[lo:min(lo+size, len(fwd))], false))
+				cycle = append(cycle, churnBatch(fwd[lo:min(lo+size, len(fwd))], false))
 			}
 			for lo := (len(fwd) - 1) / size * size; lo >= 0; lo -= size {
-				inv := batch(fwd[lo:min(lo+size, len(fwd))], true)
+				inv := churnBatch(fwd[lo:min(lo+size, len(fwd))], true)
 				slices.Reverse(inv)
 				cycle = append(cycle, inv)
 			}

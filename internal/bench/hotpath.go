@@ -10,6 +10,7 @@ import (
 	"kcore/internal/gen"
 	"kcore/internal/graph"
 	"kcore/internal/korder"
+	"kcore/internal/order"
 	"kcore/internal/workload"
 )
 
@@ -130,7 +131,7 @@ func hotpathExperiments(cfg Config) []hotpathExperiment {
 	return []hotpathExperiment{
 		{
 			name:   "korder/insert/social",
-			params: map[string]any{"graph": "barabasi-albert", "n": 5000, "m0": 8, "edges": 2000},
+			params: map[string]any{"graph": "barabasi-albert", "n": 5000, "m0": 8, "edges": 2000, "order": "taglist"},
 			fn: func(b *testing.B) {
 				g := gen.BarabasiAlbert(5000, 8, 3)
 				sample := workload.SampleEdges(g, 2000, 5)
@@ -140,7 +141,7 @@ func hotpathExperiments(cfg Config) []hotpathExperiment {
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
 					gc := g.Clone()
-					m := korder.New(gc, korder.Options{Seed: 1})
+					m := korder.New(gc, korder.Options{OrderKind: order.KindTagList})
 					b.StartTimer()
 					for _, e := range sample {
 						if _, err := m.Insert(e.U, e.V); err != nil {
@@ -152,10 +153,10 @@ func hotpathExperiments(cfg Config) []hotpathExperiment {
 		},
 		{
 			name:   "korder/churn/steady-state",
-			params: map[string]any{"n": 2000, "graph_edges": 8000, "sampled_edges": churnSample},
+			params: map[string]any{"n": 2000, "graph_edges": 8000, "sampled_edges": churnSample, "order": "taglist"},
 			fn: func(b *testing.B) {
 				g := gen.ErdosRenyi(2000, 8000, 9)
-				m := korder.New(g, korder.Options{Seed: 1})
+				m := korder.New(g, korder.Options{OrderKind: order.KindTagList})
 				sample := workload.SampleEdges(g, churnSample, 7)
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -214,7 +215,7 @@ func hotpathExperiments(cfg Config) []hotpathExperiment {
 		},
 		{
 			name:   "order/arena/migrate",
-			params: map[string]any{"n": 1024, "lists": 2},
+			params: map[string]any{"n": 1024, "lists": 2, "order": "taglist"},
 			fn:     benchArenaMigrate,
 		},
 	}
@@ -249,7 +250,7 @@ func benchArenaMigrate(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	m := korder.New(g, korder.Options{Seed: 3})
+	m := korder.New(g, korder.Options{OrderKind: order.KindTagList})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -19,6 +19,17 @@ type relocation struct {
 // It returns the set of vertices whose core number increased and the number
 // of vertices the scan expanded (|V+|). A rejected edge leaves the
 // maintained state, its vertex set included, unchanged.
+//
+// The scan pops the jump heap B in O_K order, as Algorithm 2 does, but it
+// ends as soon as the candidate set VC is empty rather than when B is.
+// That is exact: every vertex z still queued lies after the scan position,
+// and its deg* counts the current candidates adjacent to z that precede
+// it, since Case 1 adds 1 to every later level-K neighbor, an eviction
+// (removeCandidates) subtracts 1 from every level-K neighbor after the scan
+// position, and a Case 2b vertex, never a candidate, adds nothing. With no
+// candidate left, every queued entry has deg* 0 and would be skipped. The
+// root always takes Case 1 (its deg+ exceeds K), so the exit never fires
+// before the root is expanded.
 func (m *Maintainer) Insert(u, v int) (UpdateResult, error) {
 	if u < 0 || v < 0 {
 		return UpdateResult{}, graph.ErrVertexRange
@@ -103,13 +114,20 @@ func (m *Maintainer) Insert(u, v int) (UpdateResult, error) {
 			}
 			continue
 		}
-		// Case 2b (ds > 0, or the root with insufficient support): w stays
-		// at level K; fold deg* into deg+ and cascade candidate removal.
+		// Case 2b (ds > 0): w stays at level K; fold deg* into deg+ and
+		// cascade candidate removal.
 		visited++
 		sw.flags |= fConf
 		sw.degPlus += ds
 		sw.aux = 0
 		m.removeCandidates(L, w, K, &relocs)
+		// Every Case 1 vertex entered vc and every eviction appended one
+		// relocation, so len(vc)-len(relocs) candidates are left. With none
+		// left, every queued vertex has deg* 0 (see Insert's doc), and
+		// popping it would only clear its fInHeap scratch bit: stop here.
+		if len(relocs) == len(vc) {
+			break
+		}
 	}
 
 	// Ending phase: replay deferred O_K mutations, then settle V*.

@@ -6,7 +6,10 @@
 //
 // OrderInsert (Algorithms 2 and 3 of the paper) and OrderRemoval
 // (Algorithm 4) update all of this in time proportional to a small
-// neighborhood of the inserted or removed edge.
+// neighborhood of the inserted or removed edge. OrderInsert's scan ends
+// when its candidate set empties, not when its jump heap does: a queued
+// vertex's deg* counts the live candidates adjacent to it and before it,
+// so with none left every queued entry is stale (see Insert).
 //
 // Layout: the work of both algorithms is a scan over each visited vertex's
 // neighbors, so a vertex's hot state is one 32-byte record indexed by

@@ -34,14 +34,6 @@ func (h *MinHeap) Push(key uint64, v int) {
 	}
 }
 
-// Peek returns the minimum entry without removing it.
-func (h *MinHeap) Peek() (Item, bool) {
-	if len(h.items) == 0 {
-		return Item{}, false
-	}
-	return h.items[0], true
-}
-
 // Pop removes and returns the minimum entry.
 func (h *MinHeap) Pop() (Item, bool) {
 	if len(h.items) == 0 {

@@ -399,15 +399,9 @@ func TestMinHeap(t *testing.T) {
 	if _, ok := h.Pop(); ok {
 		t.Fatal("Pop on empty heap")
 	}
-	if _, ok := h.Peek(); ok {
-		t.Fatal("Peek on empty heap")
-	}
 	keys := []uint64{5, 3, 9, 1, 7, 3, 2}
 	for i, k := range keys {
 		h.Push(k, i)
-	}
-	if it, _ := h.Peek(); it.Key != 1 {
-		t.Fatalf("Peek key=%d", it.Key)
 	}
 	prev := uint64(0)
 	n := 0
