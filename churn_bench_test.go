@@ -180,3 +180,38 @@ func BenchmarkPokecChurn(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPokecBuild times engine construction on batch-churn's graph:
+// FromEdges on pokec-sim, which is what perfbench's setup_s times, and
+// FromIndex of the state after the lead, which is what a snapshot load, a
+// follower bootstrap or a tenant load runs. B/op is one build's
+// allocation.
+func BenchmarkPokecBuild(b *testing.B) {
+	edges, ops := pokecChurn(b, 0)
+	b.Run("FromEdges", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := FromEdges(edges); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	e, err := FromEdges(edges)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for lo := 0; lo < len(ops); lo += 512 {
+		if _, err := e.Apply(churnBatch(ops[lo:min(lo+512, len(ops))], false)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	st := e.Index()
+	b.Run("FromIndex", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := FromIndex(st); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

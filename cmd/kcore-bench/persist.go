@@ -33,11 +33,9 @@ func persistWorkload(edges int, seed uint64) (*kcore.Engine, []kcore.Batch, erro
 	}
 	const batchSize = 100
 	count := max(edges/batchSize, 10)
-	cg := graph.New(eng.NumVertices())
-	for _, ed := range eng.Edges() {
-		if err := cg.AddEdge(ed[0], ed[1]); err != nil {
-			return nil, nil, err
-		}
+	cg, _, err := graph.FromEdges(eng.NumVertices(), eng.Edges())
+	if err != nil {
+		return nil, nil, err
 	}
 	ops := workload.Churn(cg, count*batchSize, workload.ChurnOptions{Seed: seed, Skew: 0.3})
 	batches := make([]kcore.Batch, count)

@@ -64,30 +64,42 @@ func FromIndex(st *IndexState, opts ...Option) (*Engine, error) {
 	return e, nil
 }
 
-// Restore replaces the engine's maintained state with st in place. The
-// state is fully verified in O(m + n) first (see korder.Restore): a
-// corrupted or inconsistent state yields an error and leaves the engine
-// untouched. The engine adopts the state's Seq, which may be lower than
-// its own, and keeps its options, hooks, subscriptions and apply probe;
-// the state records no options, so later updates continue its k-order as
-// the captured engine would only when both engines have the same options
-// (see WithRebuildThreshold). Restore publishes the restored state as one
-// epoch, then hands change hooks (see AddChangeHook) a record with no
-// Updates whose Changes turn the old core of every vertex whose core
-// differs into its restored one (0 for vertices st lacks).
+// Restore replaces the engine's maintained state with st in place. It
+// builds the graph from st.Edges in O(m + n) counting passes with no
+// per-edge duplicate probe (graph.FromEdges), then verifies the state in
+// O(m + n) (see korder.Restore): a corrupted or inconsistent state yields
+// an error, naming the first bad edge when an edge is at fault, and
+// leaves the engine untouched. The engine adopts the state's Seq, which
+// may be lower than its own, and keeps its options, hooks, subscriptions
+// and apply probe; the state records no options, so later updates
+// continue its k-order as the captured engine would only when both
+// engines have the same options (see WithRebuildThreshold). Restore
+// publishes the restored state as one epoch, then hands change hooks (see
+// AddChangeHook) a record with no Updates whose Changes turn the old core
+// of every vertex whose core differs into its restored one (0 for
+// vertices st lacks).
 func (e *Engine) Restore(st *IndexState) error {
 	if st.Vertices < 0 {
 		return fmt.Errorf("kcore: index state: negative vertex count %d", st.Vertices)
 	}
-	g := graph.New(st.Vertices)
-	for _, ed := range st.Edges {
-		if ed[0] < 0 || ed[0] >= st.Vertices || ed[1] < 0 || ed[1] >= st.Vertices {
-			return fmt.Errorf("kcore: index state: edge (%d,%d) outside vertex range %d",
-				ed[0], ed[1], st.Vertices)
-		}
-		if err := g.AddEdge(ed[0], ed[1]); err != nil {
-			return fmt.Errorf("kcore: index state: edge (%d,%d): %w", ed[0], ed[1], err)
-		}
+	// The error names the first edge that is out of range or that the
+	// graph refuses: build the edges before the first out-of-range one,
+	// then report that one if the build took them all.
+	r := slices.IndexFunc(st.Edges, func(ed [2]int) bool {
+		return ed[0] < 0 || ed[0] >= st.Vertices || ed[1] < 0 || ed[1] >= st.Vertices
+	})
+	if r < 0 {
+		r = len(st.Edges)
+	}
+	g, bad, err := graph.FromEdges(st.Vertices, st.Edges[:r])
+	if err != nil {
+		ed := st.Edges[bad]
+		return fmt.Errorf("kcore: index state: edge (%d,%d): %w", ed[0], ed[1], err)
+	}
+	if r < len(st.Edges) {
+		ed := st.Edges[r]
+		return fmt.Errorf("kcore: index state: edge (%d,%d) outside vertex range %d",
+			ed[0], ed[1], st.Vertices)
 	}
 	// korder.Restore takes ownership of the core and order slices; copy so
 	// the caller's IndexState stays untouched.

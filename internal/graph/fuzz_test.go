@@ -138,3 +138,105 @@ func FuzzGraphOps(f *testing.F) {
 		}
 	})
 }
+
+// FuzzGraphFromEdges checks FromEdges against New(n) plus AddEdge on each
+// edge in order, stopping at the first error: the same bad index and error,
+// and on success the same vertex and edge counts, every vertex's exact
+// Neighbors order and capacity, and the same hubs, each map entry holding
+// its arc's index.
+//
+// The input's first byte is n (-64..63), the second sets the size of a star
+// around hub 40 (IndexThreshold-8 .. IndexThreshold+7 leaves, ids from 41).
+// Each further op is three bytes a, b, c, by a%16: 0 appends the star's
+// next c%64 edges, written (hub, leaf) or, when b is odd, (leaf, hub); 1 a
+// negative id; 2 a self loop; 3 a copy of an earlier edge, reversed when c
+// is odd; anything else the edge (b%41, c%41), which may itself be a self
+// loop or a duplicate.
+func FuzzGraphFromEdges(f *testing.F) {
+	const hub = 40
+	f.Add([]byte{})
+	f.Add([]byte{20, 0, 4, 1, 2, 5, 2, 1, 3, 0, 1})
+	// A hub past the threshold with small-id edges around it, then the
+	// same list with a reversed duplicate of a star edge at the end.
+	full := []byte{0, 15, 4, 1, 2, 0, 0, 63, 5, 3, 4, 0, 1, 63, 0, 0, 63, 6, 40, 7, 0, 1, 63, 0, 0, 63}
+	f.Add(full)
+	f.Add(append(slices.Clone(full), 3, 9, 1))
+	f.Add(append(slices.Clone(full), 2, 7, 0, 1, 1, 3))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n := int(int8(data[0])) / 2
+		leaves := IndexThreshold - 8 + int(data[1]%16)
+		var edges [][2]int
+		next := 0 // star leaves emitted
+		for data = data[2:]; len(data) >= 3; data = data[3:] {
+			a, b, c := data[0], data[1], data[2]
+			switch a % 16 {
+			case 0:
+				for k := 0; k < int(c%64) && next < leaves; k, next = k+1, next+1 {
+					e := [2]int{hub, hub + 1 + next}
+					if b%2 == 1 {
+						e[0], e[1] = e[1], e[0]
+					}
+					edges = append(edges, e)
+				}
+			case 1:
+				edges = append(edges, [2]int{int(b % 41), -1 - int(c%3)})
+			case 2:
+				edges = append(edges, [2]int{int(b % 41), int(b % 41)})
+			case 3:
+				if len(edges) > 0 {
+					e := edges[int(b)%len(edges)]
+					if c%2 == 1 {
+						e[0], e[1] = e[1], e[0]
+					}
+					edges = append(edges, e)
+				}
+			default:
+				edges = append(edges, [2]int{int(b % 41), int(c % 41)})
+			}
+		}
+
+		want, wantBad, wantErr := New(n), -1, error(nil)
+		for i, e := range edges {
+			if err := want.AddEdge(e[0], e[1]); err != nil {
+				wantBad, wantErr = i, err
+				break
+			}
+		}
+		g, bad, err := FromEdges(n, edges)
+		if bad != wantBad || !errors.Is(err, wantErr) || (err == nil) != (wantErr == nil) ||
+			(err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("FromEdges: bad %d, error %v; AddEdge: bad %d, error %v", bad, err, wantBad, wantErr)
+		}
+		if err != nil {
+			if g != nil {
+				t.Fatal("FromEdges returned a graph with its error")
+			}
+			return
+		}
+		if g.NumVertices() != want.NumVertices() || g.NumEdges() != want.NumEdges() {
+			t.Fatalf("n=%d m=%d, want n=%d m=%d", g.NumVertices(), g.NumEdges(), want.NumVertices(), want.NumEdges())
+		}
+		for v := range want.NumVertices() {
+			got, exp := g.Neighbors(v), want.Neighbors(v)
+			if !slices.Equal(got, exp) || cap(got) != cap(exp) {
+				t.Fatalf("Neighbors(%d) = %v (cap %d), want %v (cap %d)", v, got, cap(got), exp, cap(exp))
+			}
+			if (g.pos[v] == nil) != (want.pos[v] == nil) {
+				t.Fatalf("vertex %d: hub %v, want %v", v, g.pos[v] != nil, want.pos[v] != nil)
+			}
+			if p := g.pos[v]; p != nil {
+				if len(p) != len(exp) {
+					t.Fatalf("pos[%d] has %d entries, adjacency %d", v, len(p), len(exp))
+				}
+				for i, w := range exp {
+					if p[w] != int32(i) {
+						t.Fatalf("pos[%d][%d] = %d, adjacency index %d", v, w, p[w], i)
+					}
+				}
+			}
+		}
+	})
+}

@@ -11,6 +11,17 @@
 // membership tests O(1) expected at hubs and bounded by a 1 KB scan
 // elsewhere, allocation-free neighbor iteration, and deterministic
 // (insertion, perturbed by swap-removes) order.
+//
+// A graph built from a complete edge list comes from FromEdges, not from
+// an AddEdge per edge. AddEdge must probe for a duplicate before each
+// insert, since it cannot know the rest of the list; FromEdges sees the
+// whole list, so it counts degrees, allocates each list once, appends the
+// arcs in input order, and then finds duplicates in one pass over the
+// lists by stamping each vertex's neighbors in a shared mark array (a
+// count-then-fill build, as CSR builders do). Every pass is O(m + n), and
+// the result is the graph the AddEdge loop builds, down to neighbor order,
+// list capacities and hub maps; invalid input falls back to that loop for
+// its error.
 package graph
 
 import (
@@ -62,6 +73,83 @@ func New(n int) *Undirected {
 	g := &Undirected{}
 	g.EnsureVertex(n - 1)
 	return g
+}
+
+// FromEdges returns the graph that New(n) followed by AddEdge on each edge
+// in order would build: the same vertex count, neighbor order, list
+// capacities and hub indexes. It builds it with no membership probe (see
+// the package doc); bad is -1. When the list holds a negative id, a self
+// loop or a duplicate edge, FromEdges runs that AddEdge loop instead and
+// returns the index of the first edge AddEdge refuses and its error, so
+// every error is AddEdge's.
+func FromEdges(n int, edges [][2]int) (g *Undirected, bad int, err error) {
+	// Pass 1: degrees, and the vertex count New plus EnsureVertex gives.
+	deg := make([]int32, max(n, 0))
+	for _, e := range edges {
+		u, v := e[0], e[1]
+		if u < 0 || v < 0 || u == v {
+			return insertEach(n, edges)
+		}
+		if hi := max(u, v); hi >= len(deg) {
+			deg = append(deg, make([]int32, hi+1-len(deg))...)
+		}
+		deg[u]++
+		deg[v]++
+	}
+	// Each list gets, in one allocation, the capacity appending its degree
+	// one neighbor at a time leaves, so later insertions regrow it exactly
+	// as they would after AddEdge. capAt records those capacities by
+	// appending to one list up to the largest degree.
+	var maxDeg int32
+	for _, d := range deg {
+		maxDeg = max(maxDeg, d)
+	}
+	capAt := make([]int32, maxDeg+1)
+	var grown []int32
+	for d := 1; d < len(capAt); d++ {
+		grown = append(grown, 0)
+		capAt[d] = int32(cap(grown))
+	}
+	g = &Undirected{adj: make([][]int32, len(deg)), pos: make([]map[int32]int32, len(deg)), m: len(edges)}
+	for v, d := range deg {
+		if d > 0 {
+			g.adj[v] = make([]int32, 0, capAt[d])
+		}
+	}
+	// Pass 2: both arcs of each edge, in input order.
+	for _, e := range edges {
+		u, v := e[0], e[1]
+		g.adj[u] = append(g.adj[u], int32(v))
+		g.adj[v] = append(g.adj[v], int32(u))
+	}
+	// Pass 3: u stamps its neighbors with ^u in the degree array, which no
+	// degree equals, so a neighbor found already stamped is a second edge
+	// between the two, whichever way round either was written.
+	for u, list := range g.adj {
+		stamp := int32(^u)
+		for _, w := range list {
+			if deg[w] == stamp {
+				return insertEach(n, edges)
+			}
+			deg[w] = stamp
+		}
+		if len(list) > IndexThreshold {
+			g.promote(u)
+		}
+	}
+	return g, -1, nil
+}
+
+// insertEach is FromEdges on invalid input: New(n) and AddEdge on each edge
+// in order, stopping at the first edge AddEdge refuses.
+func insertEach(n int, edges [][2]int) (*Undirected, int, error) {
+	g := New(n)
+	for i, e := range edges {
+		if err := g.AddEdge(e[0], e[1]); err != nil {
+			return nil, i, err
+		}
+	}
+	return g, -1, nil
 }
 
 // NumVertices reports the number of vertices (max vertex id + 1).
@@ -167,9 +255,12 @@ func (g *Undirected) addArc(u, v int) {
 	}
 }
 
-// promote builds the map position index for hub vertex u.
+// promote builds the map position index for hub vertex u. The map is sized
+// for twice the degree at which addArc promotes, whatever u's degree, so a
+// hub's map is the same size whether it grew arc by arc or FromEdges built
+// it.
 func (g *Undirected) promote(u int) {
-	p := make(map[int32]int32, 2*len(g.adj[u]))
+	p := make(map[int32]int32, 2*(IndexThreshold+1))
 	for i, w := range g.adj[u] {
 		p[w] = int32(i)
 	}
@@ -310,11 +401,4 @@ func (g *Undirected) Equal(h *Undirected) bool {
 		}
 	})
 	return equal
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -200,14 +200,14 @@ func NewEngine(opts ...Option) *Engine {
 }
 
 // FromEdges builds an engine from an initial edge list (duplicates and self
-// loops are rejected). Building from a batch is much faster than inserting
-// edges one by one: the initial decomposition runs in O(m + n).
+// loops are rejected; the error names the first edge that inserting the
+// list in order would refuse). Building from a batch is much faster than
+// inserting edges one by one: both the graph (counting passes, no
+// per-edge duplicate probe) and the initial decomposition take O(m + n).
 func FromEdges(edges [][2]int, opts ...Option) (*Engine, error) {
-	g := &graph.Undirected{}
-	for _, e := range edges {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			return nil, fmt.Errorf("kcore: edge (%d,%d): %w", e[0], e[1], err)
-		}
+	g, bad, err := graph.FromEdges(0, edges)
+	if err != nil {
+		return nil, fmt.Errorf("kcore: edge (%d,%d): %w", edges[bad][0], edges[bad][1], err)
 	}
 	return fromGraph(g, newConfig(opts)), nil
 }
@@ -535,13 +535,12 @@ func (e *Engine) validateEpochLocked() error {
 }
 
 // Decompose computes core numbers for a static edge list without building
-// an engine (one-shot O(m + n) decomposition).
+// an engine: the graph build and the decomposition each take O(m + n). It
+// rejects duplicates and self loops as FromEdges does.
 func Decompose(edges [][2]int) ([]int, error) {
-	g := &graph.Undirected{}
-	for _, e := range edges {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			return nil, fmt.Errorf("kcore: edge (%d,%d): %w", e[0], e[1], err)
-		}
+	g, bad, err := graph.FromEdges(0, edges)
+	if err != nil {
+		return nil, fmt.Errorf("kcore: edge (%d,%d): %w", edges[bad][0], edges[bad][1], err)
 	}
 	return decomp.Cores(g), nil
 }

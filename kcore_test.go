@@ -162,6 +162,92 @@ func TestDecomposeStatic(t *testing.T) {
 	}
 }
 
+// TestConstructionErrors pins which edge a construction error names when an
+// edge list holds more than one bad edge: FromEdges and Decompose report the
+// first edge that inserting the list in order would refuse, and FromIndex
+// the first edge that is out of range or refused.
+func TestConstructionErrors(t *testing.T) {
+	star := func(tail ...[2]int) [][2]int {
+		var edges [][2]int
+		for v := 1; v <= 300; v++ {
+			edges = append(edges, [2]int{0, v})
+		}
+		return append(edges, tail...)
+	}
+	for _, tc := range []struct {
+		name      string
+		edges     [][2]int
+		vertices  int    // FromIndex's vertex count
+		wantEdges string // FromEdges' and Decompose's error
+		wantIndex string // FromIndex's error
+	}{
+		{
+			name:      "duplicate reversed",
+			edges:     [][2]int{{0, 1}, {1, 2}, {2, 3}, {2, 1}, {0, 3}},
+			vertices:  4,
+			wantEdges: "kcore: edge (2,1): graph: edge already present",
+			wantIndex: "kcore: index state: edge (2,1): graph: edge already present",
+		},
+		{
+			name:      "self loop after duplicate",
+			edges:     [][2]int{{0, 1}, {1, 2}, {1, 0}, {3, 3}},
+			vertices:  4,
+			wantEdges: "kcore: edge (1,0): graph: edge already present",
+			wantIndex: "kcore: index state: edge (1,0): graph: edge already present",
+		},
+		{
+			name:      "duplicate after self loop",
+			edges:     [][2]int{{0, 1}, {1, 2}, {3, 3}, {1, 0}},
+			vertices:  4,
+			wantEdges: "kcore: edge (3,3): graph: self loops are not supported",
+			wantIndex: "kcore: index state: edge (3,3): graph: self loops are not supported",
+		},
+		{
+			name:      "negative id",
+			edges:     [][2]int{{0, 1}, {2, -1}, {1, 0}},
+			vertices:  4,
+			wantEdges: "kcore: edge (2,-1): graph: vertex id must be non-negative",
+			wantIndex: "kcore: index state: edge (2,-1) outside vertex range 4",
+		},
+		{
+			name:      "duplicate before out of range",
+			edges:     [][2]int{{0, 1}, {1, 2}, {2, 1}, {0, 9}},
+			vertices:  4,
+			wantEdges: "kcore: edge (2,1): graph: edge already present",
+			wantIndex: "kcore: index state: edge (2,1): graph: edge already present",
+		},
+		{
+			name:      "out of range before duplicate",
+			edges:     [][2]int{{0, 1}, {1, 2}, {0, 9}, {2, 1}},
+			vertices:  4,
+			wantEdges: "kcore: edge (2,1): graph: edge already present",
+			wantIndex: "kcore: index state: edge (0,9) outside vertex range 4",
+		},
+		{
+			name:      "duplicate at a hub",
+			edges:     star([2]int{5, 6}, [2]int{290, 0}, [2]int{7, 7}),
+			vertices:  301,
+			wantEdges: "kcore: edge (290,0): graph: edge already present",
+			wantIndex: "kcore: index state: edge (290,0): graph: edge already present",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			check := func(fn string, err error, want string) {
+				t.Helper()
+				if err == nil || err.Error() != want {
+					t.Errorf("%s error %v, want %q", fn, err, want)
+				}
+			}
+			_, err := FromEdges(tc.edges)
+			check("FromEdges", err, tc.wantEdges)
+			_, err = Decompose(tc.edges)
+			check("Decompose", err, tc.wantEdges)
+			_, err = FromIndex(&IndexState{Vertices: tc.vertices, Edges: tc.edges})
+			check("FromIndex", err, tc.wantIndex)
+		})
+	}
+}
+
 // TestConcurrentAccess exercises the engine from multiple goroutines; run
 // with -race to verify the locking discipline.
 func TestConcurrentAccess(t *testing.T) {
