@@ -1,9 +1,13 @@
 package main
 
 import (
+	"cmp"
 	"fmt"
+	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"kcore"
@@ -23,6 +27,12 @@ import (
 //     verification + WAL replay) across growing graphs.
 //
 // Results land in BENCH_persist.json (kcore-bench -experiment persist -json).
+
+// persistRounds is how many times each apply row runs. One run of each
+// differed from the next by more than the WAL overhead it priced (−7.6%
+// to +18.7% for unchanged code), so the rows run in interleaved rounds and
+// report medians.
+const persistRounds = 5
 
 // persistWorkload builds the seed graph and a valid churn batch stream.
 func persistWorkload(edges int, seed uint64) (*kcore.Engine, []kcore.Batch, error) {
@@ -59,7 +69,7 @@ func persistExperiment(cfg bench.Config) []bench.Result {
 	cfg = cfg.WithDefaults()
 	var results []bench.Result
 
-	// --- 1. WAL overhead on apply-batch. ---
+	// --- 1. WAL overhead on apply-batch, in persistRounds rounds. ---
 	_, batches, err := persistWorkload(cfg.Edges, cfg.Seed)
 	if err != nil {
 		fatal(err)
@@ -118,29 +128,48 @@ func persistExperiment(cfg bench.Config) []bench.Result {
 
 	fmt.Println("=== persist === (WAL overhead per apply-batch, then recovery)")
 	bench.PrintResultHeader(os.Stdout)
-	run := func(name string, p map[string]any, open func(string) (*kcore.Engine, func(), error)) bench.Result {
-		r := bench.RunMeasured(os.Stdout, name, p, func(b *testing.B) { applyStream(b, open) })
-		results = append(results, r)
-		return r
-	}
-	base := run("persist/apply-nowal", params, baselineOpen)
-	for _, pc := range []struct {
+	rows := []struct {
 		name   string
 		policy persist.SyncPolicy
+		open   func(string) (*kcore.Engine, func(), error)
 	}{
-		{"persist/apply-wal-off", persist.SyncOff},
-		{"persist/apply-wal-interval", persist.SyncInterval},
-		{"persist/apply-wal-always", persist.SyncAlways},
-	} {
-		p := make(map[string]any, len(params)+2)
-		for k, v := range params {
-			p[k] = v
+		{"persist/apply-nowal", 0, baselineOpen}, // no store: policy unused
+		{"persist/apply-wal-off", persist.SyncOff, storeOpen(persist.SyncOff)},
+		{"persist/apply-wal-interval", persist.SyncInterval, storeOpen(persist.SyncInterval)},
+		{"persist/apply-wal-always", persist.SyncAlways, storeOpen(persist.SyncAlways)},
+	}
+	// One run of every row per round, the rows' order rotating from round
+	// to round, so that drift on a shared host lands on all four alike.
+	runs := make([][]bench.Result, len(rows))
+	for r := 0; r < persistRounds; r++ {
+		for i := range rows {
+			j := (i + r) % len(rows)
+			p := maps.Clone(params)
+			if j > 0 {
+				p["fsync"] = rows[j].policy.String()
+			}
+			runs[j] = append(runs[j], bench.RunMeasured(io.Discard, rows[j].name, p,
+				func(b *testing.B) { applyStream(b, rows[j].open) }))
 		}
-		p["fsync"] = pc.policy.String()
-		r := run(pc.name, p, storeOpen(pc.policy))
-		overhead := r.NsPerOp/base.NsPerOp - 1
-		results[len(results)-1].Params["overhead_vs_nowal"] = fmt.Sprintf("%.1f%%", overhead*100)
-		fmt.Printf("  -> %s overhead vs no WAL: %.1f%%\n", pc.policy, overhead*100)
+	}
+	// Each row reports its median round, with the range of all rounds, and
+	// the overheads compare the medians.
+	var base float64
+	for i, rr := range runs {
+		slices.SortFunc(rr, func(a, b bench.Result) int { return cmp.Compare(a.NsPerOp, b.NsPerOp) })
+		r := rr[len(rr)/2]
+		r.Params["rounds"] = len(rr)
+		r.Params["ns_per_op_range"] = fmt.Sprintf("%.0f-%.0f", rr[0].NsPerOp, rr[len(rr)-1].NsPerOp)
+		fmt.Printf("%-28s %14.0f %12d %12d  (%d rounds, %s)\n",
+			r.Name, r.NsPerOp, *r.BytesPerOp, *r.AllocsPerOp, len(rr), r.Params["ns_per_op_range"])
+		if i == 0 {
+			base = r.NsPerOp
+		} else {
+			overhead := r.NsPerOp/base - 1
+			r.Params["overhead_vs_nowal"] = fmt.Sprintf("%.1f%%", overhead*100)
+			fmt.Printf("  -> %s overhead vs no WAL: %.1f%%\n", rows[i].policy, overhead*100)
+		}
+		results = append(results, r)
 	}
 
 	// --- 2. Recovery time vs graph size. ---

@@ -135,8 +135,7 @@ func Fig5(cfg Config) []Fig5Row {
 	for _, d := range ds {
 		g := d.Build()
 		dec := decomp.KOrder(g, decomp.SmallDegPlusFirst, cfg.Seed)
-		mcd := decomp.ComputeMCD(g, dec.Core)
-		pc := decomp.PureCoreSizes(g, dec.Core, mcd)
+		pc := decomp.PureCoreSizes(g, dec.Core, dec.MCD)
 		sc := decomp.SubcoreSizes(g, dec.Core)
 		oc := decomp.SampleOrderCoreSizes(g, dec, 2000, cfg.Seed)
 		row := Fig5Row{

@@ -2,6 +2,11 @@
 // paper, the O(m+n) algorithm of Batagelj and Zaversnik), generation of the
 // initial k-order under the paper's three heuristics (Section VI), and the
 // subcore / pure-core / order-core statistics of Figure 5.
+//
+// KOrder is one pass: its degree buckets are LIFO stacks with lazy
+// deletion, so a decrement is one push with no unlink, and the scan that
+// removes a vertex also counts its mcd, so the maintainer needs no second
+// O(m) pass (ComputeMCD stays as the oracle).
 package decomp
 
 import (
@@ -53,6 +58,9 @@ type Decomposition struct {
 	Pos []int
 	// DegPlus holds deg+(v): the remaining degree of v when removed.
 	DegPlus []int
+	// MCD holds mcd(v), the neighbors w with core(w) >= core(v): the
+	// same values as ComputeMCD, counted during the peel.
+	MCD []int
 	// MaxCore is the degeneracy of the graph (max core number).
 	MaxCore int
 }
@@ -67,61 +75,76 @@ func Degeneracy(g *graph.Undirected) int {
 	return KOrder(g, SmallDegPlusFirst, 0).MaxCore
 }
 
-// bucketQueue is an array-of-intrusive-lists structure over vertex degrees.
-type bucketQueue struct {
-	head []int // head[d] = first vertex with degree d, or -1
-	next []int
-	prev []int
-	deg  []int
+// buckets holds the vertices of each remaining degree d as a LIFO stack,
+// stack[lo[d]:top[d]], newest on top. An entry goes stale when its vertex
+// leaves the bucket, by removal or by a decrement that pushes it onto the
+// stack below, and is dropped only when it surfaces (lazy deletion).
+// Degrees only fall, so a vertex enters each bucket at most once, bucket d
+// receives at most the vertices of degree >= d, and the newest live entry
+// of a stack is the head a doubly linked bucket list would hold: every
+// heuristic removes the vertices in the same order it would.
+type buckets struct {
+	deg     []int32 // remaining degree; ^core once removed
+	stack   []int32
+	lo, top []int
 }
 
-func newBucketQueue(deg []int, maxDeg int) *bucketQueue {
-	n := len(deg)
-	b := &bucketQueue{
-		head: make([]int, maxDeg+1),
-		next: make([]int, n),
-		prev: make([]int, n),
-		deg:  deg,
+func newBuckets(g *graph.Undirected) *buckets {
+	n := g.NumVertices()
+	deg := make([]int32, n)
+	maxDeg := 0
+	for v := range deg {
+		deg[v] = int32(g.Degree(v))
+		maxDeg = max(maxDeg, int(deg[v]))
 	}
-	for d := range b.head {
-		b.head[d] = -1
+	atLeast := make([]int, maxDeg+1) // atLeast[d] = vertices of degree >= d
+	for _, d := range deg {
+		atLeast[d]++
 	}
+	for d := maxDeg - 1; d >= 0; d-- {
+		atLeast[d] += atLeast[d+1]
+	}
+	b := &buckets{deg: deg, lo: make([]int, maxDeg+1), top: make([]int, maxDeg+1)}
+	off := 0
+	for d, c := range atLeast {
+		b.lo[d], b.top[d] = off, off
+		off += c
+	}
+	b.stack = make([]int32, off)
 	for v := n - 1; v >= 0; v-- {
-		b.push(v, deg[v])
+		b.push(int32(v), deg[v])
 	}
 	return b
 }
 
-func (b *bucketQueue) push(v, d int) {
-	b.prev[v] = -1
-	b.next[v] = b.head[d]
-	if b.head[d] != -1 {
-		b.prev[b.head[d]] = v
-	}
-	b.head[d] = v
+func (b *buckets) push(v, d int32) {
+	b.stack[b.top[d]] = v
+	b.top[d]++
 }
 
-func (b *bucketQueue) remove(v, d int) {
-	if b.prev[v] != -1 {
-		b.next[b.prev[v]] = b.next[v]
-	} else {
-		b.head[d] = b.next[v]
+// head returns the newest vertex of remaining degree d, or -1, dropping the
+// stale entries above it.
+func (b *buckets) head(d int) int {
+	lo, t := b.lo[d], b.top[d]
+	for t > lo && b.deg[b.stack[t-1]] != int32(d) {
+		t--
 	}
-	if b.next[v] != -1 {
-		b.prev[b.next[v]] = b.prev[v]
+	b.top[d] = t
+	if t == lo {
+		return -1
 	}
-}
-
-// decrement moves v from bucket d to bucket d-1.
-func (b *bucketQueue) decrement(v, d int) {
-	b.remove(v, d)
-	b.push(v, d-1)
+	return int(b.stack[t-1])
 }
 
 // KOrder runs Algorithm 1 recording the removal order, producing an initial
-// k-order, core numbers, and initial deg+ values. The heuristic decides
-// which removable vertex (deg < k) is removed first; seed drives the random
-// heuristic (ignored by the deterministic ones).
+// k-order, core numbers, and initial deg+ and mcd values. The heuristic
+// decides which removable vertex (deg < k) is removed first; seed drives
+// the random heuristic (ignored by the deterministic ones).
+//
+// mcd comes from the peel itself: the level k never falls, so when v is
+// removed its remaining neighbors all end at v's core or above (deg+(v) of
+// them), and of the removed ones exactly those removed at v's own level
+// count too. Both are seen in the neighbor scan that removes v.
 func KOrder(g *graph.Undirected, h Heuristic, seed uint64) *Decomposition {
 	n := g.NumVertices()
 	dec := &Decomposition{
@@ -129,20 +152,13 @@ func KOrder(g *graph.Undirected, h Heuristic, seed uint64) *Decomposition {
 		Order:   make([]int, 0, n),
 		Pos:     make([]int, n),
 		DegPlus: make([]int, n),
+		MCD:     make([]int, n),
 	}
 	if n == 0 {
 		return dec
 	}
-	deg := make([]int, n)
-	maxDeg := 0
-	for v := 0; v < n; v++ {
-		deg[v] = g.Degree(v)
-		if deg[v] > maxDeg {
-			maxDeg = deg[v]
-		}
-	}
-	bq := newBucketQueue(deg, maxDeg)
-	removed := make([]bool, n)
+	b := newBuckets(g)
+	deg, maxDeg := b.deg, len(b.lo)-1
 
 	var rng *rand.Rand
 	var pool []int
@@ -159,19 +175,15 @@ func KOrder(g *graph.Undirected, h Heuristic, seed uint64) *Decomposition {
 		switch h {
 		case SmallDegPlusFirst:
 			for minCursor < k {
-				if v := bq.head[minCursor]; v != -1 {
+				if v := b.head(minCursor); v != -1 {
 					return v
 				}
 				minCursor++
 			}
 			return -1
 		case LargeDegPlusFirst:
-			top := k - 1
-			if top > maxDeg {
-				top = maxDeg
-			}
-			for d := top; d >= 0; d-- {
-				if v := bq.head[d]; v != -1 {
+			for d := min(k-1, maxDeg); d >= 0; d-- {
+				if v := b.head(d); v != -1 {
 					return v
 				}
 			}
@@ -183,28 +195,27 @@ func KOrder(g *graph.Undirected, h Heuristic, seed uint64) *Decomposition {
 				pool[i] = pool[len(pool)-1]
 				pool = pool[:len(pool)-1]
 				inPool[v] = false
-				if !removed[v] && deg[v] < k {
+				if d := deg[v]; d >= 0 && int(d) < k {
 					return v
 				}
 			}
 			return -1
 		}
 	}
-	// addCandidates pushes bucket contents of degree d into the random pool.
+	// addCandidates pushes the vertices of degree d into the random pool,
+	// newest first, as a bucket list would hold them.
 	addCandidates := func(d int) {
 		if h != RandomDegPlusFirst || d > maxDeg {
 			return
 		}
-		for v := bq.head[d]; v != -1; v = bq.next[v] {
-			if !inPool[v] {
+		for t := b.top[d]; t > b.lo[d]; t-- {
+			if v := int(b.stack[t-1]); deg[v] == int32(d) && !inPool[v] {
 				inPool[v] = true
 				pool = append(pool, v)
 			}
 		}
 	}
-	if h == RandomDegPlusFirst {
-		addCandidates(0)
-	}
+	addCandidates(0)
 
 	for len(dec.Order) < n {
 		u := selectVictim()
@@ -214,30 +225,34 @@ func KOrder(g *graph.Undirected, h Heuristic, seed uint64) *Decomposition {
 			k++
 			continue
 		}
-		removed[u] = true
-		bq.remove(u, deg[u])
-		dec.Core[u] = k - 1
-		dec.DegPlus[u] = deg[u]
-		dec.Pos[u] = len(dec.Order)
-		dec.Order = append(dec.Order, u)
-		if k-1 > dec.MaxCore {
-			dec.MaxCore = k - 1
-		}
-		for _, w32 := range g.Neighbors(u) {
-			w := int(w32)
-			if removed[w] {
+		c := k - 1
+		removedAt := ^int32(c)
+		dp := int(deg[u])
+		deg[u] = removedAt
+		mcd := dp
+		for _, w := range g.Neighbors(u) {
+			d := deg[w]
+			if d < 0 {
+				if d == removedAt {
+					mcd++
+				}
 				continue
 			}
-			bq.decrement(w, deg[w])
-			deg[w]--
-			if deg[w] < minCursor {
-				minCursor = deg[w]
-			}
-			if h == RandomDegPlusFirst && deg[w] < k && !inPool[w] {
+			d--
+			deg[w] = d
+			b.push(w, d)
+			minCursor = min(minCursor, int(d))
+			if h == RandomDegPlusFirst && int(d) < k && !inPool[w] {
 				inPool[w] = true
-				pool = append(pool, w)
+				pool = append(pool, int(w))
 			}
 		}
+		dec.Core[u] = c
+		dec.DegPlus[u] = dp
+		dec.MCD[u] = mcd
+		dec.Pos[u] = len(dec.Order)
+		dec.Order = append(dec.Order, u)
+		dec.MaxCore = max(dec.MaxCore, c)
 	}
 	return dec
 }

@@ -3,7 +3,9 @@ package graph
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -497,4 +499,87 @@ func TestHybridIndexPromotion(t *testing.T) {
 		t.Fatal("promotion is documented sticky but the index was dropped")
 	}
 	checkIndex()
+}
+
+// TestFromEdgesWorkers builds random edge lists, with hubs past
+// IndexThreshold, a duplicate written either way round in some of them
+// and vertex counts above and below the largest id, with one to five fill
+// workers, and compares each result with New plus AddEdge in input order:
+// the same bad index and error, vertex and edge counts, every list's
+// order and capacity, and the hub maps. FromEdges fills small lists on one
+// worker, so this is the test of the split.
+func TestFromEdgesWorkers(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 8))
+	for trial := 0; trial < 60; trial++ {
+		ids := 300 + rng.IntN(400)
+		var edges [][2]int
+		seen := make(map[[2]int]bool)
+		add := func(u, v int) {
+			if u != v && !seen[[2]int{min(u, v), max(u, v)}] {
+				seen[[2]int{min(u, v), max(u, v)}] = true
+				edges = append(edges, [2]int{u, v})
+			}
+		}
+		for h := rng.IntN(3); h > 0; h-- {
+			hub := rng.IntN(ids)
+			for k := IndexThreshold + rng.IntN(40); k > 0; k-- {
+				add(hub, rng.IntN(ids))
+			}
+		}
+		for k := rng.IntN(4 * ids); k > 0; k-- {
+			add(rng.IntN(ids), rng.IntN(ids))
+		}
+		if trial == 0 { // every arc at the last id: the ranges before it are empty
+			edges = edges[:0]
+			for v := 0; v < ids-1; v++ {
+				edges = append(edges, [2]int{v, ids - 1})
+			}
+		}
+		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		for i := range edges {
+			if rng.IntN(2) == 1 {
+				edges[i][0], edges[i][1] = edges[i][1], edges[i][0]
+			}
+		}
+		if trial%3 == 1 && len(edges) > 0 {
+			e := edges[rng.IntN(len(edges))]
+			if rng.IntN(2) == 1 {
+				e[0], e[1] = e[1], e[0]
+			}
+			edges = slices.Insert(edges, rng.IntN(len(edges)+1), e)
+		}
+		n := rng.IntN(ids + 20)
+
+		want, wantBad, wantErr := New(n), -1, error(nil)
+		for i, e := range edges {
+			if err := want.AddEdge(e[0], e[1]); err != nil {
+				want, wantBad, wantErr = nil, i, err
+				break
+			}
+		}
+		for w := 1; w <= 5; w++ {
+			g, bad, err := fromEdges(n, edges, w)
+			if bad != wantBad || err != wantErr {
+				t.Fatalf("trial %d, %d workers: bad %d, error %v; AddEdge: bad %d, error %v",
+					trial, w, bad, err, wantBad, wantErr)
+			}
+			if want == nil {
+				continue
+			}
+			if g.NumVertices() != want.NumVertices() || g.NumEdges() != want.NumEdges() {
+				t.Fatalf("trial %d, %d workers: n=%d m=%d, want n=%d m=%d",
+					trial, w, g.NumVertices(), g.NumEdges(), want.NumVertices(), want.NumEdges())
+			}
+			for v := range want.NumVertices() {
+				got, exp := g.Neighbors(v), want.Neighbors(v)
+				if !slices.Equal(got, exp) || cap(got) != cap(exp) {
+					t.Fatalf("trial %d, %d workers: Neighbors(%d) = %v (cap %d), want %v (cap %d)",
+						trial, w, v, got, cap(got), exp, cap(exp))
+				}
+				if !maps.Equal(g.pos[v], want.pos[v]) || (g.pos[v] == nil) != (want.pos[v] == nil) {
+					t.Fatalf("trial %d, %d workers: vertex %d's hub map differs", trial, w, v)
+				}
+			}
+		}
+	}
 }

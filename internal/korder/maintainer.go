@@ -174,7 +174,7 @@ func (m *Maintainer) newEpoch() {
 func New(g *graph.Undirected, opts Options) *Maintainer {
 	m := &Maintainer{g: g, opts: opts, seedCtr: opts.Seed}
 	dec := decomp.KOrder(g, opts.Heuristic, opts.Seed)
-	m.init(dec.Core, dec.DegPlus, decomp.ComputeMCD(g, dec.Core), dec.MaxCore, dec.Order)
+	m.init(dec.Core, dec.DegPlus, dec.MCD, dec.MaxCore, dec.Order)
 	return m
 }
 

@@ -18,21 +18,22 @@ import (
 func (m *Maintainer) Reseed() {
 	dec := decomp.KOrder(m.g, m.opts.Heuristic, m.opts.Seed)
 	m.seedCtr = m.opts.Seed
-	m.init(dec.Core, dec.DegPlus, decomp.ComputeMCD(m.g, dec.Core), dec.MaxCore, dec.Order)
+	m.init(dec.Core, dec.DegPlus, dec.MCD, dec.MaxCore, dec.Order)
 }
 
 // Restore builds a Maintainer directly from a claimed maintained state:
 // graph, core numbers, and k-order. It is the verifier behind the engine's
 // one restore path, kcore.Engine.Restore, which every snapshot load and
 // follower bootstrap goes through. deg+ and mcd are not part of the claim:
-// deg+ falls out of the peeling check below and mcd is recomputed from the
-// verified cores, both in O(m). The claimed state is fully verified in
-// O(m + n): the order must be a permutation, level-monotone, a valid
-// peeling order (deg+(v) <= core(v) along the order), and every vertex must
-// have at least core(v) neighbors at its own level or above — together
-// these certify that core is exactly the core-number function of g, so a
-// Restore that returns nil error can never install silently-wrong state. g
-// must not be mutated except through the returned Maintainer afterwards.
+// deg+ falls out of the peeling check below, and mcd is the strong-neighbor
+// count the lower-bound check takes, both in O(m). The claimed state is
+// fully verified in O(m + n): the order must be a permutation,
+// level-monotone, a valid peeling order (deg+(v) <= core(v) along the
+// order), and every vertex must have at least core(v) neighbors at its own
+// level or above — together these certify that core is exactly the
+// core-number function of g, so a Restore that returns nil error can never
+// install silently-wrong state. g must not be mutated except through the
+// returned Maintainer afterwards.
 func Restore(g *graph.Undirected, core []int, ord []int, opts Options) (*Maintainer, error) {
 	n := g.NumVertices()
 	if len(core) != n || len(ord) != n {
@@ -48,19 +49,19 @@ func Restore(g *graph.Undirected, core []int, ord []int, opts Options) (*Maintai
 	}
 
 	// Verification (see doc comment). Lower bound: mcd(v) >= core(v).
+	mcd := make([]int, n)
 	for v := 0; v < n; v++ {
 		if core[v] < 0 {
 			return nil, fmt.Errorf("korder: restore: vertex %d has negative core %d", v, core[v])
 		}
-		cnt := 0
 		for _, w := range g.Neighbors(v) {
 			if core[w] >= core[v] {
-				cnt++
+				mcd[v]++
 			}
 		}
-		if cnt < core[v] {
+		if mcd[v] < core[v] {
 			return nil, fmt.Errorf("korder: restore: vertex %d claims core %d with only %d strong neighbors",
-				v, core[v], cnt)
+				v, core[v], mcd[v])
 		}
 	}
 	// Upper bound: monotone valid peeling order; record deg+ as we go.
@@ -96,6 +97,6 @@ func Restore(g *graph.Undirected, core []int, ord []int, opts Options) (*Maintai
 			maxCore = c
 		}
 	}
-	m.init(core, degPlus, decomp.ComputeMCD(g, core), maxCore, ord)
+	m.init(core, degPlus, mcd, maxCore, ord)
 	return m, nil
 }
